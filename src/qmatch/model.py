@@ -16,12 +16,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .tensor import (
+    UPDATE_BLOCK,
     ShapeError,
     Tensor,
     batch_norm_eval,
     batch_norm_train,
     maxout_rows,
     relu,
+    update_blocks,
 )
 
 CHECKPOINT_MAGIC = b"QMCKPT01"
@@ -205,13 +207,18 @@ def classifier_forward(params: ModelParams, h: Tensor) -> Tensor:
 
 
 def ema_update(ema: EmaParams, student: ModelParams):
-    """e <- decay * e + (1 - decay) * s; running statistics are copied."""
+    """e <- decay * e + (1 - decay) * s in place; running statistics are copied."""
     tau = ema.decay
     for k, t in ema.params.tensors.items():
         s = student.tensors[k]
         if t.data.shape != s.data.shape:
             raise ConfigError(f"EMA shape mismatch for {k}: {t.data.shape} vs {s.data.shape}")
-        t.data[...] = tau * t.data + (1.0 - tau) * s.data
+        scratch = np.empty(min(UPDATE_BLOCK, t.data.size), dtype=t.data.dtype)
+        for e, x in update_blocks(t.data, s.data):
+            a = scratch[:e.size]
+            np.multiply(e, tau, out=e)
+            np.multiply(x, 1.0 - tau, out=a)
+            np.add(e, a, out=e)
     for k, v in ema.params.buffers.items():
         v[...] = student.buffers[k]
 

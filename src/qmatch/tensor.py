@@ -15,6 +15,10 @@ import numpy as np
 
 EPS_LOG = 1e-12
 
+# In-place elementwise updates (optimizer, EMA) walk flat arrays this many
+# elements at a time, so a block's operands stay in cache across its ufuncs.
+UPDATE_BLOCK = 1 << 15
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
@@ -136,6 +140,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if n == 1 and g.shape[i] != 1:
             g = g.sum(axis=i, keepdims=True)
     return g.reshape(shape)
+
+
+def update_blocks(*arrays: np.ndarray):
+    """Yield aligned 1-D slices of the arrays, UPDATE_BLOCK elements at a time.
+
+    The slices are views, so ``out=`` writes through them update the arrays in
+    place; every array must therefore be C-contiguous and of the same shape.
+    """
+    shape = arrays[0].shape
+    for a in arrays:
+        if a.shape != shape:
+            raise ShapeError(f"update operands disagree: {a.shape} vs {shape}")
+        if not a.flags.c_contiguous:
+            raise ValueError("in-place updates need C-contiguous arrays")
+    flat = [a.reshape(-1) for a in arrays]
+    for start in range(0, flat[0].size, UPDATE_BLOCK):
+        yield tuple(f[start:start + UPDATE_BLOCK] for f in flat)
 
 
 # -- elementwise arithmetic ---------------------------------------------------
@@ -265,13 +286,18 @@ def maxout_rows(x: Tensor, k: int) -> Tensor:
     if d % k != 0:
         raise ShapeError(f"maxout group size {k} does not divide width {d}")
     grouped = x.data.reshape(b, d // k, k)
-    idx = grouped.argmax(axis=2)
+    # a running maximum over the k strided slices beats a reduction over the
+    # short last axis; np.maximum propagates NaN like max(axis=2)
+    out = grouped[:, :, 0].copy()
+    for j in range(1, k):
+        np.maximum(out, grouped[:, :, j], out=out)
 
     def bwd(g):
+        idx = grouped.argmax(axis=2)
         gx = np.zeros_like(grouped)
         np.put_along_axis(gx, idx[:, :, None], g[:, :, None], axis=2)
         _accumulate(x, gx.reshape(b, d))
-    return _make(grouped.max(axis=2), (x,), bwd)
+    return _make(out, (x,), bwd)
 
 
 def l2_normalize_rows(z: Tensor, epsilon: float = 1e-12) -> Tensor:

@@ -36,7 +36,15 @@ from .model import (
     init_params,
     projector_forward,
 )
-from .tensor import Tensor, backward, cross_entropy_rows, l2_normalize_rows, softmax_rows
+from .tensor import (
+    UPDATE_BLOCK,
+    Tensor,
+    backward,
+    cross_entropy_rows,
+    l2_normalize_rows,
+    softmax_rows,
+    update_blocks,
+)
 
 PRETEXT_ALGORITHMS = ("qmatch", "vime", "tabnet", "infonce", "mse_align", "dino")
 ALGORITHMS = PRETEXT_ALGORITHMS + ("supervised",)
@@ -58,6 +66,13 @@ class TrainLoopConfig:
     trials: int = 5
 
     def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.downstream_max_epochs < 1:
+            raise ValueError(
+                f"downstream_max_epochs must be >= 1, got {self.downstream_max_epochs}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.patience >= self.max_epochs:
             raise ValueError("patience must be smaller than max_epochs")
 
@@ -111,7 +126,10 @@ class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
     Weight decay is applied after the adaptive step and skips biases and
-    batch-norm parameters; with weight_decay=0 this is exactly Adam.
+    batch-norm parameters; with weight_decay=0 this is exactly Adam.  The
+    update runs in place, block by block, into two scratch buffers per dtype;
+    each element sees the same operations in the same order as the textbook
+    out-of-place formulas, so results are bit-identical to them.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float,
@@ -125,6 +143,9 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        self._scratch = {t.data.dtype: (np.empty(UPDATE_BLOCK, t.data.dtype),
+                                        np.empty(UPDATE_BLOCK, t.data.dtype))
+                         for t in params.values()}
 
     @staticmethod
     def _decayed(name: str) -> bool:
@@ -135,33 +156,50 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        lr_wd = lr * self.weight_decay
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
+            g = np.ascontiguousarray(g)
+            # the whole gradient is checked before any of the parameter changes
+            if not all(np.isfinite(gb).all() for (gb,) in update_blocks(g)):
                 raise TrainingError(
                     f"non-finite gradient in {name!r} at step {t} "
                     f"(|g|_max={np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else 'n/a'})")
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / bc1
-            vhat = self.v[name] / bc2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            if self.weight_decay and self._decayed(name):
-                p.data -= self.lr * self.weight_decay * p.data
+            decay = self.weight_decay and self._decayed(name)
+            scratch_a, scratch_b = self._scratch[p.data.dtype]
+            for pb, gb, mb, vb in update_blocks(p.data, g, self.m[name], self.v[name]):
+                a, b = scratch_a[:pb.size], scratch_b[:pb.size]
+                # m = b1*m + (1-b1)*g
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, 1 - b1, out=a)
+                np.add(mb, a, out=mb)
+                # v = b2*v + ((1-b2)*g)*g
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, 1 - b2, out=a)
+                np.multiply(a, gb, out=a)
+                np.add(vb, a, out=vb)
+                # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+                np.divide(mb, bc1, out=a)
+                np.multiply(a, lr, out=a)
+                np.divide(vb, bc2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(pb, a, out=pb)
+                if decay:
+                    np.multiply(pb, lr_wd, out=a)
+                    np.subtract(pb, a, out=pb)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
+        """Copies of the step count and moments (the live moments change in place)."""
         out = {"step_count": np.asarray([self.step_count], dtype=np.float64)}
         for k in self.params:
-            out[f"m/{k}"] = self.m[k]
-            out[f"v/{k}"] = self.v[k]
+            out[f"m/{k}"] = self.m[k].copy()
+            out[f"v/{k}"] = self.v[k].copy()
         return out
-
-
-def adamw_step(optimizer: AdamW, params: ModelParams, grads=None):
-    """Single optimizer update (grads live on the parameter tensors)."""
-    optimizer.step()
 
 
 class EarlyStopper:
@@ -319,9 +357,6 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
         return float(loss.data)
 
     stopper = EarlyStopper(loop.patience, mode="min")
-    best = {"params": params.copy(), "heads": {k: t.data.copy() for k, t in heads.items()},
-            "ema": ema.params.copy(requires_grad=False) if ema else None,
-            "queue": queue.snapshot() if queue else None}
     val_history: list[float] = []
     start = time.monotonic()
     for epoch in range(loop.max_epochs):
@@ -338,11 +373,12 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                       for b in _batches(len(val_idx), loop.batch_size, None, False)]
         val_loss = float(np.mean(val_losses))
         val_history.append(val_loss)
+        # epoch 0 always lands here, so `best` is bound once the loop ends
         if stopper.best is None or val_loss < stopper.best:
             best = {"params": params.copy(),
                     "heads": {k: t.data.copy() for k, t in heads.items()},
                     "ema": ema.params.copy(requires_grad=False) if ema else None,
-                    "queue": queue.snapshot() if queue else None}
+                    "queue": (queue.snapshot(), queue.cursor) if queue else None}
         if stopper.update(val_loss, epoch):
             break
 
@@ -350,8 +386,8 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
     best_ema = EmaParams(best["ema"], decay=qm_config.tau_ema) if best["ema"] is not None else None
     best_queue = None
     if best["queue"] is not None:
-        best_queue = EmbeddingQueue(queue.capacity, queue.dim, storage=best["queue"],
-                                    cursor=queue.cursor)
+        storage, cursor = best["queue"]
+        best_queue = EmbeddingQueue(queue.capacity, queue.dim, storage=storage, cursor=cursor)
     best_heads = {k: Tensor(v, requires_grad=True) for k, v in best["heads"].items()}
     return PretrainResult(params=best_params, ema=best_ema, queue=best_queue,
                           heads=best_heads, best_epoch=stopper.best_epoch,
@@ -454,7 +490,6 @@ def finetune(params: ModelParams, dataset: TabularDataset,
         return 100.0 * float((logits.argmax(axis=1) == labels[split]).mean())
 
     stopper = EarlyStopper(loop.patience, mode="max")
-    best = (model.copy(), {k: t.data.copy() for k, t in head.items()})
     x_train, y_train = data["down_train"], labels["down_train"]
     for epoch in range(loop.downstream_max_epochs):
         for batch_idx in _batches(len(x_train), loop.batch_size, rng, drop_last=False):
@@ -468,6 +503,7 @@ def finetune(params: ModelParams, dataset: TabularDataset,
             backward(loss)
             optimizer.step()
         val_acc = accuracy("down_val")
+        # epoch 0 always lands here, so `best` is bound once the loop ends
         if stopper.best is None or val_acc > stopper.best:
             best = (model.copy(), {k: t.data.copy() for k, t in head.items()})
         if stopper.update(val_acc, epoch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from qmatch.model import (
     projector_forward,
     save_checkpoint,
 )
-from qmatch.tensor import ShapeError, Tensor, backward, finite_difference_check
+from qmatch.tensor import UPDATE_BLOCK, ShapeError, Tensor, backward, finite_difference_check
 
 
 def small_config(**kw):
@@ -174,6 +176,34 @@ class TestEma:
         ema_update(ema, params)
         for k, t in params.tensors.items():
             np.testing.assert_array_equal(t.data, snapshot[k])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_and_bit_identical_to_out_of_place_formula(self, dtype):
+        params = init_params(small_config(layer_widths=(8, UPDATE_BLOCK // 4 + 12)), seed=15)
+        ema = EmaParams(init_params(params.config, seed=16), decay=0.9)
+        for group in (params, ema.params):
+            for t in group.tensors.values():
+                t.data = t.data.astype(dtype)
+        arrays = {k: t.data for k, t in ema.params.tensors.items()}
+        expected = {k: 0.9 * t.data + (1.0 - 0.9) * params.tensors[k].data
+                    for k, t in ema.params.tensors.items()}
+        ema_update(ema, params)
+        for k, t in ema.params.tensors.items():
+            assert t.data is arrays[k]
+            assert t.data.dtype == dtype
+            np.testing.assert_array_equal(t.data.view(np.uint8), expected[k].view(np.uint8))
+
+    def test_allocates_at_most_one_full_size_temporary(self):
+        params = init_params(small_config(input_dim=1000, layer_widths=(1000, 400)), seed=17)
+        ema = EmaParams(init_params(params.config, seed=18), decay=0.9)
+        largest = max(t.data.nbytes for t in params.tensors.values())
+        tracemalloc.start()
+        try:
+            ema_update(ema, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * largest
 
     def test_running_stats_copied_not_averaged(self, rng):
         params = init_params(small_config(), seed=14)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qmatch.tensor import (
+    UPDATE_BLOCK,
     ParameterError,
     ShapeError,
     Tensor,
@@ -18,6 +19,7 @@ from qmatch.tensor import (
     matmul,
     maxout_rows,
     softmax_rows,
+    update_blocks,
 )
 
 
@@ -216,12 +218,53 @@ class TestMaxout:
         with pytest.raises(ShapeError):
             maxout_rows(Tensor(np.zeros((2, 5))), k=4)
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 5])
+    def test_forward_bit_identical_to_group_reduction(self, k):
+        x = rand((6, 20 * k), 16)
+        x[0, :k] = 1.5  # a fully tied group
+        out = maxout_rows(Tensor(x), k)
+        expected = x.reshape(6, 20, k).max(axis=2)
+        np.testing.assert_array_equal(out.data.view(np.uint64), expected.view(np.uint64))
+
+    def test_gradient_on_exact_ties_per_group(self):
+        x = Tensor([[1.0, 3.0, 3.0, 0.0, 5.0, 5.0, 5.0, 5.0],
+                    [-1.0, -2.0, -1.0, -1.0, 0.0, 2.0, 1.0, 2.0]], requires_grad=True)
+        backward(maxout_rows(x, k=4).sum())
+        np.testing.assert_array_equal(x.grad, [[0, 1, 0, 0, 1, 0, 0, 0],
+                                               [1, 0, 0, 0, 0, 1, 0, 0]])
+
+    def test_nan_propagates_within_its_group(self):
+        x = Tensor([[1.0, np.nan, 3.0, 2.0, 4.0, 0.0, 1.0, 2.0]], requires_grad=True)
+        out = maxout_rows(x, k=4)
+        assert np.isnan(out.data[0, 0])
+        assert out.data[0, 1] == 4.0
+        backward(out.sum())
+        np.testing.assert_array_equal(x.grad, [[0, 1, 0, 0, 1, 0, 0, 0]])
+
     def test_gradient(self):
         x = Tensor(rand((3, 8), 11), requires_grad=True)
         w = rand((3, 2), 12)
         err = finite_difference_check(
             lambda: (maxout_rows(x, 4) * Tensor(w)).sum(), [x])
         assert err <= 1e-6
+
+
+class TestUpdateBlocks:
+    def test_blocks_are_aligned_views_covering_the_arrays(self):
+        a = np.zeros((3, UPDATE_BLOCK // 2 + 1))
+        b = np.arange(a.size, dtype=float).reshape(a.shape)
+        sizes = []
+        for x, y in update_blocks(a, b):
+            sizes.append(x.size)
+            np.add(x, y, out=x)
+        assert sizes == [UPDATE_BLOCK, a.size - UPDATE_BLOCK]
+        np.testing.assert_array_equal(a, b)
+
+    def test_rejects_non_contiguous_and_mismatched(self):
+        with pytest.raises(ValueError, match="contiguous"):
+            next(update_blocks(np.zeros((4, 3)).T))
+        with pytest.raises(ShapeError):
+            next(update_blocks(np.zeros(4), np.zeros(5)))
 
 
 class TestBCE:

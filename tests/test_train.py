@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from qmatch.augment import CorruptionConfig
 from qmatch.data import SplitSpec, fit_preprocess, make_splits
 from qmatch.distill import QMatchConfig
 from qmatch.model import EncoderConfig, init_params
-from qmatch.tensor import Tensor
+from qmatch.tensor import UPDATE_BLOCK, Tensor
 from qmatch.train import (
     AdamW,
     EarlyStopper,
@@ -26,6 +28,24 @@ from tests.conftest import make_fixture_dataset
 SMALL_ENCODER = dict(layer_widths=(32, 32), maxout_k=4, projector_dim=16)
 SMALL_LOOP = dict(batch_size=32, max_epochs=3, downstream_max_epochs=40,
                   patience=2, learning_rate=1e-2, pretext_learning_rate=1e-3)
+
+
+def reference_adamw_step(p, g, m, v, t, lr, wd, decayed,
+                         b1=0.9, b2=0.999, eps=1e-8):
+    """The out-of-place AdamW update the in-place optimizer must match bitwise."""
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    mhat = m / (1.0 - b1 ** t)
+    vhat = v / (1.0 - b2 ** t)
+    p = p - lr * mhat / (np.sqrt(vhat) + eps)
+    if wd and decayed:
+        p = p - lr * wd * p
+    return p, m, v
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +134,73 @@ class TestAdamW:
         arrays = opt.state_arrays()
         assert set(arrays) == {"step_count", "m/w", "v/w"}
         assert arrays["step_count"][0] == 1.0
+        # a snapshot must not follow the live moments, which change in place
+        before = {k: a.copy() for k, a in arrays.items()}
+        opt.step()
+        for k, a in arrays.items():
+            np.testing.assert_array_equal(a, before[k])
+        assert not np.array_equal(opt.state_arrays()["m/w"], before["m/w"])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_bit_identical_to_out_of_place_formulas(self, dtype, weight_decay):
+        rng = np.random.default_rng(21)
+        shapes = {"layer0.weight": (UPDATE_BLOCK // 3,),      # under one block
+                  "layer0.bias": (UPDATE_BLOCK,),             # exactly one block
+                  "layer0.bn_scale": (3, UPDATE_BLOCK + 5),   # several, ragged tail
+                  "layer1.weight": (5, 7)}
+        params = {k: Tensor(rng.normal(size=s).astype(dtype), requires_grad=True)
+                  for k, s in shapes.items()}
+        ref = {k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
+               for k, t in params.items()}
+        opt = AdamW(params, lr=1e-2, weight_decay=weight_decay)
+        for step in range(1, 5):
+            for k, t in params.items():
+                t.grad = rng.normal(size=t.shape).astype(dtype)
+                p, m, v = ref[k]
+                ref[k] = reference_adamw_step(p, t.grad, m, v, step, 1e-2, weight_decay,
+                                              decayed=k.endswith(".weight"))
+            opt.step()
+            for k, t in params.items():
+                p, m, v = ref[k]
+                assert_same_bits(t.data, p)
+                assert_same_bits(opt.m[k], m)
+                assert_same_bits(opt.v[k], v)
+
+    def test_non_finite_gradient_leaves_parameter_and_moments_untouched(self, rng):
+        p = Tensor(rng.normal(size=3 * UPDATE_BLOCK + 1), requires_grad=True)
+        opt = AdamW({"w": p}, lr=0.1, weight_decay=0.1)
+        p.grad = rng.normal(size=p.shape)
+        opt.step()
+        before = (p.data.copy(), opt.m["w"].copy(), opt.v["w"].copy())
+        p.grad = rng.normal(size=p.shape)
+        p.grad[-1] = np.inf  # in the last block: earlier blocks must not move either
+        with pytest.raises(TrainingError, match="non-finite"):
+            opt.step()
+        for now, then in zip((p.data, opt.m["w"], opt.v["w"]), before):
+            assert_same_bits(now, then)
+
+    def test_step_allocates_no_full_size_temporaries(self, rng):
+        params = {"layer0.weight": Tensor(rng.normal(size=(2000, 2000)), requires_grad=True),
+                  "layer0.bias": Tensor(np.zeros(2000), requires_grad=True)}
+        opt = AdamW(params, lr=1e-3, weight_decay=0.1)
+        for t in params.values():
+            t.grad = rng.normal(size=t.shape)
+        opt.step()  # warm-up
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * sum(t.data.nbytes for t in params.values())
+
+    def test_non_contiguous_parameter_rejected(self):
+        p = Tensor(np.ones((4, 3)).T, requires_grad=True)
+        opt = AdamW({"w": p}, lr=0.1)
+        p.grad = np.ones((3, 4))
+        with pytest.raises(ValueError, match="contiguous"):
+            opt.step()
 
 
 class TestEarlyStopper:
@@ -146,6 +233,15 @@ class TestConfigs:
         with pytest.raises(ValueError, match="patience"):
             TrainLoopConfig(max_epochs=10, patience=10)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(max_epochs=0, patience=-1), "max_epochs"),
+        (dict(downstream_max_epochs=0), "downstream_max_epochs"),
+        (dict(max_epochs=10, patience=-1), "patience"),
+    ])
+    def test_epoch_budgets_validated(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TrainLoopConfig(**kwargs)
+
     def test_trial_result_validates_accuracy(self):
         with pytest.raises(ValueError, match="outside"):
             TrialResult("a", "d", "linear", {}, 0, 101.0, 50.0, 1.0)
@@ -175,6 +271,21 @@ class TestPretrain:
         assert len(res.val_history) <= SMALL_LOOP["max_epochs"]
         assert all(np.isfinite(v) for v in res.val_history)
         assert res.params.all_finite()
+
+    def test_best_epoch_queue_keeps_its_cursor(self, setup):
+        ds, splits, state, config = setup
+        qm = QMatchConfig(queue_capacity=100)  # does not divide the 256 rows pushed per epoch
+        loop = TrainLoopConfig(**{**SMALL_LOOP, "max_epochs": 4, "patience": 3})
+        res = pretrain("qmatch", ds, splits, state, config, loop, seed=3, qm_config=qm)
+        assert res.best_epoch < len(res.val_history) - 1
+        steps = len(splits["pretext_train"]) // loop.batch_size
+        assert res.queue.cursor == ((res.best_epoch + 1) * steps * loop.batch_size) % 100
+        # a run cut at the best epoch ends with that epoch's queue, oldest row first
+        cut = TrainLoopConfig(**{**SMALL_LOOP, "max_epochs": res.best_epoch + 1,
+                                 "patience": res.best_epoch})
+        ref = pretrain("qmatch", ds, splits, state, config, cut, seed=3, qm_config=qm)
+        assert ref.best_epoch == res.best_epoch
+        np.testing.assert_array_equal(res.queue.ordered(), ref.queue.ordered())
 
     def test_unknown_algorithm(self, setup):
         ds, splits, state, config = setup

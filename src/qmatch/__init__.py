@@ -26,7 +26,6 @@ from .distill import (
     QMatchConfig,
     qmatch_loss,
     queue_init,
-    queue_push,
     training_step,
 )
 from .model import (

@@ -19,8 +19,6 @@ class CorruptionConfig:
     mode: str = "resample"  # "resample" (VIME) or "zero" (TabNet)
     p_student: float = 0.3
     p_teacher: float = 0.0
-    seed: int = 0
-    per_cell_donor: bool = True  # False: one donor row per sample
 
     def __post_init__(self):
         if self.mode not in ("resample", "zero"):
@@ -63,8 +61,6 @@ def corrupt(x: np.ndarray, pool: np.ndarray | None, p: float, mode: str,
 def make_views(x: np.ndarray, pool: np.ndarray | None, config: CorruptionConfig,
                rng: np.random.Generator):
     """Two independent corruptions of x: (student_view, teacher_view)."""
-    student, _ = corrupt(x, pool, config.p_student, config.mode, rng,
-                         per_cell_donor=config.per_cell_donor)
-    teacher, _ = corrupt(x, pool, config.p_teacher, config.mode, rng,
-                         per_cell_donor=config.per_cell_donor)
+    student, _ = corrupt(x, pool, config.p_student, config.mode, rng)
+    teacher, _ = corrupt(x, pool, config.p_teacher, config.mode, rng)
     return student, teacher

@@ -59,41 +59,24 @@ def info_nce_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
         raise ValueError("every anchor needs a nonempty positive set")
     if negatives.shape[0] % b != 0:
         raise ValueError("negatives must provide an equal-size set per anchor")
-    npos = positives.shape[0] // b
-    nneg = negatives.shape[0] // b
-    pos_sims = _per_anchor_sims(anchors, positives, npos)  # B x P
-    neg_sims = _per_anchor_sims(anchors, negatives, nneg)  # B x N
-    s_pos = tsum(exp(pos_sims * (1.0 / tau)), axis=1)
-    s_neg = tsum(exp(neg_sims * (1.0 / tau)), axis=1)
+    s_pos = _block_exp_sums(anchors, positives, tau)
+    s_neg = _block_exp_sums(anchors, negatives, tau)
     losses = log(s_pos + s_neg) - log(s_pos)
     return losses.mean()
 
 
-def _per_anchor_sims(anchors: Tensor, block: Tensor, k: int) -> Tensor:
-    """Dot products of each anchor row against its own k block rows: B x k."""
+def _block_exp_sums(anchors: Tensor, block: Tensor, tau: float) -> Tensor:
+    """Per anchor, sum of exp(a . c / tau) over its own k consecutive block rows.
+
+    Every anchor is scored against every block row; the mask keeps anchor i's
+    rows i*k .. i*k+k-1 and zeroes the rest before `exp`, so an off-block
+    similarity can never overflow, and again after it, so it adds nothing.
+    """
     b = anchors.shape[0]
-    tiled = concat_rows([anchors] * k) if k > 1 else anchors
-    reordered = _reorder_grad(block, b, k)  # anchor-major -> candidate-major rows
-    sims = tsum(tiled * reordered, axis=1)  # (b*k,) candidate-major
-    return _reshape_cols(sims, b, k)
-
-
-def _reorder_grad(block: Tensor, b: int, k: int) -> Tensor:
-    from .tensor import _accumulate, _make
-    d = block.shape[1]
-    data = np.ascontiguousarray(block.data.reshape(b, k, d).transpose(1, 0, 2).reshape(b * k, d))
-
-    def bwd(g):
-        _accumulate(block, g.reshape(k, b, d).transpose(1, 0, 2).reshape(b * k, d))
-    return _make(data, (block,), bwd)
-
-
-def _reshape_cols(v: Tensor, b: int, k: int) -> Tensor:
-    from .tensor import _accumulate, _make
-
-    def bwd(g):
-        _accumulate(v, g.T.reshape(-1))
-    return _make(v.data.reshape(k, b).T.copy(), (v,), bwd)
+    k = block.shape[0] // b
+    mask = Tensor(np.repeat(np.eye(b), k, axis=1))  # B x (B*k)
+    sims = anchors @ block.T
+    return tsum(exp(sims * mask * (1.0 / tau)) * mask, axis=1)
 
 
 def in_batch_info_nce(z1: Tensor, z2: Tensor, tau: float) -> Tensor:

@@ -189,6 +189,20 @@ def cmd_prepare_data(args) -> int:
     return EXIT_OK
 
 
+def _config(cls, **values):
+    """Build a config object; a value it rejects is the user's config error."""
+    try:
+        return cls(**values)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
+def _check_patience(patience: int | None):
+    # a --patience flag obeys the run-config schema's bound on loop.patience
+    if patience is not None and patience < 1:
+        raise ConfigError(f"--patience must be >= 1, got {patience}")
+
+
 def _build_configs(args, ws: Workspace):
     cfg = load_run_config(args.config) if args.config else {}
 
@@ -197,6 +211,7 @@ def _build_configs(args, ws: Workspace):
             return flag_val
         return cfg.get(section, {}).get(key, default) if section else cfg.get(key, default)
 
+    _check_patience(args.patience)
     enc_over = cfg.get("encoder", {})
     widths = args.widths or enc_over.get("layer_widths") or [2048, 2048, 4096, 4096, 8192]
     encoder = EncoderConfig(
@@ -206,7 +221,8 @@ def _build_configs(args, ws: Workspace):
         projector_dim=enc_over.get("projector_dim", 128),
         mlp_projector=enc_over.get("mlp_projector", False),
     )
-    loop = TrainLoopConfig(
+    loop = _config(
+        TrainLoopConfig,
         batch_size=pick(args.batch_size, "loop", "batch_size", 512),
         max_epochs=pick(args.max_epochs, "loop", "max_epochs", 200),
         downstream_max_epochs=pick(None, "loop", "downstream_max_epochs", 500),
@@ -215,13 +231,15 @@ def _build_configs(args, ws: Workspace):
         pretext_learning_rate=pick(args.pretext_lr, "loop", "pretext_learning_rate", 1e-3),
         weight_decay=pick(None, "loop", "weight_decay", 1e-1),
     )
-    qm = QMatchConfig(
+    qm = _config(
+        QMatchConfig,
         tau_student=pick(args.tau_student, "qmatch", "tau_student", 0.1),
         tau_teacher=pick(None, "qmatch", "tau_teacher", 0.04),
         tau_ema=pick(None, "qmatch", "tau_ema", 0.9),
         queue_capacity=pick(args.queue_size, "qmatch", "queue_capacity", 512),
     )
-    corr = CorruptionConfig(
+    corr = _config(
+        CorruptionConfig,
         mode=pick(None, "corruption", "mode", "resample"),
         p_student=pick(args.p_student, "corruption", "p_student", 0.3),
         p_teacher=pick(args.p_teacher, "corruption", "p_teacher", 0.0),
@@ -276,13 +294,15 @@ def cmd_eval(args, task: str) -> int:
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
-    ckpt = load_checkpoint(ckpt_path)
-    loop = TrainLoopConfig(
+    _check_patience(args.patience)
+    loop = _config(
+        TrainLoopConfig,
         learning_rate=args.lr if args.lr is not None else 1e-3,
-        downstream_max_epochs=args.max_epochs or 500,
-        patience=args.patience or 32,
-        batch_size=args.batch_size or 512,
+        downstream_max_epochs=args.max_epochs if args.max_epochs is not None else 500,
+        patience=args.patience if args.patience is not None else 32,
+        batch_size=args.batch_size if args.batch_size is not None else 512,
     )
+    ckpt = load_checkpoint(ckpt_path)
     algorithm = ckpt["metadata"].get("algorithm", "unknown")
     fn = linear_eval if task == "linear" else finetune
     result = fn(ckpt["params"], ws.dataset, ws.splits, ws.state, loop,

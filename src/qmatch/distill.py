@@ -54,7 +54,6 @@ class EmbeddingQueue:
             raise ValueError(f"storage shape {storage.shape} != ({capacity}, {dim})")
         self.storage = storage
         self.cursor = cursor  # next write position == oldest row once warm
-        self.fill = capacity
         self.validate = validate
 
     def push(self, batch: np.ndarray):
@@ -100,10 +99,6 @@ def queue_init(capacity: int, dim: int, rng: np.random.Generator,
     return EmbeddingQueue(capacity, dim, storage=rows, validate=validate)
 
 
-def queue_push(queue: EmbeddingQueue, batch: np.ndarray):
-    queue.push(batch)
-
-
 def qmatch_loss(z_student: Tensor, z_teacher, queue: EmbeddingQueue,
                 config: QMatchConfig) -> Tensor:
     """Mean cross-entropy H(p_teacher, p_student) over the batch.
@@ -130,6 +125,31 @@ def teacher_entropy(z_teacher: np.ndarray, queue: EmbeddingQueue,
     return float(-(p * np.log(p + eps_log)).sum(axis=1).mean())
 
 
+def embed(params: ModelParams, x: np.ndarray, mode: str) -> Tensor:
+    """Encoder -> projector -> row L2-normalization of a model-input batch."""
+    h = encoder_forward(params, Tensor(x), mode=mode)
+    return l2_normalize_rows(projector_forward(params, h))
+
+
+def student_teacher(x: np.ndarray, pool: np.ndarray | None, student: ModelParams,
+                    ema: EmaParams, corruption: CorruptionConfig,
+                    rng: np.random.Generator, preprocess=None,
+                    mode: str = "train") -> tuple[Tensor, Tensor]:
+    """Two corrupted views of x, embedded by the student (batch norm in `mode`)
+    and by the EMA teacher (always eval); the teacher side is detached.
+
+    `preprocess` maps a raw view to the model-input representation (identity
+    when None).
+    """
+    student_view, teacher_view = make_views(x, pool, corruption, rng)
+    if preprocess is not None:
+        student_view = preprocess(student_view)
+        teacher_view = preprocess(teacher_view)
+    z_t = embed(ema.params, teacher_view, "eval").detach()
+    z_s = embed(student, student_view, mode)
+    return z_s, z_t
+
+
 def training_step(x: np.ndarray, pool: np.ndarray | None,
                   student: ModelParams, ema: EmaParams, queue: EmbeddingQueue,
                   corruption: CorruptionConfig, config: QMatchConfig,
@@ -138,20 +158,9 @@ def training_step(x: np.ndarray, pool: np.ndarray | None,
     """One full update: views -> forwards -> loss -> step -> EMA -> queue push.
 
     The loss uses the pre-push queue, so a sample's own teacher embedding is
-    never part of the support during its step.  `preprocess` maps a raw view
-    to the model-input representation (identity when None).
+    never part of the support during its step.
     """
-    student_view, teacher_view = make_views(x, pool, corruption, rng)
-    if preprocess is not None:
-        student_view = preprocess(student_view)
-        teacher_view = preprocess(teacher_view)
-
-    h_t = encoder_forward(ema.params, Tensor(teacher_view), mode="eval")
-    z_t = l2_normalize_rows(projector_forward(ema.params, h_t)).detach()
-
-    h_s = encoder_forward(student, Tensor(student_view), mode="train")
-    z_s = l2_normalize_rows(projector_forward(student, h_s))
-
+    z_s, z_t = student_teacher(x, pool, student, ema, corruption, rng, preprocess)
     loss = qmatch_loss(z_s, z_t, queue, config)
     student.zero_grad()
     backward(loss)

@@ -189,12 +189,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data / b.data, (a, b), bwd)
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    def bwd(g):
-        _accumulate(a, g * p * np.power(a.data, p - 1))
-    return _make(np.power(a.data, p), (a,), bwd)
-
-
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
 

@@ -17,34 +17,38 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import baselines
-from .augment import CorruptionConfig, corrupt, make_views
+from .augment import CorruptionConfig, corrupt
 from .data import PreprocessState, TabularDataset, apply_preprocess, expand_mask
 from .distill import (
     EmbeddingQueue,
     QMatchConfig,
+    embed,
     qmatch_loss,
     queue_init,
+    student_teacher,
     training_step,
 )
 from .model import (
     EmaParams,
     EncoderConfig,
     ModelParams,
-    classifier_forward,
     ema_update,
     encoder_forward,
     init_params,
-    projector_forward,
 )
 from .tensor import (
     UPDATE_BLOCK,
     Tensor,
     backward,
     cross_entropy_rows,
-    l2_normalize_rows,
     softmax_rows,
     update_blocks,
 )
+
+# Unused here, but bench/layers.py traces them as attributes of this module.
+from .augment import make_views  # noqa: F401
+from .model import projector_forward  # noqa: F401
+from .tensor import l2_normalize_rows  # noqa: F401
 
 PRETEXT_ALGORITHMS = ("qmatch", "vime", "tabnet", "infonce", "mse_align", "dino")
 ALGORITHMS = PRETEXT_ALGORITHMS + ("supervised",)
@@ -66,6 +70,8 @@ class TrainLoopConfig:
     trials: int = 5
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.downstream_max_epochs < 1:
@@ -297,39 +303,32 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
     trainable.update(heads)
     optimizer = AdamW(trainable, lr=loop.pretext_learning_rate, weight_decay=0.0)
 
-    def project_norm(p: ModelParams, x: np.ndarray, mode: str) -> Tensor:
-        h = encoder_forward(p, Tensor(x), mode=mode)
-        return l2_normalize_rows(projector_forward(p, h))
-
     def step_loss(raw: np.ndarray, step_rng: np.random.Generator,
                   update: bool, bn_mode: str) -> float:
         """Forward (and optionally backward+update) one batch; returns loss."""
         if algorithm == "qmatch" and update:
             return training_step(raw, pool, params, ema, queue, corruption,
                                  qm_config, optimizer, step_rng, preprocess=pre)
-        if algorithm == "qmatch":
-            sview, tview = make_views(raw, pool, corruption, step_rng)
-            z_s = project_norm(params, pre(sview), bn_mode)
-            z_t = project_norm(ema.params, pre(tview), "eval")
-            return float(qmatch_loss(z_s, z_t.detach(), queue, qm_config).data)
 
-        if algorithm in ("infonce", "mse_align"):
+        if algorithm in ("qmatch", "dino"):
+            z_s, z_t = student_teacher(raw, pool, params, ema, corruption, step_rng,
+                                       preprocess=pre, mode=bn_mode)
+            if algorithm == "qmatch":
+                loss = qmatch_loss(z_s, z_t, queue, qm_config)
+            else:
+                loss = baselines.dino_proto_loss(z_s, z_t, bank,
+                                                 tau_s=qm_config.tau_student,
+                                                 tau_t=qm_config.tau_teacher,
+                                                 update_center=update)
+        elif algorithm in ("infonce", "mse_align"):
             c1, _ = corrupt(raw, pool, corruption.p_student, corruption.mode, step_rng)
             c2, _ = corrupt(raw, pool, corruption.p_student, corruption.mode, step_rng)
-            z1 = project_norm(params, pre(c1), bn_mode)
-            z2 = project_norm(params, pre(c2), bn_mode)
+            z1 = embed(params, pre(c1), bn_mode)
+            z2 = embed(params, pre(c2), bn_mode)
             if algorithm == "infonce":
                 loss = baselines.in_batch_info_nce(z1, z2, extra.get("tau", 0.1))
             else:
                 loss = baselines.mse_align_loss(z1, z2.detach())
-        elif algorithm == "dino":
-            sview, tview = make_views(raw, pool, corruption, step_rng)
-            z_s = project_norm(params, pre(sview), bn_mode)
-            z_t = project_norm(ema.params, pre(tview), "eval")
-            loss = baselines.dino_proto_loss(z_s, z_t, bank,
-                                             tau_s=qm_config.tau_student,
-                                             tau_t=qm_config.tau_teacher,
-                                             update_center=update)
         elif algorithm in ("vime", "tabnet"):
             corrupted, mask = corrupt(raw, pool, corruption.p_student,
                                       corruption.mode, step_rng)
@@ -352,7 +351,7 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                 h.zero_grad()
             backward(loss)
             optimizer.step()
-            if algorithm == "dino":
+            if ema is not None:
                 ema_update(ema, params)
         return float(loss.data)
 
@@ -512,16 +511,11 @@ def finetune(params: ModelParams, dataset: TabularDataset,
     for k, t in head.items():
         t.data[...] = best_head[k]
 
-    # recompute accuracies with the best parameters
-    def best_accuracy(split: str) -> float:
-        emb = _embed_all(model, data[split])
-        logits = emb @ head["classifier.weight"].data + head["classifier.bias"].data
-        return 100.0 * float((logits.argmax(axis=1) == labels[split]).mean())
-
+    # `accuracy` reads `model` late, so this scores the best parameters
     return TrialResult(algorithm=algorithm or "finetune", dataset=dataset.name,
                        task="finetune", hyperparameters=hyperparameters or {},
                        seed=seed, val_accuracy=stopper.best,
-                       test_accuracy=best_accuracy("test"),
+                       test_accuracy=accuracy("test"),
                        wall_time=time.monotonic() - start)
 
 

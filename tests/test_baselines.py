@@ -74,14 +74,38 @@ class TestInfoNCE:
             info_nce_loss(Tensor(unit_rows(rng, 2, 4)), Tensor(np.empty((0, 4))),
                           Tensor(unit_rows(rng, 2, 4)), 0.1)
 
+    def test_several_anchors_and_positives_match_loop(self, rng):
+        # B=3 anchors, P=2 positives and N=4 negatives each, anchor-major rows
+        b, npos, nneg, tau = 3, 2, 4, 0.2
+        a, p, n = unit_rows(rng, b, 5), unit_rows(rng, b * npos, 5), unit_rows(rng, b * nneg, 5)
+        loss = float(info_nce_loss(Tensor(a), Tensor(p), Tensor(n), tau).data)
+        expected = []
+        for i in range(b):
+            s_pos = np.exp(p[i * npos:(i + 1) * npos] @ a[i] / tau).sum()
+            s_neg = np.exp(n[i * nneg:(i + 1) * nneg] @ a[i] / tau).sum()
+            expected.append(-np.log(s_pos / (s_pos + s_neg)))
+        np.testing.assert_allclose(loss, np.mean(expected), rtol=1e-12)
+
+    def test_other_anchors_rows_cannot_overflow(self):
+        # each anchor is orthogonal to its own rows; a . c / tau = 1000 only
+        # for the other anchor's positive, which must not reach exp
+        anchors = Tensor([[1.0, 0.0], [0.0, 1.0]])
+        positives = Tensor([[0.0, 1.0], [1.0, 0.0]])
+        negatives = Tensor([[0.0, -1.0], [-1.0, 0.0]])
+        with np.errstate(over="raise"):
+            loss = float(info_nce_loss(anchors, positives, negatives, 1e-3).data)
+        np.testing.assert_allclose(loss, np.log(2.0), rtol=1e-12)
+
     def test_gradient(self, rng):
-        anchors = Tensor(unit_rows(rng, 3, 4), requires_grad=True)
-        positives = Tensor(unit_rows(rng, 3, 4), requires_grad=True)
-        negatives = Tensor(unit_rows(rng, 6, 4), requires_grad=True)
-        err = finite_difference_check(
-            lambda: info_nce_loss(anchors, positives, negatives, 0.2),
-            [anchors, positives, negatives])
-        assert err <= 1e-4
+        # one positive per anchor, then B=3, P=2, N=4
+        for npos, nneg in ((1, 2), (2, 4)):
+            anchors = Tensor(unit_rows(rng, 3, 4), requires_grad=True)
+            positives = Tensor(unit_rows(rng, 3 * npos, 4), requires_grad=True)
+            negatives = Tensor(unit_rows(rng, 3 * nneg, 4), requires_grad=True)
+            err = finite_difference_check(
+                lambda: info_nce_loss(anchors, positives, negatives, 0.2),
+                [anchors, positives, negatives])
+            assert err <= 1e-4
 
     def test_in_batch_variant_gradient(self, rng):
         z1 = Tensor(unit_rows(rng, 4, 5), requires_grad=True)

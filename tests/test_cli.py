@@ -138,6 +138,30 @@ class TestPretrain:
         assert resolved["encoder"]["layer_widths"] == [16, 16]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--max-epochs", "0"], ["--patience", "-1"], ["--patience", "0"],
+    ["--tau-student", "0"], ["--p-student", "1.5"], ["--queue-size", "0"],
+    ["--batch-size", "0"], ["--batch-size", "-4"],
+], ids="=".join)
+def test_bad_pretrain_flag_is_config_error(prepared, tmp_path, flags):
+    out = tmp_path / "c.qmc"
+    code = main(["pretrain", "--data", str(prepared), "--out", str(out),
+                 "--algorithm", "qmatch", "--widths", "32,32"] + flags)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--max-epochs", "0"], ["--patience", "0"], ["--batch-size", "0"],
+], ids="=".join)
+def test_bad_eval_flag_is_config_error(prepared, checkpoint, tmp_path, flags):
+    out = tmp_path / "r.jsonl"
+    code = main(["linear-eval", "--checkpoint", str(checkpoint), "--data",
+                 str(prepared), "--out", str(out)] + flags)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 class TestEval:
     def test_linear_eval_appends_jsonl(self, prepared, checkpoint, tmp_path):
         out = tmp_path / "results.jsonl"

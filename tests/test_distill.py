@@ -9,7 +9,6 @@ from qmatch.distill import (
     QMatchConfig,
     qmatch_loss,
     queue_init,
-    queue_push,
     teacher_entropy,
     training_step,
 )
@@ -27,7 +26,7 @@ class TestQueueInit:
     def test_unit_norm_rows(self, rng):
         q = queue_init(512, 128, rng)
         np.testing.assert_allclose(np.linalg.norm(q.storage, axis=1), 1.0, atol=1e-12)
-        assert q.fill == q.capacity == 512
+        assert q.capacity == 512
 
     def test_deterministic(self):
         a = queue_init(32, 8, np.random.default_rng(3))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,3 +289,18 @@ class TestBCE:
 def test_float32_selectable():
     t = Tensor([1.0, 2.0], dtype=np.float32)
     assert t.data.dtype == np.float32
+
+
+def test_autograd_internals_stay_in_tensor_module():
+    """No package module but tensor.py imports a private name from it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "qmatch"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("tensor", "qmatch.tensor")):
+                offenders += [f"{path.name}:{node.lineno} {a.name}"
+                              for a in node.names if a.name.startswith("_")]
+    assert not offenders, offenders

@@ -12,14 +12,11 @@ import csv as csvmod
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 from . import data as datamod
 from .augment import CorruptionConfig
@@ -27,7 +24,6 @@ from .data import (
     DataError,
     PreprocessState,
     SplitSpec,
-    apply_preprocess,
     fit_preprocess,
     load_csv,
     load_manifest,
@@ -36,7 +32,7 @@ from .data import (
     preset_split,
     save_manifest,
 )
-from .distill import EmbeddingQueue, QMatchConfig
+from .distill import QMatchConfig
 from .model import (
     CheckpointError,
     ConfigError,
@@ -94,7 +90,6 @@ RUN_CONFIG_SCHEMA = {
                 "learning_rate": {"type": "number", "exclusiveMinimum": 0},
                 "pretext_learning_rate": {"type": "number", "exclusiveMinimum": 0},
                 "weight_decay": {"type": "number", "minimum": 0},
-                "trials": {"type": "integer", "minimum": 1},
             },
         },
         "qmatch": {
@@ -133,11 +128,10 @@ def _resolve(path: str) -> Path:
 def load_run_config(path) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(cfg, RUN_CONFIG_SCHEMA)
-        except jsonschema.ValidationError as e:
-            raise ConfigError(f"{path}: {e.message}") from None
+    try:
+        jsonschema.validate(cfg, RUN_CONFIG_SCHEMA)
+    except jsonschema.ValidationError as e:
+        raise ConfigError(f"{path}: {e.message}") from None
     return cfg
 
 
@@ -189,12 +183,18 @@ def cmd_prepare_data(args) -> int:
     return EXIT_OK
 
 
-def _config(cls, **values):
+def _config(build, *args, **values):
     """Build a config object; a value it rejects is the user's config error."""
     try:
-        return cls(**values)
+        return build(*args, **values)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+
+
+def _overlay(cls, section: dict, **flags):
+    """Build `cls` from its dataclass defaults, overridden by the run-config
+    `section`, then by every flag that is not None."""
+    return _config(cls, **{**section, **{k: v for k, v in flags.items() if v is not None}})
 
 
 def _check_patience(patience: int | None):
@@ -205,45 +205,17 @@ def _check_patience(patience: int | None):
 
 def _build_configs(args, ws: Workspace):
     cfg = load_run_config(args.config) if args.config else {}
-
-    def pick(flag_val, section, key, default):
-        if flag_val is not None:
-            return flag_val
-        return cfg.get(section, {}).get(key, default) if section else cfg.get(key, default)
-
     _check_patience(args.patience)
-    enc_over = cfg.get("encoder", {})
-    widths = args.widths or enc_over.get("layer_widths") or [2048, 2048, 4096, 4096, 8192]
-    encoder = EncoderConfig(
-        input_dim=ws.state.output_dim,
-        layer_widths=tuple(widths),
-        maxout_k=enc_over.get("maxout_k", 4),
-        projector_dim=enc_over.get("projector_dim", 128),
-        mlp_projector=enc_over.get("mlp_projector", False),
-    )
-    loop = _config(
-        TrainLoopConfig,
-        batch_size=pick(args.batch_size, "loop", "batch_size", 512),
-        max_epochs=pick(args.max_epochs, "loop", "max_epochs", 200),
-        downstream_max_epochs=pick(None, "loop", "downstream_max_epochs", 500),
-        patience=pick(args.patience, "loop", "patience", 32),
-        learning_rate=pick(args.lr, "loop", "learning_rate", 1e-3),
-        pretext_learning_rate=pick(args.pretext_lr, "loop", "pretext_learning_rate", 1e-3),
-        weight_decay=pick(None, "loop", "weight_decay", 1e-1),
-    )
-    qm = _config(
-        QMatchConfig,
-        tau_student=pick(args.tau_student, "qmatch", "tau_student", 0.1),
-        tau_teacher=pick(None, "qmatch", "tau_teacher", 0.04),
-        tau_ema=pick(None, "qmatch", "tau_ema", 0.9),
-        queue_capacity=pick(args.queue_size, "qmatch", "queue_capacity", 512),
-    )
-    corr = _config(
-        CorruptionConfig,
-        mode=pick(None, "corruption", "mode", "resample"),
-        p_student=pick(args.p_student, "corruption", "p_student", 0.3),
-        p_teacher=pick(args.p_teacher, "corruption", "p_teacher", 0.0),
-    )
+    encoder = _overlay(EncoderConfig, cfg.get("encoder", {}),
+                       input_dim=ws.state.output_dim, layer_widths=args.widths)
+    loop = _overlay(TrainLoopConfig, cfg.get("loop", {}),
+                    batch_size=args.batch_size, max_epochs=args.max_epochs,
+                    patience=args.patience, learning_rate=args.lr,
+                    pretext_learning_rate=args.pretext_lr)
+    qm = _overlay(QMatchConfig, cfg.get("qmatch", {}),
+                  tau_student=args.tau_student, queue_capacity=args.queue_size)
+    corr = _overlay(CorruptionConfig, cfg.get("corruption", {}),
+                    p_student=args.p_student, p_teacher=args.p_teacher)
     extra = cfg.get("extra", {})
     algorithm = args.algorithm or cfg.get("algorithm")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
@@ -251,7 +223,6 @@ def _build_configs(args, ws: Workspace):
 
 
 def _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed) -> dict:
-    from dataclasses import asdict
     return {"algorithm": algorithm, "seed": seed,
             "encoder": encoder.to_dict(), "loop": asdict(loop),
             "qmatch": asdict(qm), "corruption": asdict(corr), "extra": extra}
@@ -295,13 +266,17 @@ def cmd_eval(args, task: str) -> int:
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     _check_patience(args.patience)
-    loop = _config(
-        TrainLoopConfig,
-        learning_rate=args.lr if args.lr is not None else 1e-3,
-        downstream_max_epochs=args.max_epochs if args.max_epochs is not None else 500,
-        patience=args.patience if args.patience is not None else 32,
-        batch_size=args.batch_size if args.batch_size is not None else 512,
-    )
+    # --patience stops the downstream loop, so it is checked against that budget;
+    # the pretext budget plays no part here and only has to admit the patience
+    budget = args.max_epochs if args.max_epochs is not None else \
+        TrainLoopConfig.downstream_max_epochs
+    if args.patience is not None and args.patience >= budget:
+        raise ConfigError(f"--patience must be smaller than the epoch budget {budget}, "
+                          f"got {args.patience}")
+    loop = _overlay(TrainLoopConfig, {}, learning_rate=args.lr,
+                    downstream_max_epochs=args.max_epochs, patience=args.patience,
+                    batch_size=args.batch_size,
+                    max_epochs=max(budget, TrainLoopConfig.max_epochs))
     ckpt = load_checkpoint(ckpt_path)
     algorithm = ckpt["metadata"].get("algorithm", "unknown")
     fn = linear_eval if task == "linear" else finetune
@@ -328,7 +303,7 @@ def cmd_grid(args) -> int:
         grid.update(DEFAULT_GRIDS.get(algorithm, {}))
     best_point, results, outcomes = grid_search(
         algorithm, grid, args.task, ws.dataset, ws.splits, ws.state,
-        encoder, loop, seeds)
+        encoder, loop, seeds, qm_config=qm, corruption=corr, extra=extra)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for r in results:
@@ -385,14 +360,13 @@ def cmd_sweep(args) -> int:
         pt = [float(v) for v in args.teacher_values.split(",")] if args.teacher_values else ps
         for p_s in ps:
             for p_t in pt:
-                c = CorruptionConfig(mode=corr.mode, p_student=p_s, p_teacher=p_t)
+                c = _config(replace, corr, p_student=p_s, p_teacher=p_t)
                 run_cell({"p_student": p_s, "p_teacher": p_t}, qm, c, ws.splits)
     elif args.kind == "queue-size":
         sizes = [int(v) for v in (values or [2 ** 9, 2 ** 11])]
         for m in sizes:
-            q = QMatchConfig(tau_student=qm.tau_student, tau_teacher=qm.tau_teacher,
-                             tau_ema=qm.tau_ema, queue_capacity=m)
-            run_cell({"queue_size": m}, q, corr, ws.splits)
+            run_cell({"queue_size": m}, _config(replace, qm, queue_capacity=m), corr,
+                     ws.splits)
     elif args.kind == "label-fraction":
         fractions = values or [0.01, 0.1, 1.0]
         base = {k: v.copy() for k, v in ws.splits.items()}

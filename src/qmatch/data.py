@@ -72,8 +72,7 @@ class TabularDataset:
         return len(self.cat_vocab[feature_index])
 
 
-def load_csv(path, schema: list[ColumnSpec], name: str = "",
-             has_header: bool = True) -> TabularDataset:
+def load_csv(path, schema: list[ColumnSpec], name: str = "") -> TabularDataset:
     """Parse a CSV against a declared schema.
 
     Missing or non-numeric values in numeric columns are rejected; values
@@ -85,9 +84,8 @@ def load_csv(path, schema: list[ColumnSpec], name: str = "",
     rows: list[list[str]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
+        next(reader, None)  # header
+        for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(schema):

@@ -53,7 +53,7 @@ class EncoderConfig:
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
-        if any(w < 1 for w in self.layer_widths):
+        if not self.layer_widths or any(w < 1 for w in self.layer_widths):
             raise ConfigError(f"layer widths must be positive, got {self.layer_widths}")
         if self.layer_widths[-1] % self.maxout_k != 0:
             raise ConfigError(
@@ -101,12 +101,6 @@ class ModelParams:
                    for k, t in self.tensors.items()}
         buffers = {k: v.copy() for k, v in self.buffers.items()}
         return ModelParams(self.config, tensors, buffers)
-
-    def load_values(self, other: "ModelParams"):
-        for k, t in self.tensors.items():
-            t.data[...] = other.tensors[k].data
-        for k, v in self.buffers.items():
-            v[...] = other.buffers[k]
 
     def all_finite(self) -> bool:
         return (all(np.all(np.isfinite(t.data)) for t in self.tensors.values())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .distill import (
     training_step,
 )
 from .model import (
+    ConfigError,
     EmaParams,
     EncoderConfig,
     ModelParams,
@@ -67,7 +68,6 @@ class TrainLoopConfig:
     learning_rate: float = 1e-3
     pretext_learning_rate: float = 1e-3
     weight_decay: float = 1e-1  # downstream; pretext always uses 0
-    trials: int = 5
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -269,6 +269,10 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
     parameters (early stopping on pretext validation loss)."""
     if algorithm not in PRETEXT_ALGORITHMS:
         raise ValueError(f"unknown pretext algorithm {algorithm!r}")
+    if loop.batch_size > len(splits["pretext_train"]):
+        # full batches only, so a larger batch would leave the encoder untrained
+        raise ConfigError(f"batch_size {loop.batch_size} exceeds the "
+                          f"{len(splits['pretext_train'])} pretext_train rows")
     extra = extra or {}
     qm_config = qm_config or QMatchConfig()
     corruption = corruption or CorruptionConfig()
@@ -550,18 +554,21 @@ def run_trial(algorithm: str, task: str, dataset: TabularDataset,
 
 # -- grid search -------------------------------------------------------------------
 
-def _point_configs(algorithm: str, point: dict, loop: TrainLoopConfig):
-    """Translate a grid point into the config objects it overrides."""
-    lp = TrainLoopConfig(**{**asdict(loop),
-                            "learning_rate": point.get("learning_rate", loop.learning_rate),
-                            "pretext_learning_rate": point.get("pretext_learning_rate",
-                                                               loop.pretext_learning_rate)})
-    qm = QMatchConfig(tau_student=point.get("tau_student", 0.1),
-                      queue_capacity=int(point.get("queue_size", 512)))
-    corr = CorruptionConfig(p_student=point.get("corruption_probability", 0.3),
-                            p_teacher=point.get("p_teacher", 0.0))
-    extra = {k: v for k, v in point.items() if k in ("tau", "num_prototypes")}
-    return lp, qm, corr, extra
+def _point_configs(point: dict, loop: TrainLoopConfig, qm: QMatchConfig | None,
+                   corr: CorruptionConfig | None, extra: dict | None):
+    """Override the base configs with the keys a grid point sets."""
+    def pick(**fields):  # config field=grid key
+        return {f: point[k] for f, k in fields.items() if k in point}
+
+    qm_over = pick(tau_student="tau_student", queue_capacity="queue_size")
+    if "queue_capacity" in qm_over:
+        qm_over["queue_capacity"] = int(qm_over["queue_capacity"])
+    lp = replace(loop, **pick(learning_rate="learning_rate",
+                              pretext_learning_rate="pretext_learning_rate"))
+    qm = replace(qm or QMatchConfig(), **qm_over)
+    corr = replace(corr or CorruptionConfig(),
+                   **pick(p_student="corruption_probability", p_teacher="p_teacher"))
+    return lp, qm, corr, {**(extra or {}), **pick(tau="tau", num_prototypes="num_prototypes")}
 
 
 def _tie_break_key(point: dict):
@@ -577,10 +584,14 @@ def _tie_break_key(point: dict):
 def grid_search(algorithm: str, grid: dict[str, list], task: str,
                 dataset: TabularDataset, splits: dict[str, np.ndarray],
                 state: PreprocessState, encoder_config: EncoderConfig,
-                loop: TrainLoopConfig, seeds: list[int]):
+                loop: TrainLoopConfig, seeds: list[int],
+                qm_config: QMatchConfig | None = None,
+                corruption: CorruptionConfig | None = None,
+                extra: dict | None = None):
     """Evaluate the Cartesian product of `grid`, select by downstream
     validation accuracy (deterministic tie-breaking), then rerun the winner
-    across all seeds.
+    across all seeds.  Each point overrides only the settings it names; the
+    rest come from `loop`, `qm_config`, `corruption` and `extra`.
 
     Returns (best_point, results_at_best, all_point_outcomes).
     """
@@ -589,13 +600,16 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
     keys = sorted(grid)
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
 
+    def trial(point: dict, seed: int) -> TrialResult:
+        lp, qm, corr, ex = _point_configs(point, loop, qm_config, corruption, extra)
+        return run_trial(algorithm, task, dataset, splits, state, encoder_config, lp,
+                         seed, qm_config=qm, corruption=corr, extra=ex,
+                         hyperparameters=point)
+
     outcomes = []
     for point in points:
-        lp, qm, corr, extra = _point_configs(algorithm, point, loop)
         try:
-            result = run_trial(algorithm, task, dataset, splits, state, encoder_config,
-                               lp, seeds[0], qm_config=qm, corruption=corr, extra=extra,
-                               hyperparameters=point)
+            result = trial(point, seeds[0])
             outcomes.append({"point": point, "result": result, "failed": False})
         except TrainingError as e:
             outcomes.append({"point": point, "result": None, "failed": True,
@@ -607,12 +621,7 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
     best = min(valid, key=lambda o: (-o["result"].val_accuracy, _tie_break_key(o["point"])))
     best_point = best["point"]
 
-    lp, qm, corr, extra = _point_configs(algorithm, best_point, loop)
-    results = [best["result"]]
-    for seed in seeds[1:]:
-        results.append(run_trial(algorithm, task, dataset, splits, state, encoder_config,
-                                 lp, seed, qm_config=qm, corruption=corr, extra=extra,
-                                 hyperparameters=best_point))
+    results = [best["result"]] + [trial(best_point, seed) for seed in seeds[1:]]
     return best_point, results, outcomes
 
 

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from qmatch.augment import CorruptionConfig
 from qmatch.cli import EXIT_CONFIG, EXIT_OK, main
 from qmatch.data import ColumnSpec, load_manifest, save_csv
+from qmatch.distill import QMatchConfig
 from qmatch.train import TrialResult
 from tests.conftest import make_fixture_dataset
 
@@ -123,11 +125,22 @@ class TestPretrain:
                      str(tmp_path / "c.qmc"), "--config", str(cfg), "--dry-run"])
         assert code == EXIT_CONFIG
 
+    def test_empty_layer_widths_rejected(self, prepared, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"algorithm": "qmatch", "encoder": {"layer_widths": []}}))
+        code = main(["pretrain", "--data", str(prepared), "--out",
+                     str(tmp_path / "c.qmc"), "--config", str(cfg), "--dry-run"])
+        assert code == EXIT_CONFIG
+
     def test_config_file_supplies_settings(self, prepared, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"algorithm": "vime", "seed": 3,
                                    "loop": {"batch_size": 64},
-                                   "encoder": {"layer_widths": [16, 16]}}))
+                                   "encoder": {"layer_widths": [16, 16],
+                                               "batchnorm_momentum": 0.5},
+                                   "qmatch": {"tau_teacher": 0.08, "tau_ema": 0.5,
+                                              "queue_capacity": 128},
+                                   "corruption": {"mode": "zero", "p_student": 0.4}}))
         code = main(["pretrain", "--data", str(prepared), "--out",
                      str(tmp_path / "c.qmc"), "--config", str(cfg), "--dry-run"])
         assert code == EXIT_OK
@@ -136,12 +149,17 @@ class TestPretrain:
         assert resolved["seed"] == 3
         assert resolved["loop"]["batch_size"] == 64
         assert resolved["encoder"]["layer_widths"] == [16, 16]
+        assert resolved["encoder"]["batchnorm_momentum"] == 0.5
+        assert resolved["qmatch"] == {"tau_student": 0.1, "tau_teacher": 0.08,
+                                      "tau_ema": 0.5, "queue_capacity": 128}
+        assert resolved["corruption"] == {"mode": "zero", "p_student": 0.4,
+                                          "p_teacher": 0.0}
 
 
 @pytest.mark.parametrize("flags", [
     ["--max-epochs", "0"], ["--patience", "-1"], ["--patience", "0"],
     ["--tau-student", "0"], ["--p-student", "1.5"], ["--queue-size", "0"],
-    ["--batch-size", "0"], ["--batch-size", "-4"],
+    ["--batch-size", "0"], ["--batch-size", "-4"], ["--batch-size", "256"],
 ], ids="=".join)
 def test_bad_pretrain_flag_is_config_error(prepared, tmp_path, flags):
     out = tmp_path / "c.qmc"
@@ -153,6 +171,7 @@ def test_bad_pretrain_flag_is_config_error(prepared, tmp_path, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--max-epochs", "0"], ["--patience", "0"], ["--batch-size", "0"],
+    ["--max-epochs", "10", "--patience", "10"],
 ], ids="=".join)
 def test_bad_eval_flag_is_config_error(prepared, checkpoint, tmp_path, flags):
     out = tmp_path / "r.jsonl"
@@ -163,6 +182,15 @@ def test_bad_eval_flag_is_config_error(prepared, checkpoint, tmp_path, flags):
 
 
 class TestEval:
+    def test_patience_checked_against_downstream_budget(self, prepared, checkpoint,
+                                                        tmp_path):
+        out = tmp_path / "r.jsonl"
+        code = main(["linear-eval", "--checkpoint", str(checkpoint), "--data",
+                     str(prepared), "--out", str(out), "--max-epochs", "300",
+                     "--patience", "250"])
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1
+
     def test_linear_eval_appends_jsonl(self, prepared, checkpoint, tmp_path):
         out = tmp_path / "results.jsonl"
         args = ["linear-eval", "--checkpoint", str(checkpoint), "--data",
@@ -220,6 +248,44 @@ class TestGrid:
         assert "best_point" in capsys.readouterr().out
 
 
+    def test_flags_and_run_config_reach_every_pretrain(self, prepared, tmp_path,
+                                                       monkeypatch):
+        import qmatch.train as train_mod
+        real, calls = train_mod.pretrain, []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "pretrain", spy)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "loop": {"max_epochs": 2, "patience": 1, "downstream_max_epochs": 5,
+                     "batch_size": 32},
+            "qmatch": {"tau_student": 0.3, "tau_teacher": 0.08, "tau_ema": 0.5},
+            "corruption": {"mode": "zero"},
+            "extra": {"num_prototypes": 8}}))
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"queue_size": [32]}))
+        code = main(["grid", "--data", str(prepared), "--out", str(tmp_path / "g"),
+                     "--algorithm", "qmatch", "--seeds", "0,1", "--grid", str(grid),
+                     "--config", str(cfg), "--widths", "32,32", "--queue-size", "64",
+                     "--tau-student", "0.2", "--p-student", "0.5",
+                     "--pretext-lr", "0.002"])
+        assert code == EXIT_OK
+        assert len(calls) == 2  # the grid's one point, then the second seed
+        for args, kwargs in calls:
+            loop = args[5]
+            assert (loop.batch_size, loop.max_epochs, loop.pretext_learning_rate) == \
+                (32, 2, 0.002)
+            # grid point > flag > run config > dataclass default
+            assert kwargs["qm_config"] == QMatchConfig(
+                tau_student=0.2, tau_teacher=0.08, tau_ema=0.5, queue_capacity=32)
+            assert kwargs["corruption"] == CorruptionConfig(
+                mode="zero", p_student=0.5, p_teacher=0.0)
+            assert kwargs["extra"] == {"num_prototypes": 8}
+
+
 class TestSweep:
     def test_queue_size_sweep_rows(self, prepared, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -240,6 +306,13 @@ class TestSweep:
             np.testing.assert_allclose(
                 float(cell[0]["mean_accuracy"]),
                 np.mean([float(r["accuracy"]) for r in cell]))
+
+    def test_bad_axis_value_is_config_error(self, prepared, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--kind", "queue-size", "--data", str(prepared),
+                     "--out", str(out), "--values", "0"] + SMALL_TRAIN)
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_unknown_kind_rejected_by_parser(self, prepared, tmp_path):
         code = main(["sweep", "--kind", "bogus", "--data", str(prepared),

@@ -304,3 +304,27 @@ def test_autograd_internals_stay_in_tensor_module():
                 offenders += [f"{path.name}:{node.lineno} {a.name}"
                               for a in node.names if a.name.startswith("_")]
     assert not offenders, offenders
+
+
+def test_package_imports_are_used():
+    """No package module but __init__.py imports a name it never references,
+    unless the import line carries `# noqa: F401`."""
+    src = Path(__file__).resolve().parents[1] / "src" / "qmatch"
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    offenders.append(f"{path.name}:{alias.lineno} {name}")
+    assert not offenders, offenders

@@ -27,14 +27,13 @@ class PrototypeBank:
     """Learnable prototype matrix with an EMA center over teacher logits."""
 
     def __init__(self, num_prototypes: int, dim: int, rng: np.random.Generator,
-                 temperature: float = 0.1, center_momentum: float = 0.9):
+                 center_momentum: float = 0.9):
         if num_prototypes < 1:
             raise ValueError("need at least one prototype")
         self.prototypes = Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim),
                                             size=(num_prototypes, dim)),
                                  requires_grad=True)
         self.center = np.zeros(num_prototypes)
-        self.temperature = temperature
         self.center_momentum = center_momentum
 
     def update_center(self, teacher_logits: np.ndarray):

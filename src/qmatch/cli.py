@@ -46,6 +46,7 @@ from .train import (
     TrainingError,
     TrialResult,
     aggregate,
+    check_pretext_batch,
     finetune,
     format_rank,
     grid_search,
@@ -66,8 +67,6 @@ RUN_CONFIG_SCHEMA = {
     "properties": {
         "algorithm": {"type": "string"},
         "seed": {"type": "integer"},
-        "seeds": {"type": "array", "items": {"type": "integer"}},
-        "output_dir": {"type": "string"},
         "encoder": {
             "type": "object",
             "additionalProperties": False,
@@ -111,7 +110,16 @@ RUN_CONFIG_SCHEMA = {
                 "p_teacher": {"type": "number", "minimum": 0, "maximum": 1},
             },
         },
-        "extra": {"type": "object"},
+        "extra": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "tau": {"type": "number", "exclusiveMinimum": 0},
+                "num_prototypes": {"type": "integer", "minimum": 1},
+                "alpha_mask": {"type": "number", "minimum": 0},
+                "alpha_recon": {"type": "number", "minimum": 0},
+            },
+        },
     },
 }
 
@@ -233,6 +241,7 @@ def cmd_pretrain(args) -> int:
     algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws)
     if algorithm is None:
         raise ConfigError("no algorithm given (flag --algorithm or config file)")
+    check_pretext_batch(loop, ws.splits)
     resolved = _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed)
     if args.dry_run:
         print(json.dumps(resolved, indent=2, sort_keys=True))

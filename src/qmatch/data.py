@@ -133,6 +133,12 @@ def load_csv(path, schema: list[ColumnSpec], name: str = "") -> TabularDataset:
                 if val not in lut:
                     raise DataError(f"{path}: row {i + 1}: unknown category {val!r} in {c.name!r}")
                 features[i, j] = lut[val]
+    # float() accepts nan, inf and 1e999; categorical codes are always finite
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        i, j = bad[0]
+        raise DataError(f"{path}: row {i + 1}: non-finite value "
+                        f"{rows[i][col_of[feature_cols[j].name]]!r} in {feature_cols[j].name!r}")
     if label_col is not None:
         lut = {v: k for k, v in enumerate(label_vocab)}
         src = col_of[label_col.name]

@@ -26,7 +26,6 @@ from .distill import (
     qmatch_loss,
     queue_init,
     student_teacher,
-    training_step,
 )
 from .model import (
     ConfigError,
@@ -48,6 +47,7 @@ from .tensor import (
 
 # Unused here, but bench/layers.py traces them as attributes of this module.
 from .augment import make_views  # noqa: F401
+from .distill import training_step  # noqa: F401
 from .model import projector_forward  # noqa: F401
 from .tensor import l2_normalize_rows  # noqa: F401
 
@@ -232,6 +232,38 @@ class EarlyStopper:
         return self.stale >= self.patience
 
 
+def _descend(optimizer: AdamW, loss: Tensor):
+    """One gradient update of the optimizer's parameters on `loss`."""
+    for t in optimizer.params.values():
+        t.zero_grad()
+    backward(loss)
+    optimizer.step()
+
+
+def _early_stopped(max_epochs: int, patience: int, mode: str, run_epoch, snapshot):
+    """Run `run_epoch(epoch) -> validation metric` until the budget ends or
+    `patience` epochs pass without improvement; `snapshot()` is taken at each
+    improving epoch.  Returns (best snapshot, stopper, metric history)."""
+    stopper = EarlyStopper(patience, mode)
+    history: list[float] = []
+    for epoch in range(max_epochs):
+        history.append(run_epoch(epoch))
+        stop = stopper.update(history[-1], epoch)
+        # epoch 0 always improves, so `best` is bound once the loop ends
+        if stopper.stale == 0:
+            best = snapshot()
+        if stop:
+            break
+    return best, stopper, history
+
+
+def check_pretext_batch(loop: TrainLoopConfig, splits: dict[str, np.ndarray]):
+    """Full batches only, so a larger batch would leave the encoder untrained."""
+    if loop.batch_size > len(splits["pretext_train"]):
+        raise ConfigError(f"batch_size {loop.batch_size} exceeds the "
+                          f"{len(splits['pretext_train'])} pretext_train rows")
+
+
 def _batches(n: int, batch_size: int, rng: np.random.Generator | None,
              drop_last: bool):
     order = rng.permutation(n) if rng is not None else np.arange(n)
@@ -269,10 +301,7 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
     parameters (early stopping on pretext validation loss)."""
     if algorithm not in PRETEXT_ALGORITHMS:
         raise ValueError(f"unknown pretext algorithm {algorithm!r}")
-    if loop.batch_size > len(splits["pretext_train"]):
-        # full batches only, so a larger batch would leave the encoder untrained
-        raise ConfigError(f"batch_size {loop.batch_size} exceeds the "
-                          f"{len(splits['pretext_train'])} pretext_train rows")
+    check_pretext_batch(loop, splits)
     extra = extra or {}
     qm_config = qm_config or QMatchConfig()
     corruption = corruption or CorruptionConfig()
@@ -309,11 +338,7 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
 
     def step_loss(raw: np.ndarray, step_rng: np.random.Generator,
                   update: bool, bn_mode: str) -> float:
-        """Forward (and optionally backward+update) one batch; returns loss."""
-        if algorithm == "qmatch" and update:
-            return training_step(raw, pool, params, ema, queue, corruption,
-                                 qm_config, optimizer, step_rng, preprocess=pre)
-
+        """Forward one batch; with `update`, descend and run the EMA/queue hooks."""
         if algorithm in ("qmatch", "dino"):
             z_s, z_t = student_teacher(raw, pool, params, ema, corruption, step_rng,
                                        preprocess=pre, mode=bn_mode)
@@ -333,7 +358,7 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                 loss = baselines.in_batch_info_nce(z1, z2, extra.get("tau", 0.1))
             else:
                 loss = baselines.mse_align_loss(z1, z2.detach())
-        elif algorithm in ("vime", "tabnet"):
+        else:  # vime, tabnet
             corrupted, mask = corrupt(raw, pool, corruption.p_student,
                                       corruption.mode, step_rng)
             emb = encoder_forward(params, Tensor(pre(corrupted)), mode=bn_mode)
@@ -346,55 +371,41 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                                                    alpha_recon=extra.get("alpha_recon", 1.0))
             else:
                 loss = baselines.tabnet_recon_loss(x_orig, expand_mask(state, mask), recon)
-        else:
-            raise ValueError(algorithm)
 
         if update:
-            params.zero_grad()
-            for h in heads.values():
-                h.zero_grad()
-            backward(loss)
-            optimizer.step()
+            _descend(optimizer, loss)
             if ema is not None:
                 ema_update(ema, params)
+            if queue is not None:
+                # after the loss: a sample's own teacher embedding is never its support
+                queue.push(z_t.data)
         return float(loss.data)
 
-    stopper = EarlyStopper(loop.patience, mode="min")
-    val_history: list[float] = []
-    start = time.monotonic()
-    for epoch in range(loop.max_epochs):
+    def run_epoch(epoch: int) -> float:
         for batch_idx in _batches(len(train_idx), loop.batch_size, rng, drop_last=True):
             loss_val = step_loss(dataset.features[train_idx[batch_idx]], rng,
                                  update=True, bn_mode="train")
             if not np.isfinite(loss_val):
                 raise TrainingError(f"non-finite pretext loss at epoch {epoch}")
-
         # validation with a per-epoch deterministic corruption stream
         val_rng = np.random.default_rng([seed, epoch, 0x5EED])
         val_losses = [step_loss(dataset.features[val_idx[b]], val_rng,
                                 update=False, bn_mode="eval")
                       for b in _batches(len(val_idx), loop.batch_size, None, False)]
-        val_loss = float(np.mean(val_losses))
-        val_history.append(val_loss)
-        # epoch 0 always lands here, so `best` is bound once the loop ends
-        if stopper.best is None or val_loss < stopper.best:
-            best = {"params": params.copy(),
-                    "heads": {k: t.data.copy() for k, t in heads.items()},
-                    "ema": ema.params.copy(requires_grad=False) if ema else None,
-                    "queue": (queue.snapshot(), queue.cursor) if queue else None}
-        if stopper.update(val_loss, epoch):
-            break
+        return float(np.mean(val_losses))
 
-    best_params = best["params"]
-    best_ema = EmaParams(best["ema"], decay=qm_config.tau_ema) if best["ema"] is not None else None
-    best_queue = None
-    if best["queue"] is not None:
-        storage, cursor = best["queue"]
-        best_queue = EmbeddingQueue(queue.capacity, queue.dim, storage=storage, cursor=cursor)
-    best_heads = {k: Tensor(v, requires_grad=True) for k, v in best["heads"].items()}
-    return PretrainResult(params=best_params, ema=best_ema, queue=best_queue,
-                          heads=best_heads, best_epoch=stopper.best_epoch,
-                          val_history=val_history, wall_time=time.monotonic() - start)
+    def snapshot() -> dict:
+        return {"params": params.copy(),
+                "ema": EmaParams(ema.params.copy(requires_grad=False), ema.decay) if ema else None,
+                "queue": EmbeddingQueue(queue.capacity, queue.dim, queue.snapshot(),
+                                        queue.cursor) if queue else None,
+                "heads": {k: Tensor(t.data.copy(), requires_grad=True) for k, t in heads.items()}}
+
+    start = time.monotonic()
+    best, stopper, val_history = _early_stopped(loop.max_epochs, loop.patience, "min",
+                                                run_epoch, snapshot)
+    return PretrainResult(**best, best_epoch=stopper.best_epoch, val_history=val_history,
+                          wall_time=time.monotonic() - start)
 
 
 # -- downstream -----------------------------------------------------------------
@@ -441,22 +452,17 @@ def linear_eval(params: ModelParams, dataset: TabularDataset,
         return 100.0 * float((pred == labels[split]).mean())
 
     x_train, y_train = embeds["down_train"], labels["down_train"]
-    stopper = EarlyStopper(loop.patience, mode="max")
-    best_head = {k: t.data.copy() for k, t in head.items()}
-    for epoch in range(loop.downstream_max_epochs):
+
+    def run_epoch(epoch: int) -> float:
         for batch_idx in _batches(len(x_train), loop.batch_size, rng, drop_last=False):
             target = Tensor(_one_hot(y_train[batch_idx], num_classes))
             probs = softmax_rows(logits_of(x_train[batch_idx]), temperature=1.0)
-            loss = cross_entropy_rows(target, probs)
-            for t in head.values():
-                t.zero_grad()
-            backward(loss)
-            optimizer.step()
-        val_acc = accuracy("down_val")
-        if stopper.best is None or val_acc > stopper.best:
-            best_head = {k: t.data.copy() for k, t in head.items()}
-        if stopper.update(val_acc, epoch):
-            break
+            _descend(optimizer, cross_entropy_rows(target, probs))
+        return accuracy("down_val")
+
+    best_head, stopper, _ = _early_stopped(
+        loop.downstream_max_epochs, loop.patience, "max", run_epoch,
+        lambda: {k: t.data.copy() for k, t in head.items()})
     for k, t in head.items():
         t.data[...] = best_head[k]
 
@@ -492,26 +498,19 @@ def finetune(params: ModelParams, dataset: TabularDataset,
         logits = emb @ head["classifier.weight"].data + head["classifier.bias"].data
         return 100.0 * float((logits.argmax(axis=1) == labels[split]).mean())
 
-    stopper = EarlyStopper(loop.patience, mode="max")
     x_train, y_train = data["down_train"], labels["down_train"]
-    for epoch in range(loop.downstream_max_epochs):
+
+    def run_epoch(epoch: int) -> float:
         for batch_idx in _batches(len(x_train), loop.batch_size, rng, drop_last=False):
             emb = encoder_forward(model, Tensor(x_train[batch_idx]), mode="train")
             logits = emb @ head["classifier.weight"] + head["classifier.bias"]
             target = Tensor(_one_hot(y_train[batch_idx], num_classes))
-            loss = cross_entropy_rows(target, softmax_rows(logits, temperature=1.0))
-            model.zero_grad()
-            for t in head.values():
-                t.zero_grad()
-            backward(loss)
-            optimizer.step()
-        val_acc = accuracy("down_val")
-        # epoch 0 always lands here, so `best` is bound once the loop ends
-        if stopper.best is None or val_acc > stopper.best:
-            best = (model.copy(), {k: t.data.copy() for k, t in head.items()})
-        if stopper.update(val_acc, epoch):
-            break
-    model, best_head = best
+            _descend(optimizer, cross_entropy_rows(target, softmax_rows(logits, temperature=1.0)))
+        return accuracy("down_val")
+
+    (model, best_head), stopper, _ = _early_stopped(
+        loop.downstream_max_epochs, loop.patience, "max", run_epoch,
+        lambda: (model.copy(), {k: t.data.copy() for k, t in head.items()}))
     for k, t in head.items():
         t.data[...] = best_head[k]
 

@@ -125,6 +125,28 @@ class TestPretrain:
                      str(tmp_path / "c.qmc"), "--config", str(cfg), "--dry-run"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("run_config", [
+        {"extra": {"num_protoypes": 8}},  # misspelled key
+        {"extra": {"num_prototypes": 0}},
+        {"seeds": [0, 1]},  # read by nobody: --seeds is the flag
+        {"output_dir": "runs"},
+    ], ids=["extra.num_protoypes", "extra.num_prototypes=0", "seeds", "output_dir"])
+    def test_unread_run_config_key_rejected(self, prepared, tmp_path, run_config):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"algorithm": "dino", **run_config}))
+        code = main(["pretrain", "--data", str(prepared), "--out", str(tmp_path / "c.qmc"),
+                     "--config", str(cfg), "--batch-size", "32", "--dry-run"])
+        assert code == EXIT_CONFIG
+
+    def test_extra_keys_reach_resolved_config(self, prepared, tmp_path, capsys):
+        extra = {"tau": 0.2, "num_prototypes": 8, "alpha_mask": 0.5, "alpha_recon": 2.0}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"algorithm": "vime", "extra": extra}))
+        code = main(["pretrain", "--data", str(prepared), "--out", str(tmp_path / "c.qmc"),
+                     "--config", str(cfg), "--batch-size", "32", "--dry-run"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["extra"] == extra
+
     def test_empty_layer_widths_rejected(self, prepared, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"algorithm": "qmatch", "encoder": {"layer_widths": []}}))
@@ -160,6 +182,7 @@ class TestPretrain:
     ["--max-epochs", "0"], ["--patience", "-1"], ["--patience", "0"],
     ["--tau-student", "0"], ["--p-student", "1.5"], ["--queue-size", "0"],
     ["--batch-size", "0"], ["--batch-size", "-4"], ["--batch-size", "256"],
+    ["--batch-size", "256", "--dry-run"],
 ], ids="=".join)
 def test_bad_pretrain_flag_is_config_error(prepared, tmp_path, flags):
     out = tmp_path / "c.qmc"

@@ -64,6 +64,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="row 2.*'abc'"):
             load_csv(p, SCHEMA)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "NaN"])
+    def test_non_finite_numeric_rejected_with_row(self, tmp_path, value):
+        p = write_csv(tmp_path / "a.csv",
+                      f"age,color,y\n1.0,red,yes\n2.0,blue,no\n{value},red,no\n")
+        with pytest.raises(DataError, match=f"row 3: non-finite value '{value}' in 'age'"):
+            load_csv(p, SCHEMA)
+
     def test_unknown_category_rejected(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "age,color,y\n1.0,purple,yes\n")
         with pytest.raises(DataError, match="unknown category 'purple'"):

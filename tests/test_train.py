@@ -1,12 +1,14 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmatch
 from qmatch.augment import CorruptionConfig
-from qmatch.data import SplitSpec, fit_preprocess, make_splits
-from qmatch.distill import QMatchConfig
-from qmatch.model import EncoderConfig, init_params
+from qmatch.data import SplitSpec, apply_preprocess, fit_preprocess, make_splits
+from qmatch.distill import QMatchConfig, queue_init, training_step
+from qmatch.model import EmaParams, EncoderConfig, init_params
 from qmatch.tensor import UPDATE_BLOCK, Tensor
 from qmatch.train import (
     AdamW,
@@ -16,6 +18,7 @@ from qmatch.train import (
     TrialResult,
     _batches,
     aggregate,
+    finetune,
     format_rank,
     grid_search,
     linear_eval,
@@ -303,6 +306,104 @@ class TestPretrain:
         assert a.val_history == b.val_history
         for name, t in a.params.tensors.items():
             np.testing.assert_array_equal(t.data, b.params.tensors[name].data)
+
+
+# val_history (as float.hex) and best epoch of each algorithm on the `setup`
+# fixture with SMALL_LOOP, seed 0, queue 64 and p_student 0.3, recorded while
+# qmatch stepped through distill.training_step, which the shared update must match
+GOLDEN_PRETRAIN = {
+    "qmatch": (['0x1.ea63942ce79bcp+1', '0x1.ee91ec2c4fe26p+1', '0x1.d9cc36ed76c10p+1'], 2),
+    "vime": (['0x1.5c95356c9be30p+1', '0x1.132277485c721p+1', '0x1.0a79dc2288283p+1'], 2),
+    "tabnet": (['0x1.f32c7e0f35b74p+0', '0x1.503e17ae20111p+0', '0x1.70a1147822819p+0'], 1),
+    "infonce": (['0x1.0646f72fef281p+2', '0x1.1ed3cb835ea34p+2', '0x1.f0615f8857eecp+1'], 2),
+    "mse_align": (['-0x1.b70c22b5ae184p-1', '-0x1.ad439d3e54a9dp-1',
+                   '-0x1.d219a5fdb8bc1p-1'], 2),
+    "dino": (['0x1.18c6d26f85666p+1', '0x1.176b787538ae2p+2', '0x1.3c8bb5b0123f7p+2'], 0),
+}
+# (val_accuracy, test_accuracy) of the qmatch result above, downstream seed 0
+GOLDEN_DOWNSTREAM = {
+    "linear_eval": ('0x1.3b8e38e38e38ep+6', '0x1.2555555555555p+6'),
+    "finetune": ('0x1.7555555555555p+6', '0x1.78aaaaaaaaaabp+6'),
+}
+
+
+def _golden_pretrain(setup, algorithm):
+    ds, splits, state, config = setup
+    return pretrain(algorithm, ds, splits, state, config, TrainLoopConfig(**SMALL_LOOP),
+                    seed=0, qm_config=QMatchConfig(queue_capacity=64),
+                    corruption=CorruptionConfig(p_student=0.3))
+
+
+class TestGolden:
+    """Every algorithm and both downstream tasks reproduce recorded runs bit for bit."""
+
+    @pytest.mark.parametrize("algorithm", sorted(GOLDEN_PRETRAIN))
+    def test_pretrain(self, setup, algorithm):
+        res = _golden_pretrain(setup, algorithm)
+        assert ([v.hex() for v in res.val_history], res.best_epoch) == \
+            GOLDEN_PRETRAIN[algorithm]
+
+    def test_downstream(self, setup):
+        ds, splits, state, _ = setup
+        params = _golden_pretrain(setup, "qmatch").params
+        for fn in (linear_eval, finetune):
+            r = fn(params, ds, splits, state, TrainLoopConfig(**SMALL_LOOP), seed=0)
+            assert (r.val_accuracy.hex(), r.test_accuracy.hex()) == \
+                GOLDEN_DOWNSTREAM[fn.__name__]
+
+    def test_qmatch_epoch_equals_training_step_loop(self, setup):
+        ds, splits, state, config = setup
+        loop = TrainLoopConfig(**{**SMALL_LOOP, "max_epochs": 1, "patience": 0})
+        qm, corr = QMatchConfig(queue_capacity=64), CorruptionConfig(p_student=0.3)
+        res = pretrain("qmatch", ds, splits, state, config, loop, seed=5,
+                       qm_config=qm, corruption=corr)
+
+        # the same epoch by hand, through the public one-step update
+        rng = np.random.default_rng(5)
+        params = init_params(config, 5)
+        ema = EmaParams(params.copy(requires_grad=False), decay=qm.tau_ema)
+        queue = queue_init(qm.queue_capacity, config.projector_dim, rng)
+        optimizer = AdamW(params.trainable(), lr=loop.pretext_learning_rate)
+        train_idx = splits["pretext_train"]
+        pool = ds.features[train_idx]
+        for b in _batches(len(train_idx), loop.batch_size, rng, drop_last=True):
+            training_step(ds.features[train_idx[b]], pool, params, ema, queue, corr, qm,
+                          optimizer, rng, preprocess=lambda raw: apply_preprocess(state, raw))
+
+        for got, want in ((res.params, params), (res.ema.params, ema.params)):
+            for k, t in want.tensors.items():
+                assert_same_bits(got.tensors[k].data, t.data)
+            for k, v in want.buffers.items():
+                assert_same_bits(got.buffers[k], v)
+        assert_same_bits(res.queue.storage, queue.storage)
+        assert res.queue.cursor == queue.cursor
+
+
+def test_bench_instrument_finds_and_restores_every_attribute(monkeypatch):
+    """bench/layers.py patches qmatch functions by attribute name; a rename in
+    the package must fail here, not only in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import layers
+    from tracing import Tracer
+
+    owners = [getattr(qmatch, m) for m in ("augment", "baselines", "data", "distill",
+                                           "model", "tensor", "train")]
+    owners += [v for m in list(owners) for v in vars(m).values()
+               if isinstance(v, type) and v.__module__.startswith("qmatch.")]
+    before = [(o, dict(vars(o))) for o in owners]
+    tracer = Tracer()
+    try:
+        layers.instrument(tracer)
+        changed = {(o.__name__, k) for o, attrs in before for k, v in attrs.items()
+                   if vars(o).get(k) is not v}
+        assert ("qmatch.train", "training_step") in changed
+        assert ("AdamW", "step") in changed
+    finally:
+        tracer.restore()
+    for o, attrs in before:
+        assert set(vars(o)) == set(attrs), o
+        for k, v in attrs.items():
+            assert vars(o)[k] is v, (o, k)
 
 
 class TestDownstream:

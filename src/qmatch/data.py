@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -76,8 +77,65 @@ def load_csv(path, schema: list[ColumnSpec], name: str = "") -> TabularDataset:
     """Parse a CSV against a declared schema.
 
     Missing or non-numeric values in numeric columns are rejected; values
-    outside a declared categorical vocabulary are rejected.
+    outside a declared categorical vocabulary are rejected.  The file is parsed
+    column-wise by ``np.loadtxt``; anything that parse refuses is re-read cell
+    by cell, which either accepts it too (``1_000``, whitespace-only lines) or
+    words the error with its row, value and column.
     """
+    feature_cols = [c for c in schema if c.type != "label"]
+    try:
+        features, cat_vocab, labels, label_vocab = _load_columns(path, schema)
+    except Exception:  # whatever the columnar pass refuses, the cell loop decides
+        features, cat_vocab, labels, label_vocab = _load_cells(path, schema)
+    return TabularDataset(features, cat_vocab, labels, name=name,
+                          feature_names=[c.name for c in feature_cols],
+                          label_vocab=label_vocab)
+
+
+def _load_columns(path, schema: list[ColumnSpec]):
+    """One ``np.loadtxt`` pass: numerics by its float parser, categoricals and
+    labels by a converter that maps each stripped value to its vocabulary code.
+    Raises (never ``DataError``) on any input whose result could differ from
+    ``_load_cells``, which then gives the verdict."""
+    # the cell loop finds columns by name and fails on unknown types
+    if (len({c.name for c in schema}) != len(schema)
+            or any(c.type not in ("numeric", "categorical", "label") for c in schema)):
+        raise ValueError("duplicate column names or unknown column types")
+    luts = {i: {} if c.categories is None else {v: k for k, v in enumerate(c.categories)}
+            for i, c in enumerate(schema) if c.type != "numeric"}
+    converters = {i: (lambda s, lut=lut: lut.setdefault(s.strip(), len(lut)))
+                  if schema[i].categories is None else (lambda s, lut=lut: lut[s.strip()])
+                  for i, lut in luts.items()}
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt only warns about a file without rows
+        next(csv.reader(fh), None)  # the header record, read as the cell loop reads it
+        table = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
+                           quotechar='"', ndmin=2, converters=converters)
+    if table.shape[1] != len(schema) or not np.isfinite(table).all():
+        raise ValueError("field count or non-finite value")
+    if len(schema) == 1 and "" in luts.get(0, ()):
+        raise ValueError("blank line")  # a lone blank field is a line the cell loop skips
+    vocabs = {}
+    for i, lut in luts.items():
+        if schema[i].categories is None:  # codes in order of appearance -> sorted order
+            vocabs[i] = sorted(lut)
+            rank = {v: k for k, v in enumerate(vocabs[i])}
+            table[:, i] = np.array([rank[v] for v in lut], dtype=np.float64)[
+                table[:, i].astype(np.intp)]
+        else:
+            vocabs[i] = list(schema[i].categories)
+    feature_idx = [i for i, c in enumerate(schema) if c.type != "label"]
+    label_idx = next((i for i, c in enumerate(schema) if c.type == "label"), None)
+    cat_vocab = {j: vocabs[i] for j, i in enumerate(feature_idx) if i in vocabs}
+    features = table.take(feature_idx, axis=1)  # C order, as the cell loop fills it
+    if label_idx is None:
+        return features, cat_vocab, None, None
+    return features, cat_vocab, table[:, label_idx].astype(np.int64), vocabs[label_idx]
+
+
+def _load_cells(path, schema: list[ColumnSpec]):
+    """The reference parse: ``csv.reader`` and ``float()`` cell by cell.  Every
+    ``DataError`` message of ``load_csv`` is worded here."""
     feature_cols = [c for c in schema if c.type != "label"]
     label_col = next((c for c in schema if c.type == "label"), None)
 
@@ -148,9 +206,7 @@ def load_csv(path, schema: list[ColumnSpec], name: str = "") -> TabularDataset:
                 raise DataError(f"{path}: row {i + 1}: unknown label {val!r}")
             labels[i] = lut[val]
 
-    return TabularDataset(features, cat_vocab, labels, name=name,
-                          feature_names=[c.name for c in feature_cols],
-                          label_vocab=label_vocab)
+    return features, cat_vocab, labels, label_vocab
 
 
 def save_csv(dataset: TabularDataset, path, label_name: str = "label"):
@@ -187,6 +243,9 @@ class PreprocessState:
     quantile: bool = False
     quantile_tables: dict[int, np.ndarray] = field(default_factory=dict)
     epsilon: float = 1e-6
+    # normal score of every rank 0..n, keyed by n; derived from quantile_tables, never saved
+    score_tables: dict[int, np.ndarray] = field(default_factory=dict, init=False,
+                                                repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -248,9 +307,10 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
     m2 = np.zeros(f)
     count = 0
     values = x.copy()
+    score_tables: dict[int, np.ndarray] = {}
     if quantile:
         for j in num_layout:
-            values[:, j] = _normal_scores(values[:, j], quantile_tables[j])
+            values[:, j] = _normal_scores(values[:, j], quantile_tables[j], score_tables)
     for i in range(len(values)):
         count += 1
         delta = values[i] - mean
@@ -258,20 +318,27 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
         m2 += delta * (values[i] - mean)
     var = m2 / count if count > 0 else np.ones(f)
 
-    return PreprocessState(mean=mean, var=var, count=count,
-                           cat_layout=cat_layout, num_layout=num_layout,
-                           output_dim=out, quantile=quantile,
-                           quantile_tables=quantile_tables, epsilon=epsilon)
+    state = PreprocessState(mean=mean, var=var, count=count,
+                            cat_layout=cat_layout, num_layout=num_layout,
+                            output_dim=out, quantile=quantile,
+                            quantile_tables=quantile_tables, epsilon=epsilon)
+    state.score_tables.update(score_tables)
+    return state
 
 
 _INV_NORM = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
-def _normal_scores(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _normal_scores(values: np.ndarray, table: np.ndarray,
+                   score_tables: dict[int, np.ndarray]) -> np.ndarray:
+    """Normal score of each value's rank among the n fitted values.  The rank is
+    an integer in [0, n], so the n + 1 scores are computed once per n and
+    looked up."""
     n = len(table)
-    ranks = np.searchsorted(table, values, side="right")
-    p = np.clip(ranks / (n + 1), 1e-6, 1 - 1e-6)
-    return _INV_NORM(p).astype(np.float64)
+    if n not in score_tables:
+        p = np.clip(np.arange(n + 1) / (n + 1), 1e-6, 1 - 1e-6)
+        score_tables[n] = _INV_NORM(p).astype(np.float64)
+    return score_tables[n][np.searchsorted(table, values, side="right")]
 
 
 def apply_preprocess(state: PreprocessState, batch: np.ndarray) -> np.ndarray:
@@ -282,7 +349,7 @@ def apply_preprocess(state: PreprocessState, batch: np.ndarray) -> np.ndarray:
     for j, col in state.num_layout.items():
         v = batch[:, j]
         if state.quantile:
-            v = _normal_scores(v, state.quantile_tables[j])
+            v = _normal_scores(v, state.quantile_tables[j], state.score_tables)
         if state.var[j] < state.epsilon ** 2:
             out[:, col] = 0.0  # constant column
         else:

@@ -9,8 +9,9 @@ classifier head and linear evaluation attach to the encoder output.
 
 from __future__ import annotations
 
-import io
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ from .tensor import (
 
 CHECKPOINT_MAGIC = b"QMCKPT01"
 CHECKPOINT_VERSION = 1
+# the array dtypes a checkpoint may hold, by the name its header records; always little-endian
+CHECKPOINT_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8"),
+                     "int64": np.dtype("<i8")}
 
 
 class ConfigError(ValueError):
@@ -55,7 +59,7 @@ class EncoderConfig:
             raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
         if not self.layer_widths or any(w < 1 for w in self.layer_widths):
             raise ConfigError(f"layer widths must be positive, got {self.layer_widths}")
-        if self.layer_widths[-1] % self.maxout_k != 0:
+        if self.maxout_k < 1 or self.layer_widths[-1] % self.maxout_k != 0:
             raise ConfigError(
                 f"maxout_k={self.maxout_k} does not divide last width {self.layer_widths[-1]}")
         if not 0.0 < self.batchnorm_momentum < 1.0:
@@ -220,17 +224,23 @@ def ema_update(ema: EmaParams, student: ModelParams):
 # -- checkpoint container ------------------------------------------------------
 #
 # Layout: 8-byte magic, 8-byte little-endian header length, UTF-8 JSON header,
-# then the named arrays as raw little-endian floats in header order.
+# then the named arrays as raw little-endian values in header order.  The reader
+# checks every header entry before it reads any array, and reads each array
+# straight into its own preallocated buffer.
 
 def _array_entries(arrays: dict[str, np.ndarray]):
     entries = []
     offset = 0
     for name in arrays:
         arr = arrays[name]
+        dtype = arr.dtype.newbyteorder("<")  # the bytes are written little-endian
+        if CHECKPOINT_DTYPES.get(dtype.name) != dtype:
+            raise CheckpointError(f"cannot save {name}: dtype {arr.dtype} is not one of "
+                                  f"{sorted(CHECKPOINT_DTYPES)}")
         entries.append({
             "name": name,
             "shape": list(arr.shape),
-            "dtype": str(arr.dtype),
+            "dtype": dtype.name,
             "offset": offset,
             "nbytes": arr.nbytes,
         })
@@ -277,35 +287,74 @@ def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
             fh.write(data.tobytes())
 
 
+def _checked_entries(path, entries, payload: int) -> list[tuple[str, tuple, np.dtype, int]]:
+    """(name, shape, dtype, offset) per array entry, after checking that every
+    entry is well formed and its byte range lies inside the payload without
+    overlapping another."""
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{path}: header 'arrays' is not a list")
+    checked, spans, names = [], [], set()
+    for e in entries:
+        name = e.get("name") if isinstance(e, dict) else None
+        if not isinstance(name, str) or name in names:
+            raise CheckpointError(f"{path}: array entry without a unique name: {e!r}")
+        names.add(name)
+        shape, dtype = e.get("shape"), CHECKPOINT_DTYPES.get(e.get("dtype"))
+        offset, nbytes = e.get("offset"), e.get("nbytes")
+        if dtype is None:
+            raise CheckpointError(f"{path}: array {name}: dtype {e.get('dtype')!r} not allowed")
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointError(f"{path}: array {name}: bad shape {shape!r}")
+        if type(offset) is not int or type(nbytes) is not int or offset < 0:
+            raise CheckpointError(f"{path}: array {name}: bad offset or nbytes")
+        if nbytes != math.prod(shape) * dtype.itemsize:
+            raise CheckpointError(f"{path}: array {name}: {nbytes} bytes do not hold "
+                                  f"shape {shape} of {dtype.name}")
+        if offset + nbytes > payload:
+            raise CheckpointError(f"{path}: truncated array {name}")
+        checked.append((name, tuple(shape), dtype, offset))
+        spans.append((offset, offset + nbytes, name))
+    spans.sort()
+    for (_, end, _), (start, _, name) in zip(spans, spans[1:]):
+        if start < end:
+            raise CheckpointError(f"{path}: array {name} overlaps the array before it")
+    return checked
+
+
 def load_checkpoint(path, expected_config: EncoderConfig | None = None):
     """Returns a dict with params, ema (or None), optimizer_state, metadata,
-    and queue_storage (or None)."""
+    and queue_storage (or None).  Any malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    buf = io.BytesIO(raw)
-    if buf.read(8) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    hlen = int.from_bytes(buf.read(8), "little")
-    try:
-        header = json.loads(buf.read(hlen).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: corrupt header: {e}") from None
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {header.get('format_version')} != {CHECKPOINT_VERSION}")
-    config = EncoderConfig.from_dict(header["config"])
-    if expected_config is not None and config.to_dict() != expected_config.to_dict():
-        raise CheckpointError(f"{path}: checkpoint config does not match expected config")
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(8) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        hlen = int.from_bytes(fh.read(8), "little")
+        if hlen > size - 16:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointError(f"{path}: corrupt header: {e}") from None
+        if not isinstance(header, dict) or not isinstance(header.get("metadata", {}), dict):
+            raise CheckpointError(f"{path}: corrupt header: it or its metadata is not an object")
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{path}: format version {header.get('format_version')} != {CHECKPOINT_VERSION}")
+        try:
+            config = EncoderConfig.from_dict(header["config"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: bad config in header: {e!r}") from None
+        if expected_config is not None and config.to_dict() != expected_config.to_dict():
+            raise CheckpointError(f"{path}: checkpoint config does not match expected config")
 
-    base = buf.tell()
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        start = base + entry["offset"]
-        end = start + entry["nbytes"]
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated array {entry['name']}")
-        arr = np.frombuffer(raw[start:end], dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        base = 16 + hlen
+        arrays: dict[str, np.ndarray] = {}
+        for name, shape, dtype, offset in _checked_entries(path, header.get("arrays"),
+                                                          size - base):
+            arr = arrays[name] = np.empty(shape, dtype=dtype)
+            fh.seek(base + offset)
+            if fh.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated array {name}")
 
     def build(prefix_t, prefix_b):
         tensors = {k[len(prefix_t):]: Tensor(v, requires_grad=True)

@@ -9,6 +9,7 @@ from qmatch.data import ColumnSpec, load_manifest, save_csv
 from qmatch.distill import QMatchConfig
 from qmatch.train import TrialResult
 from tests.conftest import make_fixture_dataset
+from tests.test_model import BAD_HEADERS, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +249,18 @@ class TestEval:
                      "--data", str(prepared), "--out", str(tmp_path / "r.jsonl")])
         assert code == 3
 
+
+@pytest.mark.parametrize("edit", [*BAD_HEADERS.values(), None],
+                         ids=[*BAD_HEADERS.keys(), "truncated_inside_array"])
+def test_bad_checkpoint_is_runtime_error(prepared, checkpoint, tmp_path, capsys, edit):
+    bad = tmp_path / "bad.qmc"
+    bad.write_bytes(checkpoint.read_bytes()[:None if edit else -9])
+    if edit:
+        rewrite_header(bad, edit)
+    code = main(["linear-eval", "--checkpoint", str(bad),
+                 "--data", str(prepared), "--out", str(tmp_path / "r.jsonl")])
+    assert code == 3
+    assert "runtime error" in capsys.readouterr().err
 
 class TestGrid:
     def test_singleton_grid(self, prepared, tmp_path, capsys):

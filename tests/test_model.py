@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -214,6 +215,41 @@ class TestEma:
         np.testing.assert_array_equal(ema.params.buffers["layer0.running_mean"], 5.0)
 
 
+def rewrite_header(path, edit):
+    """Apply `edit` to a checkpoint's JSON header in place; the payload is kept."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + hlen:])
+
+
+def _set(key, value, entry=0):
+    return lambda h: h["arrays"][entry].update({key: value})
+
+
+# header edits that each make a checkpoint unreadable
+BAD_HEADERS = {
+    "config_missing": lambda h: h.pop("config"),
+    "config_unknown_key": lambda h: h["config"].update(colour="red"),
+    "config_not_an_object": lambda h: h.update(config=[1, 2]),
+    "config_maxout_zero": lambda h: h["config"].update(maxout_k=0),
+    "shape_disagrees_with_nbytes": lambda h: h["arrays"][0]["shape"].append(2),
+    "object_dtype": _set("dtype", "object"),
+    "big_endian_dtype": _set("dtype", ">f8"),
+    "float16_dtype": _set("dtype", "float16"),
+    "arrays_not_a_list": lambda h: h.update(arrays={"params/layer0.weight": 0}),
+    "entry_not_an_object": lambda h: h["arrays"].append(3),
+    "duplicate_name": lambda h: h["arrays"].append(dict(h["arrays"][0])),
+    "negative_offset": _set("offset", -16),
+    "offset_not_an_integer": _set("offset", 0.5),
+    "range_past_payload": _set("offset", 10 ** 9),
+    "overlapping_arrays": lambda h: h["arrays"][1].update(offset=h["arrays"][0]["offset"] + 8),
+    "metadata_not_an_object": lambda h: h.update(metadata=["seed"]),
+}
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact_and_idempotent(self, tmp_path, rng):
         params = init_params(small_config(), seed=15)
@@ -258,6 +294,61 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded["queue_storage"], queue)
         np.testing.assert_array_equal(loaded["optimizer_state"]["m/x"], np.ones(3))
+
+    @pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+    def test_bad_header_raises_checkpoint_error(self, tmp_path, edit):
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(path, init_params(small_config(), seed=19))
+        rewrite_header(path, edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [1, 8, 100])
+    def test_truncated_inside_array(self, tmp_path, cut):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, init_params(small_config(), seed=20))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(CheckpointError, match="truncated array"):
+            load_checkpoint(path)
+
+    def test_header_length_past_end_of_file(self, tmp_path):
+        path = tmp_path / "l.ckpt"
+        save_checkpoint(path, init_params(small_config(), seed=21))
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = (2 ** 62).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="truncated header"):
+            load_checkpoint(path)
+
+    def test_dtypes_round_trip_and_others_refused(self, tmp_path):
+        params = init_params(small_config(), seed=22)
+        path = tmp_path / "f.ckpt"
+        state = {"f32": np.arange(3, dtype=np.float32), "i64": np.arange(4, dtype=np.int64),
+                 "big": np.arange(2.0).astype(">f8"), "empty": np.zeros((0, 3))}
+        save_checkpoint(path, params, optimizer_state=state)
+        loaded = load_checkpoint(path)["optimizer_state"]
+        for k, v in state.items():
+            assert loaded[k].dtype == v.dtype.newbyteorder("<") and loaded[k].shape == v.shape
+            np.testing.assert_array_equal(loaded[k], v)
+        with pytest.raises(CheckpointError, match="float16"):
+            save_checkpoint(path, params, optimizer_state={"h": np.zeros(2, np.float16)})
+
+    def test_arrays_read_without_an_extra_copy(self, tmp_path):
+        params = init_params(small_config(input_dim=64, layer_widths=(256, 256)), seed=23)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, params, ema=EmaParams(params.copy()))
+        payload = 2 * sum(t.data.nbytes for t in params.tensors.values()) + 2 * sum(
+            v.nbytes for v in params.buffers.values())
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the loaded arrays themselves, not a file image and slices besides
+        assert peak < 1.1 * payload
+        for k, t in params.tensors.items():
+            assert loaded["params"].tensors[k].data.tobytes() == t.data.tobytes()
 
 
 def test_classifier_forward(rng):

@@ -117,45 +117,51 @@ class EmaParams:
     decay: float = 0.9
 
 
-def init_params(config: EncoderConfig, seed: int) -> ModelParams:
-    """He-initialized weights, zero biases, unit batch-norm scale, (0, 1) stats."""
-    rng = np.random.default_rng(seed)
-    tensors: dict[str, Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
-
+def param_shapes(config: EncoderConfig) -> tuple[dict[str, tuple], dict[str, tuple]]:
+    """Name -> shape of every parameter tensor and of every batch-norm buffer,
+    in the order init_params draws them and save_checkpoint writes them."""
+    tensors: dict[str, tuple] = {}
+    buffers: dict[str, tuple] = {}
     fan_in = config.input_dim
     n = len(config.layer_widths)
     for i, width in enumerate(config.layer_widths):
-        scale = np.sqrt(2.0 / fan_in)
-        tensors[f"layer{i}.weight"] = Tensor(
-            rng.normal(0.0, scale, size=(fan_in, width)), requires_grad=True)
-        tensors[f"layer{i}.bias"] = Tensor(np.zeros(width), requires_grad=True)
+        tensors[f"layer{i}.weight"] = (fan_in, width)
+        tensors[f"layer{i}.bias"] = (width,)
         if i < n - 1:  # hidden layers carry batch norm
-            tensors[f"layer{i}.bn_scale"] = Tensor(np.ones(width), requires_grad=True)
-            tensors[f"layer{i}.bn_bias"] = Tensor(np.zeros(width), requires_grad=True)
-            buffers[f"layer{i}.running_mean"] = np.zeros(width)
-            buffers[f"layer{i}.running_var"] = np.ones(width)
+            tensors[f"layer{i}.bn_scale"] = (width,)
+            tensors[f"layer{i}.bn_bias"] = (width,)
+            buffers[f"layer{i}.running_mean"] = (width,)
+            buffers[f"layer{i}.running_var"] = (width,)
         fan_in = width
 
-    embed = config.embed_dim
+    proj_in = config.embed_dim
     if config.mlp_projector:
-        tensors["projector.hidden_weight"] = Tensor(
-            rng.normal(0.0, np.sqrt(2.0 / embed), size=(embed, 512)), requires_grad=True)
-        tensors["projector.hidden_bias"] = Tensor(np.zeros(512), requires_grad=True)
+        tensors["projector.hidden_weight"] = (proj_in, 512)
+        tensors["projector.hidden_bias"] = (512,)
         proj_in = 512
-    else:
-        proj_in = embed
-    tensors["projector.weight"] = Tensor(
-        rng.normal(0.0, np.sqrt(2.0 / proj_in), size=(proj_in, config.projector_dim)),
-        requires_grad=True)
-    tensors["projector.bias"] = Tensor(np.zeros(config.projector_dim), requires_grad=True)
-
+    tensors["projector.weight"] = (proj_in, config.projector_dim)
+    tensors["projector.bias"] = (config.projector_dim,)
     if config.num_classes:
-        tensors["classifier.weight"] = Tensor(
-            rng.normal(0.0, np.sqrt(2.0 / embed), size=(embed, config.num_classes)),
-            requires_grad=True)
-        tensors["classifier.bias"] = Tensor(np.zeros(config.num_classes), requires_grad=True)
+        tensors["classifier.weight"] = (config.embed_dim, config.num_classes)
+        tensors["classifier.bias"] = (config.num_classes,)
+    return tensors, buffers
 
+
+def init_params(config: EncoderConfig, seed: int) -> ModelParams:
+    """He-initialized weights, zero biases, unit batch-norm scale, (0, 1) stats."""
+    rng = np.random.default_rng(seed)
+    tensor_shapes, buffer_shapes = param_shapes(config)
+    tensors: dict[str, Tensor] = {}
+    for name, shape in tensor_shapes.items():
+        if name.endswith("weight"):  # He scale from the fan-in
+            data = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+        elif name.endswith("bn_scale"):
+            data = np.ones(shape)
+        else:
+            data = np.zeros(shape)
+        tensors[name] = Tensor(data, requires_grad=True)
+    buffers = {name: np.ones(shape) if name.endswith("running_var") else np.zeros(shape)
+               for name, shape in buffer_shapes.items()}
     return ModelParams(config, tensors, buffers)
 
 
@@ -284,7 +290,7 @@ def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
             data = arrays[name]
             if data.dtype.byteorder == ">":
                 data = data.astype(data.dtype.newbyteorder("<"))
-            fh.write(data.tobytes())
+            fh.write(memoryview(data))  # the array's own buffer, not a copy of it
 
 
 def _checked_entries(path, entries, payload: int) -> list[tuple[str, tuple, np.dtype, int]]:
@@ -321,6 +327,22 @@ def _checked_entries(path, entries, payload: int) -> list[tuple[str, tuple, np.d
     return checked
 
 
+def _check_layout(path, config: EncoderConfig, shapes: dict[str, tuple]):
+    """The params/ and buffers/ arrays (and ema/ and ema_buffers/, if any are
+    present) must be exactly the tensors and buffers the config defines."""
+    tensor_shapes, buffer_shapes = param_shapes(config)
+    groups = [("params/", tensor_shapes), ("buffers/", buffer_shapes)]
+    if any(k.startswith(("ema/", "ema_buffers/")) for k in shapes):
+        groups += [("ema/", tensor_shapes), ("ema_buffers/", buffer_shapes)]
+    for prefix, expected in groups:
+        found = {k[len(prefix):]: v for k, v in shapes.items() if k.startswith(prefix)}
+        wrong = sorted(k for k in found.keys() | expected.keys()
+                       if found.get(k) != expected.get(k))
+        if wrong:
+            raise CheckpointError(f"{path}: {prefix} arrays do not match the header's "
+                                  f"config: {wrong}")
+
+
 def load_checkpoint(path, expected_config: EncoderConfig | None = None):
     """Returns a dict with params, ema (or None), optimizer_state, metadata,
     and queue_storage (or None).  Any malformed file raises CheckpointError."""
@@ -348,9 +370,10 @@ def load_checkpoint(path, expected_config: EncoderConfig | None = None):
             raise CheckpointError(f"{path}: checkpoint config does not match expected config")
 
         base = 16 + hlen
+        entries = _checked_entries(path, header.get("arrays"), size - base)
+        _check_layout(path, config, {name: shape for name, shape, _, _ in entries})
         arrays: dict[str, np.ndarray] = {}
-        for name, shape, dtype, offset in _checked_entries(path, header.get("arrays"),
-                                                          size - base):
+        for name, shape, dtype, offset in entries:
             arr = arrays[name] = np.empty(shape, dtype=dtype)
             fh.seek(base + offset)
             if fh.readinto(arr) != arr.nbytes:

@@ -2,13 +2,16 @@
 
 Tensors wrap numpy arrays (float64 by default, float32 selectable) and
 record the operations applied to them.  Calling :func:`backward` on a
-scalar result walks the recorded graph in reverse topological order,
-accumulates gradients into every tensor that requires them, and then
-clears the graph so a tensor can be reused in a fresh forward pass.
+scalar result walks the recorded graph in reverse topological order and
+accumulates gradients into every tensor that requires them, cutting each
+node's edges as soon as its own gradient is passed on, so activations are
+freed during the pass and a tensor can be reused in a fresh forward pass.
+Inside :func:`no_grad` nothing is recorded.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,6 +21,8 @@ EPS_LOG = 1e-12
 # In-place elementwise updates (optimizer, EMA) walk flat arrays this many
 # elements at a time, so a block's operands stay in cache across its ufuncs.
 UPDATE_BLOCK = 1 << 15
+
+_recording = True  # cleared inside no_grad()
 
 
 class ShapeError(ValueError):
@@ -114,18 +119,32 @@ def _wrap(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    # The first gradient is kept as is, so it may be a view shared with another
+    # tensor's gradient; every later one is therefore added out of place.
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+        t.grad = np.asarray(g, dtype=t.data.dtype)
     else:
         t.grad = t.grad + g
+
+
+@contextmanager
+def no_grad():
+    """Run forwards without recording a graph (for evaluation): results come
+    out with requires_grad=False and hold no parents."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -368,7 +387,8 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
 
 def backward(loss: Tensor):
     """Populate grad buffers for every requires_grad tensor reachable from loss,
-    then clear the recorded graph."""
+    clearing the recorded graph as it goes: once a node has passed its gradient
+    on, its edges are cut, so it is freed unless the caller still holds it."""
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar, got shape {loss.shape}")
     topo: list[Tensor] = []
@@ -388,10 +408,10 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-    for node in topo:
         node._parents = ()
         node._backward = None
         if node is not loss and not node.requires_grad:

@@ -41,6 +41,7 @@ from .tensor import (
     Tensor,
     backward,
     cross_entropy_rows,
+    no_grad,
     softmax_rows,
     update_blocks,
 )
@@ -232,29 +233,40 @@ class EarlyStopper:
         return self.stale >= self.patience
 
 
-def _descend(optimizer: AdamW, loss: Tensor):
-    """One gradient update of the optimizer's parameters on `loss`."""
+def _zero_grads(optimizer: AdamW):
     for t in optimizer.params.values():
         t.zero_grad()
+
+
+def _descend(optimizer: AdamW, loss: Tensor):
+    """One gradient update of the optimizer's parameters on `loss`."""
+    _zero_grads(optimizer)
     backward(loss)
     optimizer.step()
 
 
-def _early_stopped(max_epochs: int, patience: int, mode: str, run_epoch, snapshot):
+def _early_stopped(max_epochs: int, patience: int, mode: str, run_epoch,
+                   snapshot, live):
     """Run `run_epoch(epoch) -> validation metric` until the budget ends or
-    `patience` epochs pass without improvement; `snapshot()` is taken at each
-    improving epoch.  Returns (best snapshot, stopper, metric history)."""
+    `patience` epochs pass without improvement.  Returns (best state, stopper,
+    metric history).
+
+    `live()` returns the training state itself and `snapshot()` a copy of it.
+    The best state is copied only when another epoch is about to change it; if
+    the last epoch run is the best one, the live state is returned."""
     stopper = EarlyStopper(patience, mode)
     history: list[float] = []
+    best = None  # a copy of the best state, once a later epoch changes the live one
     for epoch in range(max_epochs):
+        if epoch and stopper.stale == 0:  # the previous epoch improved
+            best = snapshot()
         history.append(run_epoch(epoch))
         stop = stopper.update(history[-1], epoch)
-        # epoch 0 always improves, so `best` is bound once the loop ends
         if stopper.stale == 0:
-            best = snapshot()
+            best = None  # outdated by the live state
         if stop:
             break
-    return best, stopper, history
+    return live() if stopper.stale == 0 else best, stopper, history
 
 
 def check_pretext_batch(loop: TrainLoopConfig, splits: dict[str, np.ndarray]):
@@ -389,9 +401,10 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                 raise TrainingError(f"non-finite pretext loss at epoch {epoch}")
         # validation with a per-epoch deterministic corruption stream
         val_rng = np.random.default_rng([seed, epoch, 0x5EED])
-        val_losses = [step_loss(dataset.features[val_idx[b]], val_rng,
-                                update=False, bn_mode="eval")
-                      for b in _batches(len(val_idx), loop.batch_size, None, False)]
+        with no_grad():
+            val_losses = [step_loss(dataset.features[val_idx[b]], val_rng,
+                                    update=False, bn_mode="eval")
+                          for b in _batches(len(val_idx), loop.batch_size, None, False)]
         return float(np.mean(val_losses))
 
     def snapshot() -> dict:
@@ -401,9 +414,13 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                                         queue.cursor) if queue else None,
                 "heads": {k: Tensor(t.data.copy(), requires_grad=True) for k, t in heads.items()}}
 
+    def live() -> dict:
+        _zero_grads(optimizer)
+        return {"params": params, "ema": ema, "queue": queue, "heads": heads}
+
     start = time.monotonic()
     best, stopper, val_history = _early_stopped(loop.max_epochs, loop.patience, "min",
-                                                run_epoch, snapshot)
+                                                run_epoch, snapshot, live)
     return PretrainResult(**best, best_epoch=stopper.best_epoch, val_history=val_history,
                           wall_time=time.monotonic() - start)
 
@@ -417,8 +434,9 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def _embed_all(params: ModelParams, x: np.ndarray, batch_size: int = 2048) -> np.ndarray:
-    outs = [encoder_forward(params, Tensor(x[i:i + batch_size]), mode="eval").data
-            for i in range(0, len(x), batch_size)]
+    with no_grad():
+        outs = [encoder_forward(params, Tensor(x[i:i + batch_size]), mode="eval").data
+                for i in range(0, len(x), batch_size)]
     return np.concatenate(outs, axis=0)
 
 
@@ -460,9 +478,13 @@ def linear_eval(params: ModelParams, dataset: TabularDataset,
             _descend(optimizer, cross_entropy_rows(target, probs))
         return accuracy("down_val")
 
+    def live() -> dict:
+        _zero_grads(optimizer)
+        return {k: t.data for k, t in head.items()}
+
     best_head, stopper, _ = _early_stopped(
         loop.downstream_max_epochs, loop.patience, "max", run_epoch,
-        lambda: {k: t.data.copy() for k, t in head.items()})
+        lambda: {k: t.data.copy() for k, t in head.items()}, live)
     for k, t in head.items():
         t.data[...] = best_head[k]
 
@@ -508,9 +530,13 @@ def finetune(params: ModelParams, dataset: TabularDataset,
             _descend(optimizer, cross_entropy_rows(target, softmax_rows(logits, temperature=1.0)))
         return accuracy("down_val")
 
+    def live():
+        _zero_grads(optimizer)
+        return model, {k: t.data for k, t in head.items()}
+
     (model, best_head), stopper, _ = _early_stopped(
         loop.downstream_max_epochs, loop.patience, "max", run_epoch,
-        lambda: (model.copy(), {k: t.data.copy() for k, t in head.items()}))
+        lambda: (model.copy(), {k: t.data.copy() for k, t in head.items()}), live)
     for k, t in head.items():
         t.data[...] = best_head[k]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -14,6 +15,7 @@ from qmatch.model import (
     encoder_forward,
     init_params,
     load_checkpoint,
+    param_shapes,
     projector_forward,
     save_checkpoint,
 )
@@ -229,6 +231,10 @@ def _set(key, value, entry=0):
     return lambda h: h["arrays"][entry].update({key: value})
 
 
+def _entry(header, name):
+    return next(e for e in header["arrays"] if e["name"] == name)
+
+
 # header edits that each make a checkpoint unreadable
 BAD_HEADERS = {
     "config_missing": lambda h: h.pop("config"),
@@ -247,6 +253,13 @@ BAD_HEADERS = {
     "range_past_payload": _set("offset", 10 ** 9),
     "overlapping_arrays": lambda h: h["arrays"][1].update(offset=h["arrays"][0]["offset"] + 8),
     "metadata_not_an_object": lambda h: h.update(metadata=["seed"]),
+    # well-formed entries that do not fit the config: the same bytes, read as
+    # the wrong shape, would otherwise reach the encoder
+    "weight_shape_swapped": lambda h: _entry(h, "params/layer0.weight")["shape"].reverse(),
+    "array_renamed": lambda h: _entry(h, "params/layer0.bias").update(
+        name="params/layer0.offset"),
+    "config_adds_classifier": lambda h: h["config"].update(num_classes=3),
+    "config_adds_mlp_projector": lambda h: h["config"].update(mlp_projector=True),
 }
 
 
@@ -332,6 +345,47 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[k], v)
         with pytest.raises(CheckpointError, match="float16"):
             save_checkpoint(path, params, optimizer_state={"h": np.zeros(2, np.float16)})
+
+    @pytest.mark.parametrize("extra", [{}, {"mlp_projector": True}, {"num_classes": 3}],
+                             ids=["plain", "mlp_projector", "classifier"])
+    def test_layout_follows_the_config(self, tmp_path, extra):
+        params = init_params(small_config(**extra), seed=24)
+        tensor_shapes, buffer_shapes = param_shapes(params.config)
+        assert [(k, t.shape) for k, t in params.tensors.items()] == list(tensor_shapes.items())
+        assert [(k, v.shape) for k, v in params.buffers.items()] == list(buffer_shapes.items())
+        path = tmp_path / "k.ckpt"
+        save_checkpoint(path, params, ema=EmaParams(params.copy()))
+        loaded = load_checkpoint(path)
+        for got in (loaded["params"], loaded["ema"].params):
+            assert list(got.tensors) == list(params.tensors)
+        rewrite_header(path, lambda h: _entry(h, "ema/projector.weight")["shape"].reverse())
+        with pytest.raises(CheckpointError, match="ema/"):
+            load_checkpoint(path)
+
+    def test_file_bytes_unchanged(self, tmp_path):
+        """Pinned digest of a file with every kind of array: the layout, the header
+        and init_params' draws (mlp projector and classifier included) stay put."""
+        params = init_params(small_config(mlp_projector=True, num_classes=3), seed=31)
+        ema = EmaParams(params.copy(requires_grad=False), decay=0.5)
+        state = {"step_count": np.asarray([2.0]), "big": np.arange(3.0).astype(">f8"),
+                 "i64": np.arange(4, dtype=np.int64), "f32": np.ones((2, 2), np.float32)}
+        path = tmp_path / "pinned.ckpt"
+        save_checkpoint(path, params, ema=ema, optimizer_state=state, metadata={"seed": 31},
+                        queue_storage=np.eye(4, 3))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "5ba4541b606f033729de13f1e143901ff93840d3e8eaf8199a2365feb06d6ca6")
+
+    def test_save_writes_arrays_without_a_copy(self, tmp_path):
+        params = init_params(small_config(input_dim=64, layer_widths=(256, 256)), seed=25)
+        ema = EmaParams(params.copy())
+        largest = max(t.data.nbytes for t in params.tensors.values())
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "s.ckpt", params, ema=ema)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * largest
 
     def test_arrays_read_without_an_extra_copy(self, tmp_path):
         params = init_params(small_config(input_dim=64, layer_widths=(256, 256)), seed=23)

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qmatch.model import EncoderConfig, encoder_forward, init_params
 from qmatch.tensor import (
     UPDATE_BLOCK,
     ParameterError,
@@ -21,6 +23,7 @@ from qmatch.tensor import (
     l2_normalize_rows,
     matmul,
     maxout_rows,
+    no_grad,
     softmax_rows,
     update_blocks,
 )
@@ -179,6 +182,79 @@ class TestBackward:
             backward(softmax_rows(w, temperature=0.3).sum())
             grads.append(w.grad.copy())
         np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_backward_frees_activations_as_it_goes(self):
+        params = init_params(EncoderConfig(input_dim=32, layer_widths=(128,) * 4,
+                                           maxout_k=4), seed=1)
+        x = Tensor(rand((32, 32), 2))
+        tracemalloc.start()
+        try:
+            loss = encoder_forward(params, x).sum()  # only the loss keeps the graph alive
+            activations, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grads = sum(t.grad.nbytes for t in params.tensors.values() if t.grad is not None)
+        # keeping the whole graph to the end holds every activation, every
+        # intermediate gradient and every parameter gradient at once
+        assert peak < activations + grads
+
+    def test_first_gradient_kept_without_a_copy(self):
+        w = Tensor(rand((256, 512), 3), requires_grad=True)
+        x = Tensor(rand((4, 256), 4))
+        loss = (x @ w).sum()
+        tracemalloc.start()
+        try:
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * w.grad.nbytes
+
+    def test_shared_first_gradient_is_never_written_through(self):
+        a = Tensor(rand((3, 4), 5), requires_grad=True)
+        b = Tensor(rand((3, 4), 6), requires_grad=True)
+        c = Tensor(rand((3, 4), 7))
+        backward(((a + b) * c).sum())  # add hands both operands the same gradient
+        b_first = b.grad.copy()
+        backward((a * a).sum())  # accumulates into a only
+        np.testing.assert_array_equal(b.grad, b_first)
+        np.testing.assert_allclose(a.grad, c.data + 2 * a.data)
+
+    def test_leaf_reached_through_add_and_a_second_path(self):
+        a = Tensor(rand((3, 4), 8), requires_grad=True)
+        b = Tensor(rand((3, 4), 9), requires_grad=True)
+        c = Tensor(rand((3, 4), 10))
+        f = lambda: ((a + b) * c).sum() + (softmax_rows(a * b, temperature=0.5) * c).sum()
+        assert finite_difference_check(f, [a, b]) <= 1e-6
+
+
+class TestNoGrad:
+    @staticmethod
+    def forward(w, x):
+        return softmax_rows(l2_normalize_rows(maxout_rows(x @ w, 2)), temperature=0.3)
+
+    def test_records_nothing_and_computes_the_same(self):
+        w = Tensor(rand((4, 6), 11), requires_grad=True)
+        x = Tensor(rand((5, 4), 12))
+        recorded = self.forward(w, x)
+        with no_grad():
+            plain = self.forward(w, x)
+        assert recorded._parents and recorded.requires_grad
+        assert plain._parents == () and plain._backward is None and not plain.requires_grad
+        np.testing.assert_array_equal(plain.data, recorded.data)
+
+    def test_state_restored_after_exception_and_nesting(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert (w * w)._parents == ()  # still off after the inner block
+                raise RuntimeError("inside no_grad")
+        assert (w * w)._parents == (w, w)
 
 
 class TestFiniteDifference:

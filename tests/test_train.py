@@ -17,6 +17,7 @@ from qmatch.train import (
     TrainingError,
     TrialResult,
     _batches,
+    _early_stopped,
     aggregate,
     finetune,
     format_rank,
@@ -229,6 +230,90 @@ class TestEarlyStopper:
         stopper = EarlyStopper(patience=1, mode="max")
         stopper.update(1.0, 0)
         assert stopper.update(1.0, 1)
+
+
+class TestEarlyStopped:
+    @pytest.mark.parametrize("metrics, patience, mode, best_epoch, copies", [
+        ([5, 4, 3], 2, "min", 2, 2),           # the last epoch is the best
+        ([5, 4, 6, 3, 7, 8], 5, "min", 3, 3),  # a later epoch ran after the best
+        ([5, 6, 7, 8], 2, "min", 0, 1),        # patience ends the run
+        ([1, 2, 1], 1, "max", 1, 2),
+        ([5], 0, "min", 0, 0),
+    ], ids=["last_is_best", "best_inside", "patience_ends", "max_mode", "one_epoch"])
+    def test_copies_only_what_a_later_epoch_would_overwrite(self, metrics, patience, mode,
+                                                           best_epoch, copies):
+        live = {"epochs_run": 0}
+        taken = []
+
+        def run_epoch(epoch):
+            live["epochs_run"] = epoch + 1
+            return metrics[epoch]
+
+        def snapshot():
+            taken.append(dict(live))
+            return taken[-1]
+
+        best, stopper, history = _early_stopped(len(metrics), patience, mode, run_epoch,
+                                                snapshot, lambda: live)
+        assert stopper.best_epoch == best_epoch and history == metrics[:len(history)]
+        # one copy per improving epoch that another epoch follows
+        assert len(taken) == copies
+        if best_epoch == len(history) - 1:
+            assert best is live
+        else:
+            assert best is taken[-1] and best == {"epochs_run": best_epoch + 1}
+
+    @pytest.mark.parametrize("algorithm, max_epochs", [("qmatch", 3), ("vime", 1),
+                                                       ("tabnet", 3)])
+    def test_pretrain_result_holds_no_gradients(self, setup, algorithm, max_epochs):
+        ds, splits, state, config = setup
+        loop = TrainLoopConfig(**{**SMALL_LOOP, "max_epochs": max_epochs,
+                                  "patience": max_epochs - 1})
+        res = pretrain(algorithm, ds, splits, state, config, loop, seed=0,
+                       qm_config=QMatchConfig(queue_capacity=64),
+                       corruption=CorruptionConfig(p_student=0.3))
+        assert all(t.grad is None for t in [*res.params.tensors.values(),
+                                            *res.heads.values()])
+
+    @pytest.mark.parametrize("epochs", [1, 6])
+    def test_finetune_best_state_holds_no_gradients(self, setup, monkeypatch, epochs):
+        ds, splits, state, config = setup
+        returned = []
+
+        def spy(*args):
+            returned.append(early_stopped(*args))
+            return returned[-1]
+
+        early_stopped = qmatch.train._early_stopped
+        monkeypatch.setattr(qmatch.train, "_early_stopped", spy)
+        loop = TrainLoopConfig(**{**SMALL_LOOP, "downstream_max_epochs": epochs})
+        finetune(init_params(config, 0), ds, splits, state, loop, seed=0)
+        (model, _), _, _ = returned[0]
+        assert all(t.grad is None for t in model.tensors.values())
+
+
+class TestEvalForwards:
+    def test_record_no_graph(self, setup, monkeypatch):
+        ds, splits, state, config = setup
+        outputs = []
+        for module in (qmatch.train, qmatch.distill):
+            def spy(params, x, mode="train", _forward=module.encoder_forward):
+                out = _forward(params, x, mode=mode)
+                outputs.append((mode, out))
+                return out
+            monkeypatch.setattr(module, "encoder_forward", spy)
+        loop = TrainLoopConfig(**{**SMALL_LOOP, "max_epochs": 1, "patience": 0,
+                                  "downstream_max_epochs": 1})
+        for algorithm in ("qmatch", "vime"):
+            res = pretrain(algorithm, ds, splits, state, config, loop, seed=0,
+                           qm_config=QMatchConfig(queue_capacity=64))
+        linear_eval(res.params, ds, splits, state, loop, seed=0)
+        finetune(res.params, ds, splits, state, loop, seed=0)
+        assert {mode for mode, _ in outputs} == {"train", "eval"}
+        for mode, out in outputs:
+            # train-mode graphs were already cut by backward, but were recorded
+            assert out.requires_grad == (mode == "train"), mode
+            assert mode == "train" or out._parents == ()
 
 
 class TestConfigs:

@@ -6,7 +6,6 @@ from .baselines import (
     collision_probability,
     dino_proto_loss,
     in_batch_info_nce,
-    info_nce_loss,
     mse_align_loss,
     tabnet_recon_loss,
     vime_pretext_loss,
@@ -32,7 +31,6 @@ from .model import (
     EmaParams,
     EncoderConfig,
     ModelParams,
-    classifier_forward,
     ema_update,
     encoder_forward,
     init_params,

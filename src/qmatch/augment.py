@@ -30,7 +30,7 @@ class CorruptionConfig:
 
 
 def corrupt(x: np.ndarray, pool: np.ndarray | None, p: float, mode: str,
-            rng: np.random.Generator, per_cell_donor: bool = True):
+            rng: np.random.Generator):
     """Return (corrupted copy of x, boolean mask of corrupted cells)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"corruption probability must be in [0, 1], got {p}")
@@ -46,13 +46,8 @@ def corrupt(x: np.ndarray, pool: np.ndarray | None, p: float, mode: str,
             raise ValueError("resample corruption requires a nonempty pool")
         if pool.shape[1] != f:
             raise ValueError(f"pool has {pool.shape[1]} features, batch has {f}")
-        if per_cell_donor:
-            donors = rng.integers(0, len(pool), size=(b, f))
-            out[mask] = pool[donors, np.arange(f)[None, :].repeat(b, axis=0)][mask]
-        else:
-            donors = rng.integers(0, len(pool), size=b)
-            donated = pool[donors]
-            out[mask] = donated[mask]
+        donors = rng.integers(0, len(pool), size=(b, f))
+        out[mask] = pool[donors, np.arange(f)[None, :].repeat(b, axis=0)][mask]
     else:
         raise ValueError(f"unknown corruption mode {mode!r}")
     return out, mask

@@ -23,59 +23,23 @@ from .tensor import (
 )
 
 
+CENTER_MOMENTUM = 0.9  # EMA momentum of PrototypeBank.center
+
+
 class PrototypeBank:
     """Learnable prototype matrix with an EMA center over teacher logits."""
 
-    def __init__(self, num_prototypes: int, dim: int, rng: np.random.Generator,
-                 center_momentum: float = 0.9):
+    def __init__(self, num_prototypes: int, dim: int, rng: np.random.Generator):
         if num_prototypes < 1:
             raise ValueError("need at least one prototype")
         self.prototypes = Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim),
                                             size=(num_prototypes, dim)),
                                  requires_grad=True)
         self.center = np.zeros(num_prototypes)
-        self.center_momentum = center_momentum
 
     def update_center(self, teacher_logits: np.ndarray):
-        m = self.center_momentum
+        m = CENTER_MOMENTUM
         self.center = m * self.center + (1 - m) * teacher_logits.mean(axis=0)
-
-
-def info_nce_loss(anchors: Tensor, positives: Tensor, negatives: Tensor,
-                  tau: float) -> Tensor:
-    """Mean over anchors of -log(S_pos / (S_pos + S_neg)) with
-    S_pos = sum_j exp(a . p_j / tau) over that anchor's positives and
-    S_neg likewise over its negatives.
-
-    `positives` is B x P x D given as a 2-D (B*P) x D block ordered per
-    anchor, or B x D when each anchor has a single positive; same for
-    negatives.  Embeddings are expected L2-normalized.
-    """
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    b = anchors.shape[0]
-    if positives.data.size == 0 or positives.shape[0] % b != 0:
-        raise ValueError("every anchor needs a nonempty positive set")
-    if negatives.shape[0] % b != 0:
-        raise ValueError("negatives must provide an equal-size set per anchor")
-    s_pos = _block_exp_sums(anchors, positives, tau)
-    s_neg = _block_exp_sums(anchors, negatives, tau)
-    losses = log(s_pos + s_neg) - log(s_pos)
-    return losses.mean()
-
-
-def _block_exp_sums(anchors: Tensor, block: Tensor, tau: float) -> Tensor:
-    """Per anchor, sum of exp(a . c / tau) over its own k consecutive block rows.
-
-    Every anchor is scored against every block row; the mask keeps anchor i's
-    rows i*k .. i*k+k-1 and zeroes the rest before `exp`, so an off-block
-    similarity can never overflow, and again after it, so it adds nothing.
-    """
-    b = anchors.shape[0]
-    k = block.shape[0] // b
-    mask = Tensor(np.repeat(np.eye(b), k, axis=1))  # B x (B*k)
-    sims = anchors @ block.T
-    return tsum(exp(sims * mask * (1.0 / tau)) * mask, axis=1)
 
 
 def in_batch_info_nce(z1: Tensor, z2: Tensor, tau: float) -> Tensor:

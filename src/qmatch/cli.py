@@ -41,7 +41,9 @@ from .model import (
     save_checkpoint,
 )
 from .train import (
+    ALGORITHMS,
     DEFAULT_GRIDS,
+    PRETEXT_ALGORITHMS,
     TrainLoopConfig,
     TrainingError,
     TrialResult,
@@ -168,7 +170,11 @@ def cmd_prepare_data(args) -> int:
             quantile = datamod.PRESETS[args.preset].get("quantile", False)
     else:
         with open(args.split_spec) as fh:
-            spec = SplitSpec(**json.load(fh), seed=args.seed)
+            fields = json.load(fh)
+        if not isinstance(fields, dict) or "seed" in fields:
+            raise ConfigError(f"{args.split_spec}: a split spec is a JSON object of "
+                              "SplitSpec fields other than seed, which --seed sets")
+        spec = _config(SplitSpec, **fields, seed=args.seed)
     splits = make_splits(dataset, spec)
     state = fit_preprocess(dataset, rows=splits["pretext_train"],
                            quantile=bool(quantile))
@@ -192,10 +198,10 @@ def cmd_prepare_data(args) -> int:
 
 
 def _config(build, *args, **values):
-    """Build a config object; a value it rejects is the user's config error."""
+    """Build a config object; a value or field it rejects is the user's config error."""
     try:
         return build(*args, **values)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from None
 
 
@@ -211,7 +217,8 @@ def _check_patience(patience: int | None):
         raise ConfigError(f"--patience must be >= 1, got {patience}")
 
 
-def _build_configs(args, ws: Workspace):
+def _build_configs(args, ws: Workspace, algorithms: tuple):
+    """The run's algorithm (one of `algorithms`, or None), configs and seed."""
     cfg = load_run_config(args.config) if args.config else {}
     _check_patience(args.patience)
     encoder = _overlay(EncoderConfig, cfg.get("encoder", {}),
@@ -226,6 +233,9 @@ def _build_configs(args, ws: Workspace):
                     p_student=args.p_student, p_teacher=args.p_teacher)
     extra = cfg.get("extra", {})
     algorithm = args.algorithm or cfg.get("algorithm")
+    if algorithm is not None and algorithm not in algorithms:
+        raise ConfigError(f"unknown algorithm {algorithm!r}, expected one of "
+                          f"{', '.join(algorithms)}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     return algorithm, encoder, loop, qm, corr, extra, seed
 
@@ -238,7 +248,8 @@ def _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed) -> di
 
 def cmd_pretrain(args) -> int:
     ws = Workspace(Path(args.data))
-    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws)
+    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws,
+                                                                     PRETEXT_ALGORITHMS)
     if algorithm is None:
         raise ConfigError("no algorithm given (flag --algorithm or config file)")
     check_pretext_batch(loop, ws.splits)
@@ -287,6 +298,9 @@ def cmd_eval(args, task: str) -> int:
                     batch_size=args.batch_size,
                     max_epochs=max(budget, TrainLoopConfig.max_epochs))
     ckpt = load_checkpoint(ckpt_path)
+    if ckpt["config"].input_dim != ws.state.output_dim:
+        raise CheckpointError(f"{ckpt_path}: the encoder takes {ckpt['config'].input_dim} "
+                              f"input columns, the prepared data has {ws.state.output_dim}")
     algorithm = ckpt["metadata"].get("algorithm", "unknown")
     fn = linear_eval if task == "linear" else finetune
     result = fn(ckpt["params"], ws.dataset, ws.splits, ws.state, loop,
@@ -300,7 +314,7 @@ def cmd_eval(args, task: str) -> int:
 
 def cmd_grid(args) -> int:
     ws = Workspace(Path(args.data))
-    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws)
+    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws, ALGORITHMS)
     if algorithm is None:
         raise ConfigError("no algorithm given")
     seeds = _parse_seeds(args, default=[seed])
@@ -332,7 +346,7 @@ def cmd_grid(args) -> int:
 
 def _parse_seeds(args, default):
     if getattr(args, "seeds", None):
-        return [int(s) for s in args.seeds.split(",")]
+        return args.seeds
     if getattr(args, "seed", None) is not None:
         return [args.seed]
     return default
@@ -343,10 +357,9 @@ SWEEP_KINDS = ("corruption-heatmap", "queue-size", "label-fraction", "pretext-si
 
 def cmd_sweep(args) -> int:
     ws = Workspace(Path(args.data))
-    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws)
+    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws, ALGORITHMS)
     algorithm = algorithm or "qmatch"
     seeds = _parse_seeds(args, default=[0])
-    values = [float(v) for v in args.values.split(",")] if args.values else None
 
     rows: list[dict] = []
 
@@ -365,19 +378,19 @@ def cmd_sweep(args) -> int:
             row["std_accuracy"] = std
 
     if args.kind == "corruption-heatmap":
-        ps = values or [0.0, 0.3, 0.5]
-        pt = [float(v) for v in args.teacher_values.split(",")] if args.teacher_values else ps
+        ps = args.values or [0.0, 0.3, 0.5]
+        pt = args.teacher_values or ps
         for p_s in ps:
             for p_t in pt:
                 c = _config(replace, corr, p_student=p_s, p_teacher=p_t)
                 run_cell({"p_student": p_s, "p_teacher": p_t}, qm, c, ws.splits)
     elif args.kind == "queue-size":
-        sizes = [int(v) for v in (values or [2 ** 9, 2 ** 11])]
+        sizes = [int(v) for v in (args.values or [2 ** 9, 2 ** 11])]
         for m in sizes:
             run_cell({"queue_size": m}, _config(replace, qm, queue_capacity=m), corr,
                      ws.splits)
     elif args.kind == "label-fraction":
-        fractions = values or [0.01, 0.1, 1.0]
+        fractions = args.values or [0.01, 0.1, 1.0]
         base = {k: v.copy() for k, v in ws.splits.items()}
         rng = np.random.default_rng(seed)
         for frac in fractions:
@@ -387,7 +400,7 @@ def cmd_sweep(args) -> int:
                 base["down_train"], ws.dataset.labels, min(k, len(base["down_train"])), rng)
             run_cell({"label_fraction": frac}, qm, corr, splits)
     elif args.kind == "pretext-size":
-        fractions = values or [0.25, 0.5, 1.0]
+        fractions = args.values or [0.25, 0.5, 1.0]
         base = {k: v.copy() for k, v in ws.splits.items()}
         for frac in fractions:
             splits = dict(base)
@@ -444,6 +457,14 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _list_of(kind):
+    """argparse type: comma-separated `kind` values; a bad one exits 2."""
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's error names it
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qmatch",
                                      description="Queue-based self-distillation for tabular data")
@@ -463,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--config", default=None, help="run-config JSON (schema-validated)")
         q.add_argument("--algorithm", default=None)
         q.add_argument("--seed", type=int, default=None)
-        q.add_argument("--widths", type=lambda s: [int(w) for w in s.split(",")], default=None)
+        q.add_argument("--widths", type=_list_of(int), default=None)
         q.add_argument("--batch-size", type=int, default=None)
         q.add_argument("--max-epochs", type=int, default=None)
         q.add_argument("--patience", type=int, default=None)
@@ -496,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--task", choices=["linear", "finetune"], default="linear")
-    p.add_argument("--seeds", default=None, help="comma-separated seed list")
+    p.add_argument("--seeds", type=_list_of(int), default=None,
+                   help="comma-separated seed list")
     p.add_argument("--grid", default=None, help="JSON file: {param: [values]}")
     train_flags(p)
 
@@ -505,9 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--task", choices=["linear", "finetune"], default="linear")
-    p.add_argument("--seeds", default=None)
-    p.add_argument("--values", default=None, help="comma-separated axis values")
-    p.add_argument("--teacher-values", default=None,
+    p.add_argument("--seeds", type=_list_of(int), default=None)
+    p.add_argument("--values", type=_list_of(float), default=None,
+                   help="comma-separated axis values")
+    p.add_argument("--teacher-values", type=_list_of(float), default=None,
                    help="teacher corruption values (corruption-heatmap)")
     train_flags(p)
 

@@ -16,8 +16,8 @@ import numpy as np
 from .augment import CorruptionConfig, make_views
 from .model import EmaParams, ModelParams, ema_update, encoder_forward, projector_forward
 from .tensor import (
+    EPS_LOG,
     Tensor,
-    ValidationError,
     backward,
     cross_entropy_rows,
     l2_normalize_rows,
@@ -43,7 +43,7 @@ class EmbeddingQueue:
     """Fixed-capacity FIFO of L2-normalized embeddings, backed by a ring buffer."""
 
     def __init__(self, capacity: int, dim: int, storage: np.ndarray | None = None,
-                 cursor: int = 0, validate: bool = False):
+                 cursor: int = 0):
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
@@ -54,7 +54,6 @@ class EmbeddingQueue:
             raise ValueError(f"storage shape {storage.shape} != ({capacity}, {dim})")
         self.storage = storage
         self.cursor = cursor  # next write position == oldest row once warm
-        self.validate = validate
 
     def push(self, batch: np.ndarray):
         """Overwrite the oldest rows with the batch, preserving FIFO order."""
@@ -63,10 +62,6 @@ class EmbeddingQueue:
             raise ValueError(f"batch of {b} exceeds queue capacity {self.capacity}")
         if batch.shape[1] != self.dim:
             raise ValueError(f"batch dim {batch.shape[1]} != queue dim {self.dim}")
-        if self.validate:
-            norms = np.linalg.norm(batch, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ValidationError("queue rows must be unit-norm")
         end = self.cursor + b
         if end <= self.capacity:
             self.storage[self.cursor:end] = batch
@@ -89,14 +84,13 @@ class EmbeddingQueue:
         return float((sims.sum() - np.trace(sims)) / (m * (m - 1)))
 
 
-def queue_init(capacity: int, dim: int, rng: np.random.Generator,
-               validate: bool = False) -> EmbeddingQueue:
+def queue_init(capacity: int, dim: int, rng: np.random.Generator) -> EmbeddingQueue:
     """Queue pre-filled with random unit vectors so the loss is defined at step 0."""
     if capacity < 1:
         raise ValueError(f"queue capacity must be >= 1, got {capacity}")
     rows = rng.normal(size=(capacity, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return EmbeddingQueue(capacity, dim, storage=rows, validate=validate)
+    return EmbeddingQueue(capacity, dim, storage=rows)
 
 
 def qmatch_loss(z_student: Tensor, z_teacher, queue: EmbeddingQueue,
@@ -116,13 +110,13 @@ def qmatch_loss(z_student: Tensor, z_teacher, queue: EmbeddingQueue,
 
 
 def teacher_entropy(z_teacher: np.ndarray, queue: EmbeddingQueue,
-                    tau_teacher: float, eps_log: float = 1e-12) -> float:
+                    tau_teacher: float) -> float:
     """Mean row entropy of the teacher distribution (loss lower bound)."""
     logits = (z_teacher @ queue.storage.T) / tau_teacher
     logits -= logits.max(axis=1, keepdims=True)
     e = np.exp(logits)
     p = e / e.sum(axis=1, keepdims=True)
-    return float(-(p * np.log(p + eps_log)).sum(axis=1).mean())
+    return float(-(p * np.log(p + EPS_LOG)).sum(axis=1).mean())
 
 
 def embed(params: ModelParams, x: np.ndarray, mode: str) -> Tensor:

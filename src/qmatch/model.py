@@ -1,10 +1,10 @@
-"""Encoder/projector/classifier parameters, EMA shadow copies, checkpoints.
+"""Encoder/projector parameters, EMA shadow copies, checkpoints.
 
 The encoder is an MLP: every hidden layer is affine -> batch norm -> ReLU,
 and the final layer is affine -> maxout over consecutive groups of k units,
 so the embedding width is last_width / k.  A linear projector maps the
-embedding to the (low-dimensional) space used by the pretext losses; the
-classifier head and linear evaluation attach to the encoder output.
+embedding to the (low-dimensional) space used by the pretext losses;
+downstream heads attach to the encoder output.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class EncoderConfig:
     batchnorm_momentum: float = 0.1
     bn_eps: float = 1e-5
     mlp_projector: bool = False  # optional 512-128 two-layer head, off by default
-    num_classes: int | None = None
 
     def __post_init__(self):
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
@@ -77,6 +76,9 @@ class EncoderConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         d = dict(d)
+        # a retired field: files written before its removal carry it as null
+        if "num_classes" in d and d["num_classes"] is None:
+            del d["num_classes"]
         d["layer_widths"] = tuple(d["layer_widths"])
         return cls(**d)
 
@@ -105,10 +107,6 @@ class ModelParams:
                    for k, t in self.tensors.items()}
         buffers = {k: v.copy() for k, v in self.buffers.items()}
         return ModelParams(self.config, tensors, buffers)
-
-    def all_finite(self) -> bool:
-        return (all(np.all(np.isfinite(t.data)) for t in self.tensors.values())
-                and all(np.all(np.isfinite(v)) for v in self.buffers.values()))
 
 
 @dataclass
@@ -141,9 +139,6 @@ def param_shapes(config: EncoderConfig) -> tuple[dict[str, tuple], dict[str, tup
         proj_in = 512
     tensors["projector.weight"] = (proj_in, config.projector_dim)
     tensors["projector.bias"] = (config.projector_dim,)
-    if config.num_classes:
-        tensors["classifier.weight"] = (config.embed_dim, config.num_classes)
-        tensors["classifier.bias"] = (config.num_classes,)
     return tensors, buffers
 
 
@@ -204,10 +199,6 @@ def projector_forward(params: ModelParams, h: Tensor) -> Tensor:
         h = relu(h @ params.tensors["projector.hidden_weight"]
                  + params.tensors["projector.hidden_bias"])
     return h @ params.tensors["projector.weight"] + params.tensors["projector.bias"]
-
-
-def classifier_forward(params: ModelParams, h: Tensor) -> Tensor:
-    return h @ params.tensors["classifier.weight"] + params.tensors["classifier.bias"]
 
 
 def ema_update(ema: EmaParams, student: ModelParams):

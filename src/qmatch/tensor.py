@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 EPS_LOG = 1e-12
+EPS_NORM = 1e-12
 
 # In-place elementwise updates (optimizer, EMA) walk flat arrays this many
 # elements at a time, so a block's operands stay in cache across its ufuncs.
@@ -31,10 +32,6 @@ class ShapeError(ValueError):
 
 class ParameterError(ValueError):
     """Raised for invalid scalar parameters (e.g. non-positive temperature)."""
-
-
-class ValidationError(ValueError):
-    """Raised by debug-mode input validation."""
 
 
 class Tensor:
@@ -70,9 +67,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def item(self) -> float:
-        return float(self.data)
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
@@ -313,18 +307,18 @@ def maxout_rows(x: Tensor, k: int) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-def l2_normalize_rows(z: Tensor, epsilon: float = 1e-12) -> Tensor:
-    """Scale each row to unit Euclidean norm; rows with norm <= epsilon are
-    divided by epsilon instead (exact-zero rows stay zero)."""
+def l2_normalize_rows(z: Tensor) -> Tensor:
+    """Scale each row to unit Euclidean norm; rows with norm <= EPS_NORM are
+    divided by EPS_NORM instead (exact-zero rows stay zero)."""
     norms = np.linalg.norm(z.data, axis=1, keepdims=True)
-    denom = np.maximum(norms, epsilon)
+    denom = np.maximum(norms, EPS_NORM)
     out_data = z.data / denom
-    clipped = norms <= epsilon
+    clipped = norms <= EPS_NORM
 
     def bwd(g):
         # For free rows: d(z/|z|) = (g - y (g.y)) / |z|.  Clipped rows are z/eps.
         dot = (g * out_data).sum(axis=1, keepdims=True)
-        gz = np.where(clipped, g / epsilon, (g - out_data * dot) / denom)
+        gz = np.where(clipped, g / EPS_NORM, (g - out_data * dot) / denom)
         _accumulate(z, gz)
     return _make(out_data, (z,), bwd)
 
@@ -344,25 +338,16 @@ def softmax_rows(logits: Tensor, temperature: float = 1.0) -> Tensor:
     return _make(probs, (logits,), bwd)
 
 
-def cross_entropy_rows(target: Tensor, pred: Tensor,
-                       epsilon_log: float = EPS_LOG,
-                       validate: bool = False) -> Tensor:
-    """Mean over rows of -sum_j target[j] * log(pred[j] + epsilon_log).
-
-    Both inputs must be row-stochastic; set validate=True to enforce that.
-    """
+def cross_entropy_rows(target: Tensor, pred: Tensor) -> Tensor:
+    """Mean over rows of -sum_j target[j] * log(pred[j] + EPS_LOG); both
+    inputs are expected row-stochastic."""
     if target.shape != pred.shape:
         raise ShapeError(f"cross-entropy shapes disagree: {target.shape} vs {pred.shape}")
-    if validate:
-        for name, t in (("target", target), ("pred", pred)):
-            sums = t.data.sum(axis=1)
-            if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(t.data < 0):
-                raise ValidationError(f"{name} rows are not stochastic")
     b = target.shape[0]
-    logp = np.log(pred.data + epsilon_log)
+    logp = np.log(pred.data + EPS_LOG)
 
     def bwd(g):
-        _accumulate(pred, -(g / b) * target.data / (pred.data + epsilon_log))
+        _accumulate(pred, -(g / b) * target.data / (pred.data + EPS_LOG))
         _accumulate(target, -(g / b) * logp)
     return _make(np.asarray(-(target.data * logp).sum() / b), (target, pred), bwd)
 

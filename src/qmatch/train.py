@@ -156,7 +156,7 @@ class AdamW:
 
     @staticmethod
     def _decayed(name: str) -> bool:
-        return not (name.endswith(".bias") or ".bn_" in name or name.endswith("bias"))
+        return not (name.endswith("bias") or ".bn_" in name)
 
     def step(self):
         self.step_count += 1

@@ -65,14 +65,6 @@ class TestCorrupt:
             outs.append(out)
         np.testing.assert_array_equal(outs[0], outs[1])
 
-    def test_single_donor_row_mode(self, rng):
-        pool = np.arange(40, dtype=float).reshape(10, 4)
-        x = np.full((5, 4), -1.0)
-        out, mask = corrupt(x, pool, 1.0, "resample", rng, per_cell_donor=False)
-        # every corrupted row must match a single pool row exactly
-        for row in out:
-            assert any(np.array_equal(row, prow) for prow in pool)
-
 
 class TestMakeViews:
     def test_teacher_uncorrupted_by_default(self, rng):

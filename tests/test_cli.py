@@ -5,8 +5,9 @@ import pytest
 
 from qmatch.augment import CorruptionConfig
 from qmatch.cli import EXIT_CONFIG, EXIT_OK, main
-from qmatch.data import ColumnSpec, load_manifest, save_csv
+from qmatch.data import ColumnSpec, PreprocessState, load_manifest, save_csv
 from qmatch.distill import QMatchConfig
+from qmatch.model import EncoderConfig, init_params, save_checkpoint
 from qmatch.train import TrialResult
 from tests.conftest import make_fixture_dataset
 from tests.test_model import BAD_HEADERS, rewrite_header
@@ -96,6 +97,21 @@ class TestPrepareData:
 
     def test_unknown_flag(self):
         assert main(["prepare-data", "--frobnicate"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("spec", [
+        {"pretext_train": 192, "pretext_val": 32, "down_train": 60, "down_val": 60,
+         "test": 60, "colour": "red"},
+        {"pretext_train": 192, "pretext_val": 32, "down_train": 60, "down_val": 60,
+         "test": 60, "seed": 3},
+        [192, 32, 60, 60, 60],
+    ], ids=["unknown_key", "seed_key", "not_an_object"])
+    def test_bad_split_spec_is_config_error(self, corpus, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["prepare-data", "--csv", str(corpus / "fixture.csv"),
+                     "--schema", str(corpus / "schema.json"), "--split-spec", str(path),
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
 
 
 class TestPretrain:
@@ -193,6 +209,28 @@ def test_bad_pretrain_flag_is_config_error(prepared, tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--algorithm", "nope"],
+    ["pretrain", "--algorithm", "nope", "--dry-run"],
+    ["pretrain", "--algorithm", "supervised"],
+    ["pretrain", "--config", "RUN_CONFIG", "--dry-run"],  # {"algorithm": "nope"}
+    ["grid", "--algorithm", "nope"],
+    ["sweep", "--kind", "queue-size", "--algorithm", "nope"],
+    ["grid", "--algorithm", "qmatch", "--seeds", "1,x"],
+    ["sweep", "--kind", "queue-size", "--values", "64,abc"],
+    ["sweep", "--kind", "corruption-heatmap", "--values", "0.1",
+     "--teacher-values", "0.1,abc"],
+], ids=" ".join)
+def test_bad_command_input_is_config_error(prepared, tmp_path, argv):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"algorithm": "nope"}))
+    argv = [str(cfg) if a == "RUN_CONFIG" else a for a in argv]
+    out = tmp_path / "out"
+    code = main(argv + ["--data", str(prepared), "--out", str(out)] + SMALL_TRAIN)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--max-epochs", "0"], ["--patience", "0"], ["--batch-size", "0"],
     ["--max-epochs", "10", "--patience", "10"],
@@ -261,6 +299,19 @@ def test_bad_checkpoint_is_runtime_error(prepared, checkpoint, tmp_path, capsys,
                  "--data", str(prepared), "--out", str(tmp_path / "r.jsonl")])
     assert code == 3
     assert "runtime error" in capsys.readouterr().err
+
+@pytest.mark.parametrize("command", ["linear-eval", "finetune"])
+def test_checkpoint_for_another_table_width_is_runtime_error(prepared, tmp_path, capsys,
+                                                             command):
+    state = PreprocessState.from_dict(json.loads((prepared / "preprocess.json").read_text()))
+    wide = tmp_path / "wide.qmc"
+    config = EncoderConfig(input_dim=state.output_dim + 1, layer_widths=(32, 32))
+    save_checkpoint(wide, init_params(config, seed=0))
+    code = main([command, "--checkpoint", str(wide), "--data", str(prepared),
+                 "--out", str(tmp_path / "r.jsonl")])
+    assert code == 3
+    assert "input columns" in capsys.readouterr().err
+
 
 class TestGrid:
     def test_singleton_grid(self, prepared, tmp_path, capsys):

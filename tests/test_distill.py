@@ -13,7 +13,7 @@ from qmatch.distill import (
     training_step,
 )
 from qmatch.model import EmaParams, EncoderConfig, init_params
-from qmatch.tensor import Tensor, ValidationError, backward
+from qmatch.tensor import Tensor, backward
 from qmatch.train import AdamW
 
 
@@ -67,12 +67,6 @@ class TestQueuePush:
         q = queue_init(4, 3, rng)
         with pytest.raises(ValueError):
             q.push(unit_rows(rng, 5, 3))
-
-    def test_debug_validation_of_norms(self, rng):
-        q = queue_init(4, 3, rng)
-        q.validate = True
-        with pytest.raises(ValidationError):
-            q.push(np.full((2, 3), 2.0))
 
     @settings(max_examples=1000, deadline=None)
     @given(st.data())

@@ -10,7 +10,6 @@ from qmatch.model import (
     ConfigError,
     EmaParams,
     EncoderConfig,
-    classifier_forward,
     ema_update,
     encoder_forward,
     init_params,
@@ -316,6 +315,22 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_header_with_retired_null_num_classes_loads(self, tmp_path):
+        # every file written before num_classes left the config carries it as null
+        path, old = tmp_path / "n.ckpt", tmp_path / "old.ckpt"
+        params = init_params(small_config(), seed=26)
+        save_checkpoint(path, params, ema=EmaParams(params.copy()))
+        old.write_bytes(path.read_bytes())
+        rewrite_header(old, lambda h: h["config"].update(num_classes=None))
+        now, before = load_checkpoint(path), load_checkpoint(old)
+        assert before["config"] == now["config"]
+        for got, want in ((before["params"], now["params"]),
+                          (before["ema"].params, now["ema"].params)):
+            for k, t in want.tensors.items():
+                np.testing.assert_array_equal(got.tensors[k].data, t.data)
+            for k, v in want.buffers.items():
+                np.testing.assert_array_equal(got.buffers[k], v)
+
     @pytest.mark.parametrize("cut", [1, 8, 100])
     def test_truncated_inside_array(self, tmp_path, cut):
         path = tmp_path / "t.ckpt"
@@ -346,8 +361,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="float16"):
             save_checkpoint(path, params, optimizer_state={"h": np.zeros(2, np.float16)})
 
-    @pytest.mark.parametrize("extra", [{}, {"mlp_projector": True}, {"num_classes": 3}],
-                             ids=["plain", "mlp_projector", "classifier"])
+    @pytest.mark.parametrize("extra", [{}, {"mlp_projector": True}],
+                             ids=["plain", "mlp_projector"])
     def test_layout_follows_the_config(self, tmp_path, extra):
         params = init_params(small_config(**extra), seed=24)
         tensor_shapes, buffer_shapes = param_shapes(params.config)
@@ -364,8 +379,8 @@ class TestCheckpoint:
 
     def test_file_bytes_unchanged(self, tmp_path):
         """Pinned digest of a file with every kind of array: the layout, the header
-        and init_params' draws (mlp projector and classifier included) stay put."""
-        params = init_params(small_config(mlp_projector=True, num_classes=3), seed=31)
+        and init_params' draws (mlp projector included) stay put."""
+        params = init_params(small_config(mlp_projector=True), seed=31)
         ema = EmaParams(params.copy(requires_grad=False), decay=0.5)
         state = {"step_count": np.asarray([2.0]), "big": np.arange(3.0).astype(">f8"),
                  "i64": np.arange(4, dtype=np.int64), "f32": np.ones((2, 2), np.float32)}
@@ -373,7 +388,7 @@ class TestCheckpoint:
         save_checkpoint(path, params, ema=ema, optimizer_state=state, metadata={"seed": 31},
                         queue_storage=np.eye(4, 3))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "5ba4541b606f033729de13f1e143901ff93840d3e8eaf8199a2365feb06d6ca6")
+            "01e2a6072a980bf405440735b0afe5a528be77381920841fe4aa649fde390b35")
 
     def test_save_writes_arrays_without_a_copy(self, tmp_path):
         params = init_params(small_config(input_dim=64, layer_widths=(256, 256)), seed=25)
@@ -403,12 +418,6 @@ class TestCheckpoint:
         assert peak < 1.1 * payload
         for k, t in params.tensors.items():
             assert loaded["params"].tensors[k].data.tobytes() == t.data.tobytes()
-
-
-def test_classifier_forward(rng):
-    params = init_params(small_config(num_classes=4), seed=19)
-    out = classifier_forward(params, Tensor(rng.normal(size=(3, 2))))
-    assert out.shape == (3, 4)
 
 
 def test_maxout_output_dim_property():

@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from qmatch.tensor import (
     ParameterError,
     ShapeError,
     Tensor,
-    ValidationError,
     backward,
     batch_norm_train,
     bce_with_logits,
@@ -59,7 +59,7 @@ class TestL2Normalize:
         np.testing.assert_allclose(out.data, [[0.6, 0.8]])
 
     def test_zero_row_preserved(self):
-        out = l2_normalize_rows(Tensor([[0.0, 0.0]]), epsilon=1e-12)
+        out = l2_normalize_rows(Tensor([[0.0, 0.0]]))
         np.testing.assert_array_equal(out.data, [[0.0, 0.0]])
 
     def test_random_rows_unit_norm(self):
@@ -129,11 +129,6 @@ class TestCrossEntropy:
         for _ in range(100):
             pred = rng.dirichlet(np.ones(6), size=4)
             assert float(cross_entropy_rows(Tensor(target), Tensor(pred)).data) >= base - 1e-12
-
-    def test_validation_mode(self):
-        bad = Tensor([[0.9, 0.9]])
-        with pytest.raises(ValidationError):
-            cross_entropy_rows(bad, bad, validate=True)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -404,3 +399,50 @@ def test_package_imports_are_used():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     offenders.append(f"{path.name}:{alias.lineno} {name}")
     assert not offenders, offenders
+
+
+# Public names that keep no caller in src/qmatch or bench/, each with its reason.
+UNCALLED_PUBLIC_NAMES = {
+    "finite_difference_check": "the gradient oracle the tests use",
+    "collision_probability": "the paper's published collision probability",
+    "teacher_entropy": "the loss lower bound for the per-epoch run log (ROADMAP item 2)",
+    "EmbeddingQueue.mean_pairwise_cosine": "the collapse signal for the run log (ROADMAP item 2)",
+    "AdamW.state_arrays": "the optimizer state of an exact resume (ROADMAP item 4)",
+    "EmbeddingQueue.ordered": "the FIFO order the queue tests compare",
+    "save_csv": "the fixture writer, and the other half of the load_csv round trip",
+}
+
+
+def _referenced_names(tree: ast.AST) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_public_names_have_a_caller():
+    """Every public module-level function or class, and every public method,
+    in src/qmatch is referenced somewhere in src/qmatch or bench/ outside its
+    own definition, or is listed in UNCALLED_PUBLIC_NAMES.  String constants in
+    bench/ count, since bench/layers.py names the functions it traces."""
+    root = Path(__file__).resolve().parents[1]
+    refs: Counter = Counter()
+    defined = []  # (qualified name, name, references inside its own definition)
+    for path in sorted((root / "src" / "qmatch").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        refs += _referenced_names(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            found = [(node, node.name)]
+            if isinstance(node, ast.ClassDef):
+                found += [(m, f"{node.name}.{m.name}") for m in node.body
+                          if isinstance(m, ast.FunctionDef)]
+            defined += [(qualified, item.name, _referenced_names(item)[item.name])
+                        for item, qualified in found if not item.name.startswith("_")]
+    for path in sorted((root / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        refs += _referenced_names(tree)
+        refs.update(n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    uncalled = sorted(qualified for qualified, name, own in defined
+                      if refs[name] == own and qualified not in UNCALLED_PUBLIC_NAMES)
+    assert not uncalled, uncalled

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import check_fields
+
 
 @dataclass
 class CorruptionConfig:
@@ -21,19 +23,14 @@ class CorruptionConfig:
     p_teacher: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in ("resample", "zero"):
-            raise ValueError(f"unknown corruption mode {self.mode!r}")
-        for name in ("p_student", "p_teacher"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
+        check_fields(self, "'resample' or 'zero'", lambda m: m in ("resample", "zero"), "mode")
+        check_fields(self, "in [0, 1]", lambda p: 0 <= p <= 1, "p_student", "p_teacher")
 
 
 def corrupt(x: np.ndarray, pool: np.ndarray | None, p: float, mode: str,
             rng: np.random.Generator):
-    """Return (corrupted copy of x, boolean mask of corrupted cells)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"corruption probability must be in [0, 1], got {p}")
+    """Return (corrupted copy of x, boolean mask of corrupted cells); `p` is
+    a CorruptionConfig probability, checked there."""
     b, f = x.shape
     mask = rng.random((b, f)) < p
     out = x.copy()

@@ -8,9 +8,11 @@ distillation with centering, and the two reconstruction pretext losses
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
+from .model import check_fields
 from .tensor import (
     Tensor,
     bce_with_logits,
@@ -26,12 +28,25 @@ from .tensor import (
 CENTER_MOMENTUM = 0.9  # EMA momentum of PrototypeBank.center
 
 
+@dataclass
+class BaselineConfig:
+    """Settings of the comparison losses: a run config's `extra` section."""
+    tau: float = 0.1  # in_batch_info_nce temperature (infonce)
+    num_prototypes: int = 64  # PrototypeBank size (dino)
+    alpha_mask: float = 1.0  # vime_pretext_loss weights
+    alpha_recon: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self, "positive and finite", lambda t: 0 < t < np.inf, "tau")
+        check_fields(self, ">= 1", lambda n: n >= 1, "num_prototypes")
+        check_fields(self, ">= 0 and finite", lambda a: 0 <= a < np.inf,
+                     "alpha_mask", "alpha_recon")
+
+
 class PrototypeBank:
     """Learnable prototype matrix with an EMA center over teacher logits."""
 
     def __init__(self, num_prototypes: int, dim: int, rng: np.random.Generator):
-        if num_prototypes < 1:
-            raise ValueError("need at least one prototype")
         self.prototypes = Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim),
                                             size=(num_prototypes, dim)),
                                  requires_grad=True)

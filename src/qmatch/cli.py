@@ -12,14 +12,14 @@ import csv as csvmod
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import data as datamod
 from .augment import CorruptionConfig
+from .baselines import BaselineConfig
 from .data import (
     DataError,
     PreprocessState,
@@ -61,69 +61,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-# Published schema for run-config files (flags override these values).
-RUN_CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "algorithm": {"type": "string"},
-        "seed": {"type": "integer"},
-        "encoder": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "layer_widths": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                "maxout_k": {"type": "integer", "minimum": 1},
-                "projector_dim": {"type": "integer", "minimum": 1},
-                "batchnorm_momentum": {"type": "number"},
-                "mlp_projector": {"type": "boolean"},
-            },
-        },
-        "loop": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "batch_size": {"type": "integer", "minimum": 1},
-                "max_epochs": {"type": "integer", "minimum": 1},
-                "downstream_max_epochs": {"type": "integer", "minimum": 1},
-                "patience": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "pretext_learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "weight_decay": {"type": "number", "minimum": 0},
-            },
-        },
-        "qmatch": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tau_student": {"type": "number", "exclusiveMinimum": 0},
-                "tau_teacher": {"type": "number", "exclusiveMinimum": 0},
-                "tau_ema": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "queue_capacity": {"type": "integer", "minimum": 1},
-            },
-        },
-        "corruption": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["resample", "zero"]},
-                "p_student": {"type": "number", "minimum": 0, "maximum": 1},
-                "p_teacher": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "extra": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "num_prototypes": {"type": "integer", "minimum": 1},
-                "alpha_mask": {"type": "number", "minimum": 0},
-                "alpha_recon": {"type": "number", "minimum": 0},
-            },
-        },
-    },
-}
+# run-config section -> its config dataclass and the fields a run config cannot set
+RUN_CONFIG_SECTIONS = {"encoder": (EncoderConfig, "input_dim", "bn_eps"),
+                       "loop": (TrainLoopConfig,), "qmatch": (QMatchConfig,),
+                       "corruption": (CorruptionConfig,), "extra": (BaselineConfig,)}
 
 
 def data_root() -> Path:
@@ -135,13 +76,43 @@ def _resolve(path: str) -> Path:
     return p if p.is_absolute() else data_root() / p
 
 
+def _field_types(cls, *skip) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
+
+
+def _checked(obj, where: str, types: dict[str, str]) -> dict:
+    """`obj` if it is a JSON object of `types`' keys, each value of the JSON type
+    its annotation names; the rules for the values live in the config dataclasses."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
+    for key, value in obj.items():
+        if key not in types:
+            raise ConfigError(f"{where}: unknown key {key!r}; known: {', '.join(types)}")
+        if not _has_json_type(value, types[key]):
+            raise ConfigError(f"{where}: {key} must be {types[key]}, got {value!r}")
+    return obj
+
+
+def _has_json_type(value, annotation: str) -> bool:
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if kind == "tuple":  # layer_widths
+        return isinstance(value, list) and all(_has_json_type(v, "int") for v in value)
+    if isinstance(value, bool):  # JSON true and false are no numbers
+        return kind == "bool"
+    if isinstance(value, int) and kind == "float":  # as a flag's float() would read it
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, {"int": int, "float": (int, float), "str": str,
+                              "bool": bool, "dict": dict}[kind])
+
+
 def load_run_config(path) -> dict:
     with open(path) as fh:
-        cfg = json.load(fh)
-    try:
-        jsonschema.validate(cfg, RUN_CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"{path}: {e.message}") from None
+        cfg = _checked(json.load(fh), str(path), {
+            "algorithm": "str", "seed": "int", **dict.fromkeys(RUN_CONFIG_SECTIONS, "dict")})
+    for name, (cls, *skip) in RUN_CONFIG_SECTIONS.items():
+        _checked(cfg.get(name, {}), f"{path}: {name}", _field_types(cls, *skip))
     return cfg
 
 
@@ -169,12 +140,10 @@ def cmd_prepare_data(args) -> int:
         if quantile is None:
             quantile = datamod.PRESETS[args.preset].get("quantile", False)
     else:
-        with open(args.split_spec) as fh:
-            fields = json.load(fh)
-        if not isinstance(fields, dict) or "seed" in fields:
-            raise ConfigError(f"{args.split_spec}: a split spec is a JSON object of "
-                              "SplitSpec fields other than seed, which --seed sets")
-        spec = _config(SplitSpec, **fields, seed=args.seed)
+        with open(args.split_spec) as fh:  # its seed is --seed
+            spec_fields = _checked(json.load(fh), args.split_spec,
+                                   _field_types(SplitSpec, "seed"))
+        spec = _config(SplitSpec, **spec_fields, seed=args.seed)
     splits = make_splits(dataset, spec)
     state = fit_preprocess(dataset, rows=splits["pretext_train"],
                            quantile=bool(quantile))
@@ -211,16 +180,9 @@ def _overlay(cls, section: dict, **flags):
     return _config(cls, **{**section, **{k: v for k, v in flags.items() if v is not None}})
 
 
-def _check_patience(patience: int | None):
-    # a --patience flag obeys the run-config schema's bound on loop.patience
-    if patience is not None and patience < 1:
-        raise ConfigError(f"--patience must be >= 1, got {patience}")
-
-
 def _build_configs(args, ws: Workspace, algorithms: tuple):
     """The run's algorithm (one of `algorithms`, or None), configs and seed."""
     cfg = load_run_config(args.config) if args.config else {}
-    _check_patience(args.patience)
     encoder = _overlay(EncoderConfig, cfg.get("encoder", {}),
                        input_dim=ws.state.output_dim, layer_widths=args.widths)
     loop = _overlay(TrainLoopConfig, cfg.get("loop", {}),
@@ -231,7 +193,7 @@ def _build_configs(args, ws: Workspace, algorithms: tuple):
                   tau_student=args.tau_student, queue_capacity=args.queue_size)
     corr = _overlay(CorruptionConfig, cfg.get("corruption", {}),
                     p_student=args.p_student, p_teacher=args.p_teacher)
-    extra = cfg.get("extra", {})
+    extra = _overlay(BaselineConfig, cfg.get("extra", {}))
     algorithm = args.algorithm or cfg.get("algorithm")
     if algorithm is not None and algorithm not in algorithms:
         raise ConfigError(f"unknown algorithm {algorithm!r}, expected one of "
@@ -243,7 +205,7 @@ def _build_configs(args, ws: Workspace, algorithms: tuple):
 def _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed) -> dict:
     return {"algorithm": algorithm, "seed": seed,
             "encoder": encoder.to_dict(), "loop": asdict(loop),
-            "qmatch": asdict(qm), "corruption": asdict(corr), "extra": extra}
+            "qmatch": asdict(qm), "corruption": asdict(corr), "extra": asdict(extra)}
 
 
 def cmd_pretrain(args) -> int:
@@ -285,7 +247,6 @@ def cmd_eval(args, task: str) -> int:
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
-    _check_patience(args.patience)
     # --patience stops the downstream loop, so it is checked against that budget;
     # the pretext budget plays no part here and only has to admit the patience
     budget = args.max_epochs if args.max_epochs is not None else \
@@ -321,6 +282,8 @@ def cmd_grid(args) -> int:
     if args.grid:
         with open(args.grid) as fh:
             grid = json.load(fh)
+        if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
+            raise ConfigError(f"{args.grid}: a grid file is a JSON object of value lists")
     else:
         grid = dict(DEFAULT_GRIDS["common"])
         grid.update(DEFAULT_GRIDS.get(algorithm, {}))
@@ -412,9 +375,9 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    fields = sorted({k for row in rows for k in row})
+    columns = sorted({k for row in rows for k in row})
     with open(out, "w", newline="") as fh:
-        writer = csvmod.DictWriter(fh, fieldnames=fields)
+        writer = csvmod.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {out}")
@@ -481,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantile", action=argparse.BooleanOptionalAction, default=None)
 
     def train_flags(q):
-        q.add_argument("--config", default=None, help="run-config JSON (schema-validated)")
+        q.add_argument("--config", default=None, help="run-config JSON")
         q.add_argument("--algorithm", default=None)
         q.add_argument("--seed", type=int, default=None)
         q.add_argument("--widths", type=_list_of(int), default=None)

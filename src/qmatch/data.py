@@ -18,6 +18,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .model import check_fields
+
 
 class DataError(ValueError):
     """Malformed input files, schema violations, or infeasible splits."""
@@ -383,6 +385,12 @@ class SplitSpec:
     test: int
     label_fraction: float | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self, ">= 0", lambda n: n >= 0,
+                     "pretext_train", "pretext_val", "down_train", "down_val", "test")
+        check_fields(self, "null or in (0, 1]", lambda f: f is None or 0 < f <= 1,
+                     "label_fraction")
 
     def total(self) -> int:
         return self.pretext_train + self.pretext_val + self.down_train + self.down_val + self.test

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import CorruptionConfig, make_views
-from .model import EmaParams, ModelParams, ema_update, encoder_forward, projector_forward
+from .model import (EmaParams, ModelParams, check_fields, ema_update, encoder_forward,
+                    projector_forward)
 from .tensor import (
     EPS_LOG,
     Tensor,
@@ -33,10 +34,10 @@ class QMatchConfig:
     queue_capacity: int = 512
 
     def __post_init__(self):
-        if self.tau_student <= 0 or self.tau_teacher <= 0:
-            raise ValueError("temperatures must be strictly positive")
-        if self.queue_capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {self.queue_capacity}")
+        check_fields(self, "positive and finite", lambda t: 0 < t < np.inf,
+                     "tau_student", "tau_teacher")
+        check_fields(self, "in [0, 1)", lambda t: 0 <= t < 1, "tau_ema")
+        check_fields(self, ">= 1", lambda n: n >= 1, "queue_capacity")
 
 
 class EmbeddingQueue:
@@ -86,8 +87,6 @@ class EmbeddingQueue:
 
 def queue_init(capacity: int, dim: int, rng: np.random.Generator) -> EmbeddingQueue:
     """Queue pre-filled with random unit vectors so the loss is defined at step 0."""
-    if capacity < 1:
-        raise ValueError(f"queue capacity must be >= 1, got {capacity}")
     rows = rng.normal(size=(capacity, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return EmbeddingQueue(capacity, dim, storage=rows)

@@ -42,6 +42,14 @@ class CheckpointError(IOError):
     """Unreadable, corrupt, or incompatible checkpoint file."""
 
 
+def check_fields(config, rule: str, test, *names: str):
+    """The one way a config checks its values: raise ConfigError naming the first
+    of `names` whose value fails `test`, a comparison that NaN fails."""
+    for name in names:
+        if not test(getattr(config, name)):
+            raise ConfigError(f"{name} must be {rule}, got {getattr(config, name)!r}")
+
+
 @dataclass
 class EncoderConfig:
     input_dim: int
@@ -54,15 +62,13 @@ class EncoderConfig:
 
     def __post_init__(self):
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be positive, got {self.input_dim}")
-        if not self.layer_widths or any(w < 1 for w in self.layer_widths):
-            raise ConfigError(f"layer widths must be positive, got {self.layer_widths}")
-        if self.maxout_k < 1 or self.layer_widths[-1] % self.maxout_k != 0:
+        check_fields(self, ">= 1", lambda n: n >= 1, "input_dim", "projector_dim", "maxout_k")
+        check_fields(self, "a non-empty list of widths >= 1",
+                     lambda ws: ws and all(w >= 1 for w in ws), "layer_widths")
+        if self.layer_widths[-1] % self.maxout_k != 0:
             raise ConfigError(
                 f"maxout_k={self.maxout_k} does not divide last width {self.layer_widths[-1]}")
-        if not 0.0 < self.batchnorm_momentum < 1.0:
-            raise ConfigError("batchnorm_momentum must be in (0, 1)")
+        check_fields(self, "in (0, 1)", lambda m: 0 < m < 1, "batchnorm_momentum")
 
     @property
     def embed_dim(self) -> int:

@@ -32,6 +32,7 @@ from .model import (
     EmaParams,
     EncoderConfig,
     ModelParams,
+    check_fields,
     ema_update,
     encoder_forward,
     init_params,
@@ -71,17 +72,15 @@ class TrainLoopConfig:
     weight_decay: float = 1e-1  # downstream; pretext always uses 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.downstream_max_epochs < 1:
-            raise ValueError(
-                f"downstream_max_epochs must be >= 1, got {self.downstream_max_epochs}")
-        if self.patience < 0:
-            raise ValueError(f"patience must be >= 0, got {self.patience}")
-        if self.patience >= self.max_epochs:
-            raise ValueError("patience must be smaller than max_epochs")
+        check_fields(self, ">= 1", lambda n: n >= 1,
+                     "batch_size", "max_epochs", "downstream_max_epochs")
+        # patience 0 stops after the first epoch, which only a 1-epoch budget means
+        check_fields(self, f">= 1 and below max_epochs {self.max_epochs} (0 if that is 1)",
+                     lambda p: 1 <= p < self.max_epochs or (p, self.max_epochs) == (0, 1),
+                     "patience")
+        check_fields(self, "positive and finite", lambda r: 0 < r < np.inf,
+                     "learning_rate", "pretext_learning_rate")
+        check_fields(self, ">= 0 and finite", lambda w: 0 <= w < np.inf, "weight_decay")
 
 
 @dataclass
@@ -308,13 +307,13 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
              loop: TrainLoopConfig, seed: int,
              qm_config: QMatchConfig | None = None,
              corruption: CorruptionConfig | None = None,
-             extra: dict | None = None) -> PretrainResult:
+             extra: baselines.BaselineConfig | None = None) -> PretrainResult:
     """Train the encoder on the chosen pretext task and keep the best-epoch
     parameters (early stopping on pretext validation loss)."""
     if algorithm not in PRETEXT_ALGORITHMS:
         raise ValueError(f"unknown pretext algorithm {algorithm!r}")
     check_pretext_batch(loop, splits)
-    extra = extra or {}
+    extra = extra or baselines.BaselineConfig()
     qm_config = qm_config or QMatchConfig()
     corruption = corruption or CorruptionConfig()
     rng = np.random.default_rng(seed)
@@ -340,8 +339,7 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
     if algorithm == "tabnet":
         heads.update(_head(rng, encoder_config.embed_dim, state.output_dim, "recon_head"))
     if algorithm == "dino":
-        bank = baselines.PrototypeBank(extra.get("num_prototypes", 64),
-                                       encoder_config.projector_dim, rng)
+        bank = baselines.PrototypeBank(extra.num_prototypes, encoder_config.projector_dim, rng)
         heads["prototypes"] = bank.prototypes
 
     trainable = dict(params.trainable())
@@ -367,7 +365,7 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
             z1 = embed(params, pre(c1), bn_mode)
             z2 = embed(params, pre(c2), bn_mode)
             if algorithm == "infonce":
-                loss = baselines.in_batch_info_nce(z1, z2, extra.get("tau", 0.1))
+                loss = baselines.in_batch_info_nce(z1, z2, extra.tau)
             else:
                 loss = baselines.mse_align_loss(z1, z2.detach())
         else:  # vime, tabnet
@@ -379,8 +377,8 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
             if algorithm == "vime":
                 mask_logits = emb @ heads["mask_head.weight"] + heads["mask_head.bias"]
                 loss = baselines.vime_pretext_loss(x_orig, mask, mask_logits, recon,
-                                                   alpha_mask=extra.get("alpha_mask", 1.0),
-                                                   alpha_recon=extra.get("alpha_recon", 1.0))
+                                                   alpha_mask=extra.alpha_mask,
+                                                   alpha_recon=extra.alpha_recon)
             else:
                 loss = baselines.tabnet_recon_loss(x_orig, expand_mask(state, mask), recon)
 
@@ -563,7 +561,7 @@ def run_trial(algorithm: str, task: str, dataset: TabularDataset,
               encoder_config: EncoderConfig, loop: TrainLoopConfig, seed: int,
               qm_config: QMatchConfig | None = None,
               corruption: CorruptionConfig | None = None,
-              extra: dict | None = None,
+              extra: baselines.BaselineConfig | None = None,
               hyperparameters: dict | None = None) -> TrialResult:
     """Pretrain (unless supervised) then run the downstream task."""
     if algorithm == "supervised":
@@ -579,21 +577,30 @@ def run_trial(algorithm: str, task: str, dataset: TabularDataset,
 
 # -- grid search -------------------------------------------------------------------
 
-def _point_configs(point: dict, loop: TrainLoopConfig, qm: QMatchConfig | None,
-                   corr: CorruptionConfig | None, extra: dict | None):
-    """Override the base configs with the keys a grid point sets."""
-    def pick(**fields):  # config field=grid key
-        return {f: point[k] for f, k in fields.items() if k in point}
+# grid key -> the config field it sets
+GRID_KEYS = {"learning_rate": "learning_rate", "pretext_learning_rate": "pretext_learning_rate",
+             "tau_student": "tau_student", "queue_size": "queue_capacity",
+             "corruption_probability": "p_student", "p_teacher": "p_teacher",
+             "tau": "tau", "num_prototypes": "num_prototypes"}
 
-    qm_over = pick(tau_student="tau_student", queue_capacity="queue_size")
-    if "queue_capacity" in qm_over:
-        qm_over["queue_capacity"] = int(qm_over["queue_capacity"])
-    lp = replace(loop, **pick(learning_rate="learning_rate",
-                              pretext_learning_rate="pretext_learning_rate"))
-    qm = replace(qm or QMatchConfig(), **qm_over)
-    corr = replace(corr or CorruptionConfig(),
-                   **pick(p_student="corruption_probability", p_teacher="p_teacher"))
-    return lp, qm, corr, {**(extra or {}), **pick(tau="tau", num_prototypes="num_prototypes")}
+
+def _point_configs(point: dict, loop: TrainLoopConfig, qm: QMatchConfig | None,
+                   corr: CorruptionConfig | None, extra: baselines.BaselineConfig | None):
+    """Override the base configs with the keys a grid point sets; an unknown key
+    or a value a config rejects is a ConfigError."""
+    unknown = sorted(set(point) - set(GRID_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown grid keys {unknown}; known: {sorted(GRID_KEYS)}")
+
+    values = {GRID_KEYS[k]: v for k, v in point.items()}
+    try:
+        if "queue_capacity" in values:  # a grid file may write 512.0
+            values["queue_capacity"] = int(values["queue_capacity"])
+        return tuple(replace(c, **{f: v for f, v in values.items() if hasattr(c, f)})
+                     for c in (loop, qm or QMatchConfig(), corr or CorruptionConfig(),
+                               extra or baselines.BaselineConfig()))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"grid point {point}: {e}") from None
 
 
 def _tie_break_key(point: dict):
@@ -612,11 +619,12 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
                 loop: TrainLoopConfig, seeds: list[int],
                 qm_config: QMatchConfig | None = None,
                 corruption: CorruptionConfig | None = None,
-                extra: dict | None = None):
+                extra: baselines.BaselineConfig | None = None):
     """Evaluate the Cartesian product of `grid`, select by downstream
     validation accuracy (deterministic tie-breaking), then rerun the winner
     across all seeds.  Each point overrides only the settings it names; the
-    rest come from `loop`, `qm_config`, `corruption` and `extra`.
+    rest come from `loop`, `qm_config`, `corruption` and `extra`.  Every
+    point's configs are built, and so checked, before the first trial runs.
 
     Returns (best_point, results_at_best, all_point_outcomes).
     """
@@ -624,30 +632,29 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
         grid = {"learning_rate": [loop.learning_rate]}
     keys = sorted(grid)
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
+    configs = [_point_configs(point, loop, qm_config, corruption, extra) for point in points]
 
-    def trial(point: dict, seed: int) -> TrialResult:
-        lp, qm, corr, ex = _point_configs(point, loop, qm_config, corruption, extra)
+    def trial(i: int, seed: int) -> TrialResult:
+        lp, qm, corr, ex = configs[i]
         return run_trial(algorithm, task, dataset, splits, state, encoder_config, lp,
                          seed, qm_config=qm, corruption=corr, extra=ex,
-                         hyperparameters=point)
+                         hyperparameters=points[i])
 
     outcomes = []
-    for point in points:
+    for i, point in enumerate(points):
         try:
-            result = trial(point, seeds[0])
-            outcomes.append({"point": point, "result": result, "failed": False})
+            outcomes.append({"point": point, "result": trial(i, seeds[0]), "failed": False})
         except TrainingError as e:
             outcomes.append({"point": point, "result": None, "failed": True,
                              "error": str(e)})
 
-    valid = [o for o in outcomes if not o["failed"]]
+    valid = [i for i, o in enumerate(outcomes) if not o["failed"]]
     if not valid:
         raise TrainingError("every grid point failed")
-    best = min(valid, key=lambda o: (-o["result"].val_accuracy, _tie_break_key(o["point"])))
-    best_point = best["point"]
-
-    results = [best["result"]] + [trial(best_point, seed) for seed in seeds[1:]]
-    return best_point, results, outcomes
+    best = min(valid, key=lambda i: (-outcomes[i]["result"].val_accuracy,
+                                     _tie_break_key(points[i])))
+    results = [outcomes[best]["result"]] + [trial(best, seed) for seed in seeds[1:]]
+    return points[best], results, outcomes
 
 
 # -- aggregation --------------------------------------------------------------------

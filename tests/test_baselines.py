@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qmatch.baselines import (
+    BaselineConfig,
     PrototypeBank,
     collision_probability,
     dino_proto_loss,
@@ -240,3 +241,19 @@ class TestCollisionProbability:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             collision_probability(0, 4)
+
+
+class TestBaselineConfig:
+    def test_defaults(self):
+        assert BaselineConfig() == BaselineConfig(tau=0.1, num_prototypes=64,
+                                                  alpha_mask=1.0, alpha_recon=1.0)
+        BaselineConfig(alpha_mask=0.0, alpha_recon=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tau", 0.0), ("tau", float("nan")), ("tau", float("inf")),
+        ("num_prototypes", 0), ("alpha_mask", -1.0), ("alpha_mask", float("nan")),
+        ("alpha_recon", float("inf")),
+    ])
+    def test_rules(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BaselineConfig(**{field: value})

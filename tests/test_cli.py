@@ -1,9 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmatch.augment import CorruptionConfig
+from qmatch.baselines import BaselineConfig
 from qmatch.cli import EXIT_CONFIG, EXIT_OK, main
 from qmatch.data import ColumnSpec, PreprocessState, load_manifest, save_csv
 from qmatch.distill import QMatchConfig
@@ -114,6 +118,25 @@ class TestPrepareData:
         assert code == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("pretext_train", -5), ("test", True), ("pretext_train", "192"),
+        ("pretext_train", 192.5), ("label_fraction", "0.5"), ("label_fraction", math.nan),
+    ], ids=repr)
+    def test_bad_split_spec_value_is_config_error(self, corpus, tmp_path, field, value):
+        spec = {**json.loads((corpus / "spec.json").read_text()), field: value}
+        assert prepare_spec(corpus, tmp_path, spec) == EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
+
+
+def prepare_spec(corpus, tmp_path, spec) -> int:
+    """prepare-data with `spec` as the split-spec file, into tmp_path / "x"."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return main(["prepare-data", "--csv", str(corpus / "fixture.csv"),
+                 "--schema", str(corpus / "schema.json"), "--split-spec", str(path),
+                 "--out", str(tmp_path / "x")])
+
+
 class TestPretrain:
     def test_dry_run_prints_resolved_config(self, prepared, tmp_path, capsys):
         code = main(["pretrain", "--data", str(prepared), "--out",
@@ -207,6 +230,90 @@ def test_bad_pretrain_flag_is_config_error(prepared, tmp_path, flags):
                  "--algorithm", "qmatch", "--widths", "32,32"] + flags)
     assert code == EXIT_CONFIG
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pretext-lr", "-1"], ["--pretext-lr", "0"], ["--lr", "-1", "--dry-run"],
+    ["--lr", "nan"], ["--lr", "inf"], ["--tau-student", "nan"], ["--tau-student", "inf"],
+], ids="=".join)
+def test_bad_rate_flag_is_config_error(prepared, tmp_path, flags):
+    out = tmp_path / "c.qmc"
+    code = main(["pretrain", "--data", str(prepared), "--out", str(out),
+                 "--algorithm", "qmatch"] + SMALL_TRAIN + flags)
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("loop", "learning_rate", math.nan), ("loop", "learning_rate", math.inf),
+    ("loop", "pretext_learning_rate", math.nan), ("loop", "weight_decay", math.inf),
+    ("qmatch", "tau_student", math.nan), ("qmatch", "tau_student", math.inf),
+    ("qmatch", "tau_teacher", math.nan), ("qmatch", "tau_ema", math.nan),
+    ("extra", "tau", math.inf), ("extra", "alpha_mask", math.nan),
+    ("extra", "alpha_recon", math.inf), ("loop", "learning_rate", 10 ** 400),
+], ids=lambda v: str(v)[:8])
+def test_non_finite_run_config_value_is_config_error(prepared, tmp_path, section, key,
+                                                     value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"algorithm": "qmatch", section: {key: value}}))
+    code = main(["pretrain", "--data", str(prepared), "--out", str(tmp_path / "c.qmc"),
+                 "--config", str(cfg), "--dry-run"] + SMALL_TRAIN)
+    assert code == EXIT_CONFIG
+
+
+# Run-config keys that have a flag twin: key -> (section, flag, flag's value type).
+FLAG_TWINS = {
+    "batch_size": ("loop", "--batch-size", int),
+    "max_epochs": ("loop", "--max-epochs", int),
+    "patience": ("loop", "--patience", int),
+    "learning_rate": ("loop", "--lr", float),
+    "pretext_learning_rate": ("loop", "--pretext-lr", float),
+    "tau_student": ("qmatch", "--tau-student", float),
+    "queue_capacity": ("qmatch", "--queue-size", int),
+    "p_student": ("corruption", "--p-student", float),
+    "p_teacher": ("corruption", "--p-teacher", float),
+    "layer_widths": ("encoder", "--widths", list),
+}
+JSON_VALUES = st.one_of(st.integers(-2, 300), st.integers(), st.floats(),
+                        st.booleans(), st.text(max_size=6), st.none(),
+                        st.lists(st.integers(-1, 64), max_size=3))
+
+
+def flag_text(kind, value) -> str | None:
+    """`value` as the text of a flag of type `kind`, or None if no flag writes it."""
+    if kind is list:
+        ok = isinstance(value, list) and all(type(v) is int for v in value)
+        return ",".join(map(str, value)) if ok else None
+    if type(value) is int or (kind is float and type(value) is float):
+        return repr(value)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(sorted(FLAG_TWINS)), value=JSON_VALUES)
+def test_flag_and_run_config_value_get_one_verdict(prepared, tmp_path_factory, key, value):
+    section, flag, kind = FLAG_TWINS[key]
+    base = [a for pair in zip(SMALL_TRAIN[::2], SMALL_TRAIN[1::2]) if pair[0] != flag
+            for a in pair]
+    argv = ["pretrain", "--data", str(prepared), "--out", "unused.qmc",
+            "--algorithm", "qmatch", "--dry-run"] + base
+    cfg = tmp_path_factory.mktemp("twin") / "run.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    verdict = main(argv + ["--config", str(cfg)])
+    assert verdict in (EXIT_OK, EXIT_CONFIG)
+    text = flag_text(kind, value)
+    if text is not None:
+        assert main(argv + [f"{flag}={text}"]) == verdict
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(["pretext_train", "pretext_val", "down_train", "down_val",
+                            "test", "label_fraction", "seed", "colour"]),
+       value=JSON_VALUES)
+def test_any_split_spec_value_ends_in_exit_0_or_2(corpus, tmp_path_factory, key, value):
+    spec = {**json.loads((corpus / "spec.json").read_text()), key: value}
+    assert prepare_spec(corpus, tmp_path_factory.mktemp("spec"), spec) in (EXIT_OK,
+                                                                            EXIT_CONFIG)
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,7 +477,31 @@ class TestGrid:
                 tau_student=0.2, tau_teacher=0.08, tau_ema=0.5, queue_capacity=32)
             assert kwargs["corruption"] == CorruptionConfig(
                 mode="zero", p_student=0.5, p_teacher=0.0)
-            assert kwargs["extra"] == {"num_prototypes": 8}
+            assert kwargs["extra"] == BaselineConfig(num_prototypes=8)
+
+
+    @pytest.mark.parametrize("grid", [
+        {"queue_size": [64, 0]}, {"corruption_probability": [0.3, 1.5]},
+        {"learning_rate": [0.01, -1.0]}, {"lerning_rate": [0.01]},
+    ], ids=json.dumps)
+    def test_bad_grid_is_config_error_before_any_pretrain(self, prepared, tmp_path,
+                                                          monkeypatch, grid):
+        import qmatch.train as train_mod
+        real, calls = train_mod.pretrain, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "pretrain", spy)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        out = tmp_path / "g"
+        code = main(["grid", "--data", str(prepared), "--out", str(out),
+                     "--algorithm", "qmatch", "--grid", str(path)] + SMALL_TRAIN)
+        assert code == EXIT_CONFIG
+        assert calls == []
+        assert not out.exists()
 
 
 class TestSweep:

@@ -407,6 +407,15 @@ class TestSplits:
         pool = 600 - 200 - 10 - 100
         assert len(splits["down_train"]) + len(splits["down_val"]) == pool
 
+    @pytest.mark.parametrize("field, value", [
+        ("pretext_train", -5), ("test", -1), ("label_fraction", 0.0),
+        ("label_fraction", 1.5), ("label_fraction", float("nan")),
+    ])
+    def test_spec_values_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SplitSpec(**{**dict(pretext_train=200, pretext_val=10, down_train=50,
+                                down_val=30, test=100), field: value})
+
     def test_oversized_spec_rejected(self):
         ds = make_fixture_dataset(n=100)
         with pytest.raises(DataError, match="splits need"):

@@ -199,3 +199,13 @@ def test_config_validation():
         QMatchConfig(tau_student=0.0)
     with pytest.raises(ValueError):
         QMatchConfig(queue_capacity=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau_student", float("nan")), ("tau_teacher", float("inf")),
+    ("tau_ema", 1.0), ("tau_ema", -0.1), ("tau_ema", float("nan")),
+])
+def test_config_rejects_non_finite_and_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        QMatchConfig(**{field: value})
+    QMatchConfig(tau_ema=0.0)

@@ -35,6 +35,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EncoderConfig(input_dim=5, layer_widths=(8, 9), maxout_k=4)
 
+    def test_projector_dim_must_be_positive(self):
+        with pytest.raises(ConfigError, match="projector_dim"):
+            small_config(projector_dim=0)
+
     def test_roundtrip(self):
         cfg = small_config()
         assert EncoderConfig.from_dict(cfg.to_dict()) == cfg

@@ -1,4 +1,6 @@
 import ast
+import re
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -399,6 +401,25 @@ def test_package_imports_are_used():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     offenders.append(f"{path.name}:{alias.lineno} {name}")
     assert not offenders, offenders
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    """The non-stdlib modules that src/qmatch imports are exactly pyproject.toml's
+    runtime dependencies, and those are numpy alone."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in sorted((root / "src" / "qmatch").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"qmatch"}
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in declared}
+    assert third_party == names == {"numpy"}
 
 
 # Public names that keep no caller in src/qmatch or bench/, each with its reason.

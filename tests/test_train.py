@@ -330,6 +330,28 @@ class TestConfigs:
         with pytest.raises(ValueError, match=match):
             TrainLoopConfig(**kwargs)
 
+    @pytest.mark.parametrize("max_epochs, patience, valid", [
+        (1, 0, True), (2, 1, True), (200, 32, True),
+        (2, 0, False), (2, 2, False), (1, 1, False), (5, -1, False),
+    ])
+    def test_patience_rule(self, max_epochs, patience, valid):
+        if valid:
+            TrainLoopConfig(max_epochs=max_epochs, patience=patience)
+        else:
+            with pytest.raises(ValueError, match="patience"):
+                TrainLoopConfig(max_epochs=max_epochs, patience=patience)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", 0.0), ("learning_rate", float("nan")),
+        ("pretext_learning_rate", -1e-3), ("pretext_learning_rate", float("inf")),
+        ("weight_decay", -0.1), ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")),
+    ])
+    def test_rates_are_finite_and_in_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainLoopConfig(**{field: value})
+        TrainLoopConfig(weight_decay=0.0)
+
     def test_trial_result_validates_accuracy(self):
         with pytest.raises(ValueError, match="outside"):
             TrialResult("a", "d", "linear", {}, 0, 101.0, 50.0, 1.0)

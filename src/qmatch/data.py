@@ -283,9 +283,12 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
     freeze the one-hot layout.
 
     Statistics are accumulated with a streaming (Welford) update, so after a
-    full pass they equal the exact full-dataset statistics.
+    full pass they equal the exact full-dataset statistics.  An empty fitting
+    set is a DataError: it would leave an identity transform.
     """
     x = dataset.features if rows is None else dataset.features[rows]
+    if len(x) == 0:
+        raise DataError("cannot fit preprocessing on 0 rows")
     f = dataset.num_features
     cat_layout: dict[int, tuple[int, int]] = {}
     num_layout: dict[int, int] = {}
@@ -318,7 +321,7 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
         delta = values[i] - mean
         mean += delta / count
         m2 += delta * (values[i] - mean)
-    var = m2 / count if count > 0 else np.ones(f)
+    var = m2 / count
 
     state = PreprocessState(mean=mean, var=var, count=count,
                             cat_layout=cat_layout, num_layout=num_layout,

@@ -23,6 +23,7 @@ from .tensor import (
     batch_norm_eval,
     batch_norm_train,
     maxout_rows,
+    records,
     relu,
     update_blocks,
 )
@@ -171,12 +172,15 @@ def encoder_forward(params: ModelParams, x: Tensor, mode: str = "train") -> Tens
 
     Train mode normalizes with batch statistics and updates the running
     buffers; eval mode uses the stored running statistics and mutates nothing.
+    An eval forward through which no gradient can flow runs in place.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     cfg = params.config
     if x.shape[1] != cfg.input_dim:
         raise ShapeError(f"expected input width {cfg.input_dim}, got shape {x.shape}")
+    if mode == "eval" and not records(x, *params.tensors.values()):
+        return _infer(params, x)
     h = x
     n = len(cfg.layer_widths)
     for i in range(n):
@@ -197,6 +201,30 @@ def encoder_forward(params: ModelParams, x: Tensor, mode: str = "train") -> Tens
                                     params.buffers[f"layer{i}.running_var"],
                                     eps=cfg.bn_eps)
             h = relu(h)
+    return maxout_rows(h, cfg.maxout_k)
+
+
+def _infer(params: ModelParams, x: Tensor) -> Tensor:
+    """The eval-mode encoder with no graph.  Each layer's product comes from
+    tensor.matmul; bias, batch norm and ReLU then run in its buffer, with the
+    operations of the taped ops in their order, so the result is bit-identical
+    to theirs as long as no bias, scale or buffer has a wider dtype than the
+    product (which keeps its own where the taped ops would promote)."""
+    cfg = params.config
+    t, buf = params.tensors, params.buffers
+    n = len(cfg.layer_widths)
+    h = x
+    for i in range(n):
+        out = (h @ t[f"layer{i}.weight"]).data
+        np.add(out, t[f"layer{i}.bias"].data, out=out)
+        if i < n - 1:
+            std = np.sqrt(buf[f"layer{i}.running_var"] + cfg.bn_eps)
+            np.subtract(out, buf[f"layer{i}.running_mean"], out=out)
+            np.divide(out, std, out=out)
+            np.multiply(out, t[f"layer{i}.bn_scale"].data, out=out)
+            np.add(out, t[f"layer{i}.bn_bias"].data, out=out)
+            np.multiply(out, out > 0, out=out)  # relu: h * (h > 0)
+        h = Tensor(out)
     return maxout_rows(h, cfg.maxout_k)
 
 

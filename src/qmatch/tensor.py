@@ -6,7 +6,9 @@ scalar result walks the recorded graph in reverse topological order and
 accumulates gradients into every tensor that requires them, cutting each
 node's edges as soon as its own gradient is passed on, so activations are
 freed during the pass and a tensor can be reused in a fresh forward pass.
-Inside :func:`no_grad` nothing is recorded.
+An op computes only the gradients its operands take: a product for an operand
+with requires_grad=False is never formed.  Inside :func:`no_grad` nothing is
+recorded.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def _wrap(x) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray):
     # The first gradient is kept as is, so it may be a view shared with another
-    # tensor's gradient; every later one is therefore added out of place.
+    # tensor's gradient (or be the incoming gradient itself); every later one is
+    # therefore added out of place, and no backward writes into its incoming g.
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -135,10 +138,16 @@ def no_grad():
         _recording = previous
 
 
+def records(*operands: Tensor) -> bool:
+    """Whether an op on these operands records a graph, i.e. whether a gradient
+    can flow back through its result."""
+    return _recording and any(t.requires_grad for t in operands)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
+    if records(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -184,21 +193,26 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape))
     return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
     return _make(a.data * b.data, (a, b), bwd)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
     return _make(a.data / b.data, (a, b), bwd)
 
 
@@ -257,8 +271,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
 
     def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
     return _make(a.data @ b.data, (a, b), bwd)
 
 
@@ -324,17 +340,24 @@ def l2_normalize_rows(z: Tensor) -> Tensor:
 
 
 def softmax_rows(logits: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row softmax of logits/temperature with max-subtraction for stability."""
+    """Row softmax of logits/temperature with max-subtraction for stability.
+
+    Forward and backward each allocate one full-size array and finish in it."""
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    scaled = logits.data / temperature
-    scaled = scaled - scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = logits.data / temperature
+    np.subtract(probs, probs.max(axis=1, keepdims=True), out=probs)
+    np.exp(probs, out=probs)
+    np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs)
 
     def bwd(g):
-        inner = (g * probs).sum(axis=1, keepdims=True)
-        _accumulate(logits, probs * (g - inner) / temperature)
+        # probs * (g - sum(g * probs)) / temperature
+        gx = g * probs
+        inner = gx.sum(axis=1, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        np.multiply(probs, gx, out=gx)
+        np.divide(gx, temperature, out=gx)
+        _accumulate(logits, gx)
     return _make(probs, (logits,), bwd)
 
 
@@ -344,11 +367,17 @@ def cross_entropy_rows(target: Tensor, pred: Tensor) -> Tensor:
     if target.shape != pred.shape:
         raise ShapeError(f"cross-entropy shapes disagree: {target.shape} vs {pred.shape}")
     b = target.shape[0]
-    logp = np.log(pred.data + EPS_LOG)
+    logp = pred.data + EPS_LOG
+    np.log(logp, out=logp)
 
     def bwd(g):
-        _accumulate(pred, -(g / b) * target.data / (pred.data + EPS_LOG))
-        _accumulate(target, -(g / b) * logp)
+        if pred.requires_grad:
+            # -(g/b) * target / (pred + EPS_LOG)
+            gp = -(g / b) * target.data
+            np.divide(gp, pred.data + EPS_LOG, out=gp)
+            _accumulate(pred, gp)
+        if target.requires_grad:
+            _accumulate(target, -(g / b) * logp)
     return _make(np.asarray(-(target.data * logp).sum() / b), (target, pred), bwd)
 
 
@@ -363,8 +392,10 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-x))
 
     def bwd(g):
-        _accumulate(logits, (g / n) * (sig - t))
-        _accumulate(targets, (g / n) * (-x))
+        if logits.requires_grad:
+            _accumulate(logits, (g / n) * (sig - t))
+        if targets.requires_grad:
+            _accumulate(targets, (g / n) * (-x))
     return _make(np.asarray(vals.sum() / n), (logits, targets), bwd)
 
 
@@ -440,30 +471,50 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     """Batch-statistics normalization with affine scale/shift.
 
     Returns (out, batch_mean, batch_var); the caller owns running-stat updates.
+    The forward allocates xhat (kept for the backward) and the output; the
+    backward allocates two full-size arrays.
     """
     mu = x.data.mean(axis=0)
     var = x.data.var(axis=0)
     std = np.sqrt(var + eps)
-    xhat = (x.data - mu) / std
+    xhat = x.data - mu
+    np.divide(xhat, std, out=xhat)
+    out = xhat * gamma.data
+    np.add(out, beta.data, out=out)
 
     def bwd(g):
-        dxhat = g * gamma.data
-        _accumulate(x, (dxhat - dxhat.mean(axis=0)
-                        - xhat * (dxhat * xhat).mean(axis=0)) / std)
-        _accumulate(gamma, (g * xhat).sum(axis=0))
+        prod = None  # a full-size scratch array, once the x gradient made one
+        if x.requires_grad:
+            # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std
+            dxhat = g * gamma.data
+            prod = dxhat * xhat
+            mean_prod = prod.mean(axis=0)
+            np.multiply(xhat, mean_prod, out=prod)
+            np.subtract(dxhat, dxhat.mean(axis=0), out=dxhat)
+            np.subtract(dxhat, prod, out=dxhat)
+            np.divide(dxhat, std, out=dxhat)
+            _accumulate(x, dxhat)
+        if gamma.requires_grad:
+            _accumulate(gamma, np.multiply(g, xhat, out=prod).sum(axis=0))
         _accumulate(beta, g.sum(axis=0))
-    out = _make(xhat * gamma.data + beta.data, (x, gamma, beta), bwd)
-    return out, mu, var
+    return _make(out, (x, gamma, beta), bwd), mu, var
 
 
 def batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                     running_mean: np.ndarray, running_var: np.ndarray,
                     eps: float = 1e-5) -> Tensor:
     std = np.sqrt(running_var + eps)
-    xhat = (x.data - running_mean) / std
+    xhat = x.data - running_mean
+    np.divide(xhat, std, out=xhat)
+    out = xhat * gamma.data
+    np.add(out, beta.data, out=out)
 
     def bwd(g):
-        _accumulate(x, g * gamma.data / std)
-        _accumulate(gamma, (g * xhat).sum(axis=0))
+        if x.requires_grad:
+            gx = g * gamma.data
+            np.divide(gx, std, out=gx)
+            _accumulate(x, gx)
+        if gamma.requires_grad:
+            _accumulate(gamma, (g * xhat).sum(axis=0))
         _accumulate(beta, g.sum(axis=0))
-    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), bwd)
+    return _make(out, (x, gamma, beta), bwd)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -133,7 +134,8 @@ class AdamW:
 
     Weight decay is applied after the adaptive step and skips biases and
     batch-norm parameters; with weight_decay=0 this is exactly Adam.  The
-    update runs in place, block by block, into two scratch buffers per dtype;
+    update runs in place, block by block (a parameter of at most UPDATE_BLOCK
+    elements as one block), into two scratch buffers per dtype;
     each element sees the same operations in the same order as the textbook
     out-of-place formulas, so results are bit-identical to them.
     """
@@ -169,15 +171,24 @@ class AdamW:
             if g is None:
                 continue
             g = np.ascontiguousarray(g)
+            operands = (p.data, g, self.m[name], self.v[name])
+            if (p.data.size <= UPDATE_BLOCK and p.data.flags.c_contiguous
+                    and g.shape == p.data.shape):  # one block: the arrays themselves
+                finite = np.isfinite(g).all()
+                blocks = (operands,)
+            else:  # update_blocks also refuses what the first branch excludes
+                finite = all(np.isfinite(gb).all() for (gb,) in update_blocks(g))
+                blocks = update_blocks(*operands)
             # the whole gradient is checked before any of the parameter changes
-            if not all(np.isfinite(gb).all() for (gb,) in update_blocks(g)):
+            if not finite:
                 raise TrainingError(
                     f"non-finite gradient in {name!r} at step {t} "
                     f"(|g|_max={np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else 'n/a'})")
             decay = self.weight_decay and self._decayed(name)
             scratch_a, scratch_b = self._scratch[p.data.dtype]
-            for pb, gb, mb, vb in update_blocks(p.data, g, self.m[name], self.v[name]):
-                a, b = scratch_a[:pb.size], scratch_b[:pb.size]
+            for pb, gb, mb, vb in blocks:
+                a = scratch_a[:pb.size].reshape(pb.shape)
+                b = scratch_b[:pb.size].reshape(pb.shape)
                 # m = b1*m + (1-b1)*g
                 np.multiply(mb, b1, out=mb)
                 np.multiply(gb, 1 - b1, out=a)
@@ -594,8 +605,12 @@ def _point_configs(point: dict, loop: TrainLoopConfig, qm: QMatchConfig | None,
 
     values = {GRID_KEYS[k]: v for k, v in point.items()}
     try:
-        if "queue_capacity" in values:  # a grid file may write 512.0
-            values["queue_capacity"] = int(values["queue_capacity"])
+        if "queue_capacity" in values:  # a grid file may write 512.0, but not 64.7 or true
+            q = values["queue_capacity"]
+            if isinstance(q, bool) or not isinstance(q, numbers.Real) \
+                    or not float(q).is_integer():
+                raise ValueError(f"queue_size must be a whole number, got {q!r}")
+            values["queue_capacity"] = int(q)
         return tuple(replace(c, **{f: v for f, v in values.items() if hasattr(c, f)})
                      for c in (loop, qm or QMatchConfig(), corr or CorruptionConfig(),
                                extra or baselines.BaselineConfig()))

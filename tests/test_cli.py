@@ -128,6 +128,13 @@ class TestPrepareData:
         assert not (tmp_path / "x").exists()
 
 
+    def test_empty_pretext_train_is_config_error(self, corpus, tmp_path, capsys):
+        spec = {**json.loads((corpus / "spec.json").read_text()), "pretext_train": 0}
+        assert prepare_spec(corpus, tmp_path, spec) == EXIT_CONFIG
+        assert "0 rows" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 def prepare_spec(corpus, tmp_path, spec) -> int:
     """prepare-data with `spec` as the split-spec file, into tmp_path / "x"."""
     path = tmp_path / "spec.json"
@@ -218,17 +225,31 @@ class TestPretrain:
                                           "p_teacher": 0.0}
 
 
-@pytest.mark.parametrize("flags", [
-    ["--max-epochs", "0"], ["--patience", "-1"], ["--patience", "0"],
-    ["--tau-student", "0"], ["--p-student", "1.5"], ["--queue-size", "0"],
-    ["--batch-size", "0"], ["--batch-size", "-4"], ["--batch-size", "256"],
-    ["--batch-size", "256", "--dry-run"],
-], ids="=".join)
-def test_bad_pretrain_flag_is_config_error(prepared, tmp_path, flags):
+# Pretrain flags -> the field their error names; None marks the valid control.
+PRETRAIN_FLAG_CASES = [
+    (["--max-epochs", "0"], "max_epochs"), (["--patience", "-1"], "patience"),
+    (["--patience", "0"], "patience"), (["--tau-student", "0"], "tau_student"),
+    (["--p-student", "1.5"], "p_student"), (["--queue-size", "0"], "queue_capacity"),
+    (["--batch-size", "0"], "batch_size"), (["--batch-size", "-4"], "batch_size"),
+    (["--batch-size", "256"], "batch_size"),
+    (["--batch-size", "256", "--dry-run"], "batch_size"),
+    (["--lr", "0.001"], None),
+]
+
+
+@pytest.mark.parametrize("flags, field", [pytest.param(flags, field, id="=".join(flags))
+                                          for flags, field in PRETRAIN_FLAG_CASES])
+def test_bad_pretrain_flag_is_config_error(prepared, tmp_path, capsys, flags, field):
+    if "--batch-size" not in flags:  # a size the 192 pretext_train rows hold
+        flags = flags + ["--batch-size", "64"]
     out = tmp_path / "c.qmc"
     code = main(["pretrain", "--data", str(prepared), "--out", str(out),
                  "--algorithm", "qmatch", "--widths", "32,32"] + flags)
+    if field is None:
+        assert code == EXIT_OK and out.exists()
+        return
     assert code == EXIT_CONFIG
+    assert f"config error: {field} " in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -483,6 +504,7 @@ class TestGrid:
     @pytest.mark.parametrize("grid", [
         {"queue_size": [64, 0]}, {"corruption_probability": [0.3, 1.5]},
         {"learning_rate": [0.01, -1.0]}, {"lerning_rate": [0.01]},
+        {"queue_size": [64, 64.7]}, {"queue_size": [True]}, {"queue_size": ["64"]},
     ], ids=json.dumps)
     def test_bad_grid_is_config_error_before_any_pretrain(self, prepared, tmp_path,
                                                           monkeypatch, grid):

@@ -270,6 +270,12 @@ class TestPreprocess:
         assert state.count == 40
         np.testing.assert_allclose(state.mean[0], ds.features[:40, 0].mean())
 
+    @pytest.mark.parametrize("quantile", [False, True])
+    def test_empty_fitting_set_rejected(self, quantile):
+        ds = make_fixture_dataset(n=100, seed=4)
+        with pytest.raises(DataError, match="0 rows"):
+            fit_preprocess(ds, rows=np.arange(0), quantile=quantile)
+
     def test_quantile_transform_gaussianizes(self, rng):
         # heavily skewed column becomes approximately normal after rank mapping
         skew = rng.exponential(size=(500, 1)) ** 2

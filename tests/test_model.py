@@ -18,7 +18,10 @@ from qmatch.model import (
     projector_forward,
     save_checkpoint,
 )
-from qmatch.tensor import UPDATE_BLOCK, ShapeError, Tensor, backward, finite_difference_check
+import qmatch.model
+from qmatch.tensor import (UPDATE_BLOCK, ShapeError, Tensor, backward, finite_difference_check,
+                           no_grad)
+from tests.test_tensor import same_bits
 
 
 def small_config(**kw):
@@ -100,6 +103,32 @@ class TestForward:
         out, _, _ = batch_norm_train(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=0.0)
         np.testing.assert_allclose(out.data.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.data.var(axis=0), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("rows", [1, 9])
+    @pytest.mark.parametrize("config", [
+        small_config(), small_config(layer_widths=(16, 12, 8), maxout_k=2)],
+        ids=["small", "three_layers"])
+    def test_inference_equals_taped_eval(self, rng, monkeypatch, config, rows):
+        params = init_params(config, seed=4)
+        for _ in range(3):  # running statistics away from their (0, 1) start
+            encoder_forward(params, Tensor(rng.normal(1.0, 2.0, size=(16, 5))), mode="train")
+        x = rng.normal(size=(rows, 5))
+        x_before = x.copy()
+        buffers = {k: v.copy() for k, v in params.buffers.items()}
+        taped = encoder_forward(params, Tensor(x, requires_grad=True), mode="eval")
+        assert taped._parents  # a gradient can flow, so the graph is recorded
+
+        # the in-place branch never reaches the taped batch norm
+        monkeypatch.setattr(qmatch.model, "batch_norm_eval", None)
+        with no_grad():
+            inside_no_grad = encoder_forward(params, Tensor(x), mode="eval")
+        frozen = encoder_forward(params.copy(requires_grad=False), Tensor(x), mode="eval")
+        for out in (inside_no_grad, frozen):
+            assert same_bits(out.data, taped.data)
+            assert out._parents == () and out._backward is None and not out.requires_grad
+        assert same_bits(x, x_before)
+        for k, v in params.buffers.items():
+            assert same_bits(v, buffers[k])
 
     def test_encoder_gradient_matches_finite_differences(self, rng):
         params = init_params(small_config(), seed=3)

@@ -13,11 +13,13 @@ from hypothesis.extra.numpy import arrays
 
 from qmatch.model import EncoderConfig, encoder_forward, init_params
 from qmatch.tensor import (
+    EPS_LOG,
     UPDATE_BLOCK,
     ParameterError,
     ShapeError,
     Tensor,
     backward,
+    batch_norm_eval,
     batch_norm_train,
     bce_with_logits,
     cross_entropy_rows,
@@ -357,6 +359,171 @@ class TestBCE:
         x = Tensor(rand((3, 4), 14), requires_grad=True)
         t = Tensor((rand((3, 4), 15) > 0).astype(float))
         assert finite_difference_check(lambda: bce_with_logits(x, t), [x]) <= 1e-6
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values, dtype and bytes, so signed zeros count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def run_backward(out: Tensor, g: np.ndarray):
+    """Hand `out`'s backward the gradient g, and check that it leaves g as it was."""
+    before = g.copy()
+    out._backward(g)
+    assert same_bits(g, before)
+
+
+class TestKernelsMatchTextbook:
+    """The in-place kernels against the out-of-place expressions they replace,
+    kept here as the reference: forward and backward agree to the bit."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("temperature", [1.0, 0.07])
+    def test_softmax_rows(self, temperature, order):
+        x = Tensor(rand((6, 9), 20) * 5, requires_grad=True)
+        g = np.asarray(rand((6, 9), 21), order=order)
+        scaled = x.data / temperature
+        scaled = scaled - scaled.max(axis=1, keepdims=True)
+        e = np.exp(scaled)
+        probs = e / e.sum(axis=1, keepdims=True)
+        inner = (g * probs).sum(axis=1, keepdims=True)
+        ref_grad = probs * (g - inner) / temperature
+
+        out = softmax_rows(x, temperature)
+        assert same_bits(out.data, probs)
+        run_backward(out, g)
+        assert same_bits(x.grad, ref_grad)
+
+    def test_cross_entropy_rows(self):
+        rng = np.random.default_rng(22)
+        target = Tensor(rng.dirichlet(np.ones(7), size=5), requires_grad=True)
+        pred = Tensor(rng.dirichlet(np.ones(7), size=5), requires_grad=True)
+        g = np.asarray(0.37)
+        b = 5
+        logp = np.log(pred.data + EPS_LOG)
+        ref_loss = np.asarray(-(target.data * logp).sum() / b)
+        ref_pred_grad = -(g / b) * target.data / (pred.data + EPS_LOG)
+        ref_target_grad = -(g / b) * logp
+
+        out = cross_entropy_rows(target, pred)
+        assert same_bits(out.data, ref_loss)
+        run_backward(out, g)
+        assert same_bits(pred.grad, ref_pred_grad)
+        assert same_bits(target.grad, ref_target_grad)
+
+    @pytest.mark.parametrize("order, frozen", [("C", ""), ("F", ""), ("C", "x"),
+                                               ("C", "affine")])
+    def test_batch_norm_train(self, order, frozen):
+        x = Tensor(rand((16, 5), 23) * 3 + 1, requires_grad=frozen != "x")
+        gamma = Tensor(rand(5, 24), requires_grad=frozen != "affine")
+        beta = Tensor(rand(5, 25), requires_grad=frozen != "affine")
+        g = np.asarray(rand((16, 5), 26), order=order)
+        eps = 1e-5
+        mu = x.data.mean(axis=0)
+        var = x.data.var(axis=0)
+        std = np.sqrt(var + eps)
+        xhat = (x.data - mu) / std
+        ref_out = xhat * gamma.data + beta.data
+        dxhat = g * gamma.data
+        ref_x_grad = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+
+        out, out_mu, out_var = batch_norm_train(x, gamma, beta, eps=eps)
+        assert same_bits(out.data, ref_out)
+        assert same_bits(out_mu, mu) and same_bits(out_var, var)
+        run_backward(out, g)
+        if frozen == "x":
+            assert x.grad is None
+        else:
+            assert same_bits(x.grad, ref_x_grad)
+        if frozen == "affine":
+            assert gamma.grad is None and beta.grad is None
+        else:
+            assert same_bits(gamma.grad, (g * xhat).sum(axis=0))
+            assert same_bits(beta.grad, g.sum(axis=0))
+
+    def test_batch_norm_eval(self):
+        x = Tensor(rand((16, 5), 27) * 3 + 1, requires_grad=True)
+        gamma = Tensor(rand(5, 28), requires_grad=True)
+        beta = Tensor(rand(5, 29), requires_grad=True)
+        running_mean, running_var = rand(5, 30), np.exp(rand(5, 31))
+        g = rand((16, 5), 32)
+        eps = 1e-5
+        std = np.sqrt(running_var + eps)
+        xhat = (x.data - running_mean) / std
+        ref_out = xhat * gamma.data + beta.data
+
+        out = batch_norm_eval(x, gamma, beta, running_mean, running_var, eps=eps)
+        assert same_bits(out.data, ref_out)
+        run_backward(out, g)
+        assert same_bits(x.grad, g * gamma.data / std)
+        assert same_bits(gamma.grad, (g * xhat).sum(axis=0))
+        assert same_bits(beta.grad, g.sum(axis=0))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy allocates while fn() runs, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel, forward_arrays, backward_arrays", [
+    ("softmax_rows", 1, 1), ("cross_entropy_rows", 2, 2),
+    ("batch_norm_train", 2, 2), ("batch_norm_eval", 2, 2),
+])
+def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
+    """Full-size arrays each kernel allocates (output and, for the backward, the
+    gradients it hands on included); row and column vectors are negligible."""
+    rng = np.random.default_rng(47)
+    x = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
+    gamma, beta = Tensor(rand(256, 48), requires_grad=True), Tensor(rand(256, 49))
+    ops = {
+        "softmax_rows": lambda: softmax_rows(x, 0.1),
+        "cross_entropy_rows": lambda: cross_entropy_rows(Tensor(x.data), x),
+        "batch_norm_train": lambda: batch_norm_train(x, gamma, beta)[0],
+        "batch_norm_eval": lambda: batch_norm_eval(x, gamma, beta, rand(256, 50),
+                                                   np.ones(256)),
+    }
+    g = np.ones(()) if kernel == "cross_entropy_rows" else rand((512, 256), 51)
+    out = []
+    assert traced_peak(lambda: out.append(ops[kernel]())) < (forward_arrays + 0.5) * x.data.nbytes
+    assert traced_peak(lambda: out[0]._backward(g)) < (backward_arrays + 0.5) * x.data.nbytes
+
+
+class TestNoUnusedGradients:
+    """An operand with requires_grad=False gets no gradient, and its product is
+    never formed."""
+
+    def test_matmul_frozen_left_operand(self):
+        x = Tensor(rand((256, 512), 40))  # g @ w.T would be this size
+        w = Tensor(rand((512, 4), 41), requires_grad=True)
+        peak = traced_peak(lambda: backward((x @ w).sum()))
+        assert x.grad is None and w.grad.shape == (512, 4)
+        assert peak < x.data.nbytes / 4
+
+    def test_matmul_frozen_right_operand(self):
+        h = Tensor(rand((4, 512), 42), requires_grad=True)
+        q = Tensor(rand((512, 256), 43))  # h.T @ g would be this size
+        peak = traced_peak(lambda: backward((h @ q).sum()))
+        assert q.grad is None and h.grad.shape == (4, 512)
+        assert peak < q.data.nbytes / 4
+
+    def test_cross_entropy_frozen_target(self):
+        rng = np.random.default_rng(44)
+        target = Tensor(rng.dirichlet(np.ones(6), size=4))
+        pred = Tensor(rng.dirichlet(np.ones(6), size=4), requires_grad=True)
+        backward(cross_entropy_rows(target, pred))
+        assert target.grad is None and pred.grad.shape == (4, 6)
+
+    def test_bce_frozen_targets(self):
+        x = Tensor(rand((3, 4), 45), requires_grad=True)
+        t = Tensor((rand((3, 4), 46) > 0).astype(float))
+        backward(bce_with_logits(x, t))
+        assert t.grad is None and x.grad.shape == (3, 4)
 
 
 def test_float32_selectable():

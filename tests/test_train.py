@@ -18,6 +18,7 @@ from qmatch.train import (
     TrialResult,
     _batches,
     _early_stopped,
+    _point_configs,
     aggregate,
     finetune,
     format_rank,
@@ -584,6 +585,12 @@ class TestGridSearch:
         assert best == {"learning_rate": 1e-2}
         assert len(results) == 2 and len(outcomes) == 1
         assert {r.seed for r in results} == {0, 1}
+
+    @pytest.mark.parametrize("value", [512, 512.0])
+    def test_whole_queue_size_becomes_an_int_capacity(self, value):
+        _, qm, _, _ = _point_configs({"queue_size": value}, TrainLoopConfig(**SMALL_LOOP),
+                                     None, None, None)
+        assert qm.queue_capacity == 512 and type(qm.queue_capacity) is int
 
     def test_failed_points_recorded_not_selected(self, setup, monkeypatch):
         ds, splits, state, config = setup

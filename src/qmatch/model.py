@@ -244,7 +244,7 @@ def ema_update(ema: EmaParams, student: ModelParams):
             raise ConfigError(f"EMA shape mismatch for {k}: {t.data.shape} vs {s.data.shape}")
         scratch = np.empty(min(UPDATE_BLOCK, t.data.size), dtype=t.data.dtype)
         for e, x in update_blocks(t.data, s.data):
-            a = scratch[:e.size]
+            a = scratch[:e.size].reshape(e.shape)
             np.multiply(e, tau, out=e)
             np.multiply(x, 1.0 - tau, out=a)
             np.add(e, a, out=e)

@@ -6,8 +6,9 @@ scalar result walks the recorded graph in reverse topological order and
 accumulates gradients into every tensor that requires them, cutting each
 node's edges as soon as its own gradient is passed on, so activations are
 freed during the pass and a tensor can be reused in a fresh forward pass.
-An op computes only the gradients its operands take: a product for an operand
-with requires_grad=False is never formed.  Inside :func:`no_grad` nothing is
+A binary op (the four elementwise ones, matmul and the two losses) computes
+only the gradients its operands take: the gradient of an operand with
+requires_grad=False is never formed.  Inside :func:`no_grad` nothing is
 recorded.
 """
 
@@ -165,10 +166,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def update_blocks(*arrays: np.ndarray):
-    """Yield aligned 1-D slices of the arrays, UPDATE_BLOCK elements at a time.
+    """Aligned blocks of the arrays, at most UPDATE_BLOCK elements each.
 
-    The slices are views, so ``out=`` writes through them update the arrays in
-    place; every array must therefore be C-contiguous and of the same shape.
+    Arrays of at most UPDATE_BLOCK elements form one block, the arrays
+    themselves; larger ones are cut into 1-D slices.  Either way the blocks are
+    views, so ``out=`` writes through them update the arrays in place; every
+    array must therefore be C-contiguous and of the same shape.
     """
     shape = arrays[0].shape
     for a in arrays:
@@ -176,23 +179,28 @@ def update_blocks(*arrays: np.ndarray):
             raise ShapeError(f"update operands disagree: {a.shape} vs {shape}")
         if not a.flags.c_contiguous:
             raise ValueError("in-place updates need C-contiguous arrays")
+    if arrays[0].size <= UPDATE_BLOCK:
+        return (arrays,)
     flat = [a.reshape(-1) for a in arrays]
-    for start in range(0, flat[0].size, UPDATE_BLOCK):
-        yield tuple(f[start:start + UPDATE_BLOCK] for f in flat)
+    return (tuple(f[start:start + UPDATE_BLOCK] for f in flat)
+            for start in range(0, flat[0].size, UPDATE_BLOCK))
 
 
 # -- elementwise arithmetic ---------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
     return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(-g, b.shape))
     return _make(a.data - b.data, (a, b), bwd)
@@ -472,7 +480,8 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
 
     Returns (out, batch_mean, batch_var); the caller owns running-stat updates.
     The forward allocates xhat (kept for the backward) and the output; the
-    backward allocates two full-size arrays.
+    backward allocates two full-size arrays.  Wherever this runs, all three
+    operands take gradients.
     """
     mu = x.data.mean(axis=0)
     var = x.data.var(axis=0)
@@ -483,19 +492,16 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
     np.add(out, beta.data, out=out)
 
     def bwd(g):
-        prod = None  # a full-size scratch array, once the x gradient made one
-        if x.requires_grad:
-            # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std
-            dxhat = g * gamma.data
-            prod = dxhat * xhat
-            mean_prod = prod.mean(axis=0)
-            np.multiply(xhat, mean_prod, out=prod)
-            np.subtract(dxhat, dxhat.mean(axis=0), out=dxhat)
-            np.subtract(dxhat, prod, out=dxhat)
-            np.divide(dxhat, std, out=dxhat)
-            _accumulate(x, dxhat)
-        if gamma.requires_grad:
-            _accumulate(gamma, np.multiply(g, xhat, out=prod).sum(axis=0))
+        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std
+        dxhat = g * gamma.data
+        prod = dxhat * xhat
+        mean_prod = prod.mean(axis=0)
+        np.multiply(xhat, mean_prod, out=prod)
+        np.subtract(dxhat, dxhat.mean(axis=0), out=dxhat)
+        np.subtract(dxhat, prod, out=dxhat)
+        np.divide(dxhat, std, out=dxhat)
+        _accumulate(x, dxhat)
+        _accumulate(gamma, np.multiply(g, xhat, out=prod).sum(axis=0))
         _accumulate(beta, g.sum(axis=0))
     return _make(out, (x, gamma, beta), bwd), mu, var
 
@@ -504,17 +510,10 @@ def batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                     running_mean: np.ndarray, running_var: np.ndarray,
                     eps: float = 1e-5) -> Tensor:
     std = np.sqrt(running_var + eps)
-    xhat = x.data - running_mean
-    np.divide(xhat, std, out=xhat)
-    out = xhat * gamma.data
-    np.add(out, beta.data, out=out)
+    xhat = (x.data - running_mean) / std
 
     def bwd(g):
-        if x.requires_grad:
-            gx = g * gamma.data
-            np.divide(gx, std, out=gx)
-            _accumulate(x, gx)
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=0))
+        _accumulate(x, g * gamma.data / std)
+        _accumulate(gamma, (g * xhat).sum(axis=0))
         _accumulate(beta, g.sum(axis=0))
-    return _make(out, (x, gamma, beta), bwd)
+    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), bwd)

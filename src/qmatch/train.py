@@ -134,8 +134,8 @@ class AdamW:
 
     Weight decay is applied after the adaptive step and skips biases and
     batch-norm parameters; with weight_decay=0 this is exactly Adam.  The
-    update runs in place, block by block (a parameter of at most UPDATE_BLOCK
-    elements as one block), into two scratch buffers per dtype;
+    update runs in place, block by block (see update_blocks), into two scratch
+    buffers per dtype;
     each element sees the same operations in the same order as the textbook
     out-of-place formulas, so results are bit-identical to them.
     """
@@ -171,22 +171,14 @@ class AdamW:
             if g is None:
                 continue
             g = np.ascontiguousarray(g)
-            operands = (p.data, g, self.m[name], self.v[name])
-            if (p.data.size <= UPDATE_BLOCK and p.data.flags.c_contiguous
-                    and g.shape == p.data.shape):  # one block: the arrays themselves
-                finite = np.isfinite(g).all()
-                blocks = (operands,)
-            else:  # update_blocks also refuses what the first branch excludes
-                finite = all(np.isfinite(gb).all() for (gb,) in update_blocks(g))
-                blocks = update_blocks(*operands)
             # the whole gradient is checked before any of the parameter changes
-            if not finite:
+            if not all(np.isfinite(gb).all() for (gb,) in update_blocks(g)):
                 raise TrainingError(
                     f"non-finite gradient in {name!r} at step {t} "
                     f"(|g|_max={np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else 'n/a'})")
             decay = self.weight_decay and self._decayed(name)
             scratch_a, scratch_b = self._scratch[p.data.dtype]
-            for pb, gb, mb, vb in blocks:
+            for pb, gb, mb, vb in update_blocks(p.data, g, self.m[name], self.v[name]):
                 a = scratch_a[:pb.size].reshape(pb.shape)
                 b = scratch_b[:pb.size].reshape(pb.shape)
                 # m = b1*m + (1-b1)*g

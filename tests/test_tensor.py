@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import qmatch.tensor
 from qmatch.model import EncoderConfig, encoder_forward, init_params
 from qmatch.tensor import (
     EPS_LOG,
@@ -18,17 +19,20 @@ from qmatch.tensor import (
     ParameterError,
     ShapeError,
     Tensor,
+    add,
     backward,
-    batch_norm_eval,
     batch_norm_train,
     bce_with_logits,
     cross_entropy_rows,
+    div,
     finite_difference_check,
     l2_normalize_rows,
     matmul,
     maxout_rows,
+    mul,
     no_grad,
     softmax_rows,
+    sub,
     update_blocks,
 )
 
@@ -338,6 +342,11 @@ class TestUpdateBlocks:
         assert sizes == [UPDATE_BLOCK, a.size - UPDATE_BLOCK]
         np.testing.assert_array_equal(a, b)
 
+    def test_arrays_of_one_block_come_back_whole(self):
+        a, b = np.zeros((3, UPDATE_BLOCK // 3)), np.ones((3, UPDATE_BLOCK // 3))
+        blocks = list(update_blocks(a, b))
+        assert len(blocks) == 1 and blocks[0][0] is a and blocks[0][1] is b
+
     def test_rejects_non_contiguous_and_mismatched(self):
         with pytest.raises(ValueError, match="contiguous"):
             next(update_blocks(np.zeros((4, 3)).T))
@@ -412,12 +421,11 @@ class TestKernelsMatchTextbook:
         assert same_bits(pred.grad, ref_pred_grad)
         assert same_bits(target.grad, ref_target_grad)
 
-    @pytest.mark.parametrize("order, frozen", [("C", ""), ("F", ""), ("C", "x"),
-                                               ("C", "affine")])
-    def test_batch_norm_train(self, order, frozen):
-        x = Tensor(rand((16, 5), 23) * 3 + 1, requires_grad=frozen != "x")
-        gamma = Tensor(rand(5, 24), requires_grad=frozen != "affine")
-        beta = Tensor(rand(5, 25), requires_grad=frozen != "affine")
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_batch_norm_train(self, order):
+        x = Tensor(rand((16, 5), 23) * 3 + 1, requires_grad=True)
+        gamma = Tensor(rand(5, 24), requires_grad=True)
+        beta = Tensor(rand(5, 25), requires_grad=True)
         g = np.asarray(rand((16, 5), 26), order=order)
         eps = 1e-5
         mu = x.data.mean(axis=0)
@@ -432,31 +440,7 @@ class TestKernelsMatchTextbook:
         assert same_bits(out.data, ref_out)
         assert same_bits(out_mu, mu) and same_bits(out_var, var)
         run_backward(out, g)
-        if frozen == "x":
-            assert x.grad is None
-        else:
-            assert same_bits(x.grad, ref_x_grad)
-        if frozen == "affine":
-            assert gamma.grad is None and beta.grad is None
-        else:
-            assert same_bits(gamma.grad, (g * xhat).sum(axis=0))
-            assert same_bits(beta.grad, g.sum(axis=0))
-
-    def test_batch_norm_eval(self):
-        x = Tensor(rand((16, 5), 27) * 3 + 1, requires_grad=True)
-        gamma = Tensor(rand(5, 28), requires_grad=True)
-        beta = Tensor(rand(5, 29), requires_grad=True)
-        running_mean, running_var = rand(5, 30), np.exp(rand(5, 31))
-        g = rand((16, 5), 32)
-        eps = 1e-5
-        std = np.sqrt(running_var + eps)
-        xhat = (x.data - running_mean) / std
-        ref_out = xhat * gamma.data + beta.data
-
-        out = batch_norm_eval(x, gamma, beta, running_mean, running_var, eps=eps)
-        assert same_bits(out.data, ref_out)
-        run_backward(out, g)
-        assert same_bits(x.grad, g * gamma.data / std)
+        assert same_bits(x.grad, ref_x_grad)
         assert same_bits(gamma.grad, (g * xhat).sum(axis=0))
         assert same_bits(beta.grad, g.sum(axis=0))
 
@@ -473,7 +457,7 @@ def traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("kernel, forward_arrays, backward_arrays", [
     ("softmax_rows", 1, 1), ("cross_entropy_rows", 2, 2),
-    ("batch_norm_train", 2, 2), ("batch_norm_eval", 2, 2),
+    ("batch_norm_train", 2, 2),
 ])
 def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
     """Full-size arrays each kernel allocates (output and, for the backward, the
@@ -485,8 +469,6 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
         "softmax_rows": lambda: softmax_rows(x, 0.1),
         "cross_entropy_rows": lambda: cross_entropy_rows(Tensor(x.data), x),
         "batch_norm_train": lambda: batch_norm_train(x, gamma, beta)[0],
-        "batch_norm_eval": lambda: batch_norm_eval(x, gamma, beta, rand(256, 50),
-                                                   np.ones(256)),
     }
     g = np.ones(()) if kernel == "cross_entropy_rows" else rand((512, 256), 51)
     out = []
@@ -497,6 +479,28 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
 class TestNoUnusedGradients:
     """An operand with requires_grad=False gets no gradient, and its product is
     never formed."""
+
+    @pytest.mark.parametrize("frozen", [0, 1])
+    @pytest.mark.parametrize("op", [add, sub, mul, div])
+    def test_elementwise_op_skips_frozen_operand(self, monkeypatch, op, frozen):
+        shapes = ((3, 4), (1, 4))  # the operands' gradients differ in shape
+
+        def grads(requires):
+            a = Tensor(rand(shapes[0], 52), requires_grad=requires[0])
+            b = Tensor(rand(shapes[1], 53) + 4, requires_grad=requires[1])
+            backward(op(a, b).sum())
+            return a.grad, b.grad
+        both = grads((True, True))
+        formed, unbroadcast = [], qmatch.tensor._unbroadcast
+
+        def spy(g, shape):
+            formed.append(shape)
+            return unbroadcast(g, shape)
+        monkeypatch.setattr(qmatch.tensor, "_unbroadcast", spy)
+        one = grads((frozen != 0, frozen != 1))
+        assert formed == [shapes[1 - frozen]]
+        assert one[frozen] is None
+        assert same_bits(one[1 - frozen], both[1 - frozen])
 
     def test_matmul_frozen_left_operand(self):
         x = Tensor(rand((256, 512), 40))  # g @ w.T would be this size

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -558,6 +559,98 @@ class TestSweep:
         code = main(["sweep", "--kind", "bogus", "--data", str(prepared),
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_CONFIG
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _results_digest(path) -> str:
+    """Digest of a results.jsonl, each line without its wall_time."""
+    lines = [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+             for line in path.read_text().splitlines()]
+    return _sha256("\n".join(json.dumps(r, sort_keys=True) for r in lines).encode())
+
+
+# grid file per (algorithm, task) and the sha256 of grid.json and of results.jsonl
+# without wall_time, on the `prepared` fixture with SMALL_TRAIN and seeds 0,1;
+# 1e300 rates make a pretrain and a downstream run diverge, so failed points appear
+PINNED_GRIDS = {
+    ("qmatch", "linear"): (
+        {"learning_rate": [0.01, 1e300], "pretext_learning_rate": [1e-3, 1e300]},
+        "88104e301d90e52976f94da98c46f21e2659cc02b220c7fb4b4da0c2f5c97f84",
+        "53437c8d14e56d1151249690f3171a7149329b1fb83aa08a6dab9971779ee62f"),
+    ("qmatch", "finetune"): (
+        {"learning_rate": [0.01, 0.001], "queue_size": [32, 64]},
+        "76d116dfbe275b78f1e2d2ba9c8b5c48f8540e8bc298968881d7008d94025d60",
+        "8aaa1699974193463bd8ca3b2647a798107e7a7d2fc0c63d5a00572e3b7b1547"),
+    ("infonce", "linear"): (
+        {"tau": [0.1, 0.2], "corruption_probability": [0.3, 0.5]},
+        "d2e74d8ef83fec0441d18a4c20123c6a018e6f5d998a554587f71c41c9c4b227",
+        "326d3a5ddc516e6a45947d701cf14d29c06b871b5c03f6d5c288278ab6fe8e0c"),
+    ("infonce", "finetune"): (
+        {"learning_rate": [0.01, 0.001], "tau": [0.1, 0.2]},
+        "274e5ac5a6cb6ab81ac0f9849be3acbbfcbb6549b69f27eee6d0f2145f02d3e9",
+        "308bdd5cf1089e25422d5ea8b2fa9a5dc26276394a904df1042f6459dc560c34"),
+    ("supervised", "linear"): (
+        {"learning_rate": [0.01, 0.001]},
+        "f5a30f73f5e363663ef733fc109a6e53520c6dafc7c63ac3eb67e7d6d90f4f11",
+        "80f950d34808b83bdf68a279957645032eb2601b5e7eb57b96f5ae67709d438b"),
+    ("supervised", "finetune"): (
+        {"learning_rate": [0.01, 0.001], "pretext_learning_rate": [1e-3, 1e-2]},
+        "ad9de7514c49231267458446a7fc6a442cac721f37e2290eefa392bf5fb928c5",
+        "47e9fea76a2986a6c889ece71888359c6376bbd685a6c02d23c2af8287181f5c"),
+}
+
+# sweep arguments and the sha256 of the CSV, on the same fixture and seeds
+PINNED_SWEEPS = [
+    (["--kind", "corruption-heatmap", "--algorithm", "qmatch", "--task", "linear",
+      "--values", "0.0,0.3", "--teacher-values", "0.0,0.2"],
+     "15c97a44e1f3c4015001f06cb72dd975b908cd3cbc8714e8ffc24ef5baa73282"),
+    (["--kind", "queue-size", "--algorithm", "qmatch", "--task", "finetune",
+      "--values", "32,64"],
+     "0f18bfc15b00dd837e0ea0aedec530362c6ec5794926a5a9f988bc1fef1482f3"),
+    (["--kind", "label-fraction", "--algorithm", "infonce", "--task", "finetune",
+      "--values", "0.5,1.0"],
+     "191331b1888befab48d0fcf6826249072541790c220a86d4b70fda112685c84a"),
+    (["--kind", "label-fraction", "--algorithm", "supervised", "--task", "linear",
+      "--values", "0.5,1.0"],
+     "98ecdf2098e8f4b2dcec612f4a54f4045d2b497f884b6adf23f8ebe9cf1c4457"),
+    (["--kind", "pretext-size", "--algorithm", "qmatch", "--task", "linear",
+      "--values", "0.5,1.0"],
+     "29bd50d588aad4157835983bb840396ee2fd72b14aee99b2c5dd3e97bf969049"),
+    (["--kind", "pretext-size", "--algorithm", "infonce", "--task", "finetune",
+      "--values", "0.5,1.0"],
+     "09eca815870f53f52c7d423cf162872f57a936e40dd16ee8adfa5ee25c1e911d"),
+]
+
+
+class TestPinnedOutputs:
+    """`grid` and `sweep` reproduce recorded outputs byte for byte (but wall_time)."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging points
+    @pytest.mark.parametrize("algorithm, task", sorted(PINNED_GRIDS),
+                             ids=["-".join(case) for case in sorted(PINNED_GRIDS)])
+    def test_grid(self, prepared, tmp_path, algorithm, task):
+        grid, grid_digest, results_digest = PINNED_GRIDS[algorithm, task]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        out = tmp_path / "g"
+        code = main(["grid", "--data", str(prepared), "--out", str(out),
+                     "--algorithm", algorithm, "--task", task, "--seeds", "0,1",
+                     "--grid", str(path)] + SMALL_TRAIN)
+        assert code == EXIT_OK
+        assert (_sha256((out / "grid.json").read_bytes()),
+                _results_digest(out / "results.jsonl")) == (grid_digest, results_digest)
+
+    @pytest.mark.parametrize("args, digest", PINNED_SWEEPS,
+                             ids=[" ".join(a[1:6:2]) for a, _ in PINNED_SWEEPS])
+    def test_sweep(self, prepared, tmp_path, args, digest):
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--data", str(prepared), "--out", str(out),
+                     "--seeds", "0,1"] + args + SMALL_TRAIN)
+        assert code == EXIT_OK
+        assert _sha256(out.read_bytes()) == digest
 
 
 # Published linear-classification means used as a synthetic report input: the

@@ -49,6 +49,7 @@ from .tensor import (
 )
 from .train import (
     AdamW,
+    Cell,
     TrainLoopConfig,
     TrialResult,
     aggregate,
@@ -56,8 +57,7 @@ from .train import (
     grid_search,
     linear_eval,
     pretrain,
-    run_trial,
-    supervised_baseline,
+    run_cells,
 )
 
 __version__ = "0.1.0"

@@ -44,9 +44,11 @@ from .train import (
     ALGORITHMS,
     DEFAULT_GRIDS,
     PRETEXT_ALGORITHMS,
+    Cell,
     TrainLoopConfig,
     TrainingError,
     TrialResult,
+    _point_configs,
     aggregate,
     check_pretext_batch,
     finetune,
@@ -54,7 +56,7 @@ from .train import (
     grid_search,
     linear_eval,
     pretrain,
-    run_trial,
+    run_cells,
 )
 
 EXIT_OK = 0
@@ -278,15 +280,14 @@ def cmd_grid(args) -> int:
     algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws, ALGORITHMS)
     if algorithm is None:
         raise ConfigError("no algorithm given")
-    seeds = _parse_seeds(args, default=[seed])
+    seeds = args.seeds or [seed]  # --seed and a run config's seed are in `seed`
     if args.grid:
         with open(args.grid) as fh:
             grid = json.load(fh)
         if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
             raise ConfigError(f"{args.grid}: a grid file is a JSON object of value lists")
     else:
-        grid = dict(DEFAULT_GRIDS["common"])
-        grid.update(DEFAULT_GRIDS.get(algorithm, {}))
+        grid = {**DEFAULT_GRIDS["common"], **DEFAULT_GRIDS[algorithm]}
     best_point, results, outcomes = grid_search(
         algorithm, grid, args.task, ws.dataset, ws.splits, ws.state,
         encoder, loop, seeds, qm_config=qm, corruption=corr, extra=extra)
@@ -307,14 +308,6 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _parse_seeds(args, default):
-    if getattr(args, "seeds", None):
-        return args.seeds
-    if getattr(args, "seed", None) is not None:
-        return [args.seed]
-    return default
-
-
 SWEEP_KINDS = ("corruption-heatmap", "queue-size", "label-fraction", "pretext-size")
 
 
@@ -322,56 +315,45 @@ def cmd_sweep(args) -> int:
     ws = Workspace(Path(args.data))
     algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws, ALGORITHMS)
     algorithm = algorithm or "qmatch"
-    seeds = _parse_seeds(args, default=[0])
+    seeds = args.seeds or [seed]  # --seed and a run config's seed are in `seed`
 
-    rows: list[dict] = []
+    def cell(axes: dict, point: dict, **splits) -> Cell:
+        """The cell of a CSV row's `axes`, set by the grid keys of `point`."""
+        return Cell(axes, *_point_configs(point, loop, qm, corr, extra), {**ws.splits, **splits})
 
-    def run_cell(axes: dict, qm_c, corr_c, splits):
-        cell = []
-        for s in seeds:
-            r = run_trial(algorithm, args.task, ws.dataset, splits, ws.state,
-                          encoder, loop, s, qm_config=qm_c, corruption=corr_c,
-                          extra=extra, hyperparameters=axes)
-            cell.append(r.test_accuracy)
-            rows.append({**axes, "seed": s, "accuracy": r.test_accuracy})
-        mean = float(np.mean(cell))
-        std = float(np.std(cell, ddof=1)) if len(cell) > 1 else 0.0
-        for row in rows[-len(cell):]:
-            row["mean_accuracy"] = mean
-            row["std_accuracy"] = std
+    def fractions(default: list) -> list:
+        """--values or `default`, each checked by SplitSpec's label_fraction rule."""
+        return [SplitSpec(0, 0, 0, 0, 0, label_fraction=f).label_fraction
+                for f in args.values or default]
 
     if args.kind == "corruption-heatmap":
         ps = args.values or [0.0, 0.3, 0.5]
-        pt = args.teacher_values or ps
-        for p_s in ps:
-            for p_t in pt:
-                c = _config(replace, corr, p_student=p_s, p_teacher=p_t)
-                run_cell({"p_student": p_s, "p_teacher": p_t}, qm, c, ws.splits)
+        cells = [cell({"p_student": p_s, "p_teacher": p_t},
+                      {"corruption_probability": p_s, "p_teacher": p_t})
+                 for p_s in ps for p_t in args.teacher_values or ps]
     elif args.kind == "queue-size":
-        sizes = [int(v) for v in (args.values or [2 ** 9, 2 ** 11])]
-        for m in sizes:
-            run_cell({"queue_size": m}, _config(replace, qm, queue_capacity=m), corr,
-                     ws.splits)
+        cells = [cell({}, {"queue_size": m}) for m in args.values or [2 ** 9, 2 ** 11]]
+        cells = [replace(c, hyperparameters={"queue_size": c.qm.queue_capacity}) for c in cells]
     elif args.kind == "label-fraction":
-        fractions = args.values or [0.01, 0.1, 1.0]
-        base = {k: v.copy() for k, v in ws.splits.items()}
-        rng = np.random.default_rng(seed)
-        for frac in fractions:
-            splits = dict(base)
-            k = max(ws.dataset.num_classes, round(frac * len(base["down_train"])))
-            splits["down_train"] = datamod._stratified_take(
-                base["down_train"], ws.dataset.labels, min(k, len(base["down_train"])), rng)
-            run_cell({"label_fraction": frac}, qm, corr, splits)
-    elif args.kind == "pretext-size":
-        fractions = args.values or [0.25, 0.5, 1.0]
-        base = {k: v.copy() for k, v in ws.splits.items()}
-        for frac in fractions:
-            splits = dict(base)
-            k = max(loop.batch_size, round(frac * len(base["pretext_train"])))
-            splits["pretext_train"] = base["pretext_train"][:min(k, len(base["pretext_train"]))]
-            run_cell({"pretext_size": len(splits["pretext_train"])}, qm, corr, splits)
-    else:
-        raise ConfigError(f"unknown sweep kind {args.kind!r}")
+        down, rng = ws.splits["down_train"], np.random.default_rng(seed)
+        cells = [cell({"label_fraction": frac}, {}, down_train=datamod._stratified_take(
+            down, ws.dataset.labels,
+            min(max(ws.dataset.num_classes, round(frac * len(down))), len(down)), rng))
+            for frac in fractions([0.01, 0.1, 1.0])]
+    else:  # pretext-size, the last of SWEEP_KINDS, which the parser enforces
+        pretext = ws.splits["pretext_train"]
+        sizes = [min(max(loop.batch_size, round(frac * len(pretext))), len(pretext))
+                 for frac in fractions([0.25, 0.5, 1.0])]
+        cells = [cell({"pretext_size": k}, {}, pretext_train=pretext[:k]) for k in sizes]
+
+    rows: list[dict] = []
+    for c, results in zip(cells, run_cells(algorithm, args.task, ws.dataset, ws.state,
+                                           encoder, cells, seeds)):
+        accs = [r.test_accuracy for r in results]
+        std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
+        rows += [{**c.hyperparameters, "seed": s, "accuracy": a,
+                  "mean_accuracy": float(np.mean(accs)), "std_accuracy": std}
+                 for s, a in zip(seeds, accs)]
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

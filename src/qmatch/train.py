@@ -3,8 +3,8 @@
 Pretext training runs up to a fixed epoch budget with early stopping on the
 pretext validation loss and returns the best-epoch parameters.  Downstream
 training (linear evaluation or fine-tuning) early-stops on validation
-accuracy.  Grid search evaluates a Cartesian product of hyperparameters with
-deterministic tie-breaking.
+accuracy.  `run_cells` pretrains once per distinct pretext setting and seed;
+grid search runs a Cartesian product of hyperparameters through it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 
 import numpy as np
 
@@ -426,6 +426,25 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                           wall_time=time.monotonic() - start)
 
 
+@dataclass
+class Cell:
+    """A downstream setting for `run_cells`: reported hyperparameters, configs, splits."""
+    hyperparameters: dict
+    loop: TrainLoopConfig
+    qm: QMatchConfig
+    corr: CorruptionConfig
+    extra: baselines.BaselineConfig
+    splits: dict[str, np.ndarray]
+
+    def pretext_key(self) -> tuple:
+        """All of the cell that `pretrain` reads: with the same algorithm, data,
+        encoder and seed, cells with equal keys pretrain to the same bits."""
+        loop = self.loop
+        return ((loop.batch_size, loop.max_epochs, loop.patience, loop.pretext_learning_rate),
+                astuple(self.qm), astuple(self.corr), astuple(self.extra),
+                self.splits["pretext_train"].tobytes(), self.splits["pretext_val"].tobytes())
+
+
 # -- downstream -----------------------------------------------------------------
 
 def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -549,33 +568,40 @@ def finetune(params: ModelParams, dataset: TabularDataset,
                        wall_time=time.monotonic() - start)
 
 
-def supervised_baseline(dataset: TabularDataset, splits: dict[str, np.ndarray],
-                        state: PreprocessState, encoder_config: EncoderConfig,
-                        loop: TrainLoopConfig, seed: int) -> TrialResult:
-    """Downstream training from random initialization (no pretext task)."""
-    params = init_params(encoder_config, seed)
-    result = finetune(params, dataset, splits, state, loop, seed,
-                      algorithm="supervised")
-    return result
-
-
-def run_trial(algorithm: str, task: str, dataset: TabularDataset,
-              splits: dict[str, np.ndarray], state: PreprocessState,
-              encoder_config: EncoderConfig, loop: TrainLoopConfig, seed: int,
-              qm_config: QMatchConfig | None = None,
-              corruption: CorruptionConfig | None = None,
-              extra: baselines.BaselineConfig | None = None,
-              hyperparameters: dict | None = None) -> TrialResult:
-    """Pretrain (unless supervised) then run the downstream task."""
-    if algorithm == "supervised":
-        res = supervised_baseline(dataset, splits, state, encoder_config, loop, seed)
-        res.hyperparameters = hyperparameters or {}
-        return res
-    pre = pretrain(algorithm, dataset, splits, state, encoder_config, loop, seed,
-                   qm_config=qm_config, corruption=corruption, extra=extra)
-    fn = linear_eval if task == "linear" else finetune
-    return fn(pre.params, dataset, splits, state, loop, seed,
-              algorithm=algorithm, hyperparameters=hyperparameters or {})
+def run_cells(algorithm: str, task: str, dataset: TabularDataset, state: PreprocessState,
+              encoder_config: EncoderConfig, cells: list[Cell], seeds: list[int],
+              failures: tuple = ()) -> list[list]:
+    """Run every cell at every seed; returns results[cell][seed].  Cells with
+    equal `pretext_key`s share one pretrain per seed, whose encoder is freed
+    once they have run (`linear_eval` and `finetune` leave it as it is);
+    `supervised` starts from `init_params` and always fine-tunes.  An exception
+    of a `failures` type becomes the result of the cells it stops."""
+    downstream = finetune if task == "finetune" or algorithm == "supervised" else linear_eval
+    groups: dict[tuple, list[tuple[int, Cell]]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(cell.pretext_key(), []).append((i, cell))
+    results = [[None] * len(seeds) for _ in cells]
+    for members in groups.values():
+        _, first = members[0]
+        for j, seed in enumerate(seeds):
+            try:
+                params = init_params(encoder_config, seed) if algorithm == "supervised" else \
+                    pretrain(algorithm, dataset, first.splits, state, encoder_config, first.loop,
+                             seed, qm_config=first.qm, corruption=first.corr,
+                             extra=first.extra).params
+            except failures as e:
+                for i, _ in members:
+                    results[i][j] = e
+                continue
+            for i, c in members:
+                try:
+                    results[i][j] = downstream(params, dataset, c.splits, state, c.loop, seed,
+                                               algorithm=algorithm,
+                                               hyperparameters=c.hyperparameters)
+                except failures as e:
+                    results[i][j] = e
+            del params
+    return results
 
 
 # -- grid search -------------------------------------------------------------------
@@ -627,41 +653,33 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
                 qm_config: QMatchConfig | None = None,
                 corruption: CorruptionConfig | None = None,
                 extra: baselines.BaselineConfig | None = None):
-    """Evaluate the Cartesian product of `grid`, select by downstream
-    validation accuracy (deterministic tie-breaking), then rerun the winner
-    across all seeds.  Each point overrides only the settings it names; the
-    rest come from `loop`, `qm_config`, `corruption` and `extra`.  Every
-    point's configs are built, and so checked, before the first trial runs.
+    """Evaluate the Cartesian product of `grid` at the first seed, select by
+    downstream validation accuracy (deterministic tie-breaking), then rerun the
+    winner at the other seeds.  Each point overrides only the settings it names;
+    the rest come from `loop`, `qm_config`, `corruption` and `extra`.  Every
+    point's configs are built, and so checked, before the first pretrain.
 
     Returns (best_point, results_at_best, all_point_outcomes).
     """
-    if not grid:
-        grid = {"learning_rate": [loop.learning_rate]}
+    grid = grid or {"learning_rate": [loop.learning_rate]}
     keys = sorted(grid)
+    if not all(grid.values()):
+        raise ConfigError(f"grid keys {[k for k in keys if not grid[k]]} have no values")
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
-    configs = [_point_configs(point, loop, qm_config, corruption, extra) for point in points]
-
-    def trial(i: int, seed: int) -> TrialResult:
-        lp, qm, corr, ex = configs[i]
-        return run_trial(algorithm, task, dataset, splits, state, encoder_config, lp,
-                         seed, qm_config=qm, corruption=corr, extra=ex,
-                         hyperparameters=points[i])
-
-    outcomes = []
-    for i, point in enumerate(points):
-        try:
-            outcomes.append({"point": point, "result": trial(i, seeds[0]), "failed": False})
-        except TrainingError as e:
-            outcomes.append({"point": point, "result": None, "failed": True,
-                             "error": str(e)})
-
+    cells = [Cell(point, *_point_configs(point, loop, qm_config, corruption, extra), splits)
+             for point in points]
+    first = run_cells(algorithm, task, dataset, state, encoder_config, cells, seeds[:1],
+                      failures=(TrainingError,))
+    outcomes = [{"point": p, "result": r, "failed": False} if isinstance(r, TrialResult)
+                else {"point": p, "result": None, "failed": True, "error": str(r)}
+                for p, (r,) in zip(points, first)]
     valid = [i for i, o in enumerate(outcomes) if not o["failed"]]
     if not valid:
         raise TrainingError("every grid point failed")
     best = min(valid, key=lambda i: (-outcomes[i]["result"].val_accuracy,
                                      _tie_break_key(points[i])))
-    results = [outcomes[best]["result"]] + [trial(best, seed) for seed in seeds[1:]]
-    return points[best], results, outcomes
+    rest = run_cells(algorithm, task, dataset, state, encoder_config, [cells[best]], seeds[1:])
+    return points[best], [outcomes[best]["result"]] + rest[0], outcomes
 
 
 # -- aggregation --------------------------------------------------------------------

@@ -52,7 +52,7 @@ from qmatch.tensor import (
     relu,
     tmean,
 )
-from qmatch.train import TrainLoopConfig, grid_search, linear_eval, pretrain
+from qmatch.train import TrainLoopConfig, finetune, grid_search, linear_eval, pretrain
 from tests.conftest import make_fixture_dataset
 
 TOL_GRAD = 1e-4
@@ -256,11 +256,8 @@ def _reproduction(name: str, preset: str, seeds: list[int], quantile: bool):
     _, results, _ = grid_search("qmatch", grid, "linear", dataset, splits, state,
                                 encoder, loop, seeds)
     qm_accs = [r.test_accuracy for r in results]
-    sup_accs = []
-    for s in seeds:
-        from qmatch.train import supervised_baseline
-        sup_accs.append(supervised_baseline(dataset, splits, state, encoder,
-                                            loop, s).test_accuracy)
+    sup_accs = [finetune(init_params(encoder, s), dataset, splits, state, loop, s,
+                         algorithm="supervised").test_accuracy for s in seeds]
     return float(np.mean(qm_accs)), float(np.mean(sup_accs))
 
 

@@ -506,9 +506,10 @@ class TestGrid:
         {"queue_size": [64, 0]}, {"corruption_probability": [0.3, 1.5]},
         {"learning_rate": [0.01, -1.0]}, {"lerning_rate": [0.01]},
         {"queue_size": [64, 64.7]}, {"queue_size": [True]}, {"queue_size": ["64"]},
+        {"learning_rate": []},
     ], ids=json.dumps)
     def test_bad_grid_is_config_error_before_any_pretrain(self, prepared, tmp_path,
-                                                          monkeypatch, grid):
+                                                          monkeypatch, capsys, grid):
         import qmatch.train as train_mod
         real, calls = train_mod.pretrain, []
 
@@ -523,8 +524,21 @@ class TestGrid:
         code = main(["grid", "--data", str(prepared), "--out", str(out),
                      "--algorithm", "qmatch", "--grid", str(path)] + SMALL_TRAIN)
         assert code == EXIT_CONFIG
+        assert next(iter(grid)) in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
+
+    def test_one_pretrain_per_pretext_setting_and_seed(self, prepared, tmp_path,
+                                                       monkeypatch):
+        calls = spy_on_pretrain(monkeypatch)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"learning_rate": [1e-4, 1e-3, 1e-2, 1e-1]}))
+        code = main(["grid", "--data", str(prepared), "--out", str(tmp_path / "g"),
+                     "--algorithm", "qmatch", "--seeds", "0,1", "--grid", str(path)]
+                    + SMALL_TRAIN)
+        assert code == EXIT_OK
+        # every point at seed 0 shares one pretrain, then the best point at seed 1
+        assert [args[6] for args, _ in calls] == [0, 1]
 
 
 class TestSweep:
@@ -559,6 +573,64 @@ class TestSweep:
         code = main(["sweep", "--kind", "bogus", "--data", str(prepared),
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("kind, values", [
+        ("label-fraction", "-1"), ("label-fraction", "2"), ("label-fraction", "nan"),
+        ("pretext-size", "0"), ("pretext-size", "nan"), ("pretext-size", "1.5"),
+        ("queue-size", "nan"), ("queue-size", "64.7"), ("queue-size", "-64"),
+        ("corruption-heatmap", "1.5"), ("corruption-heatmap", "nan"),
+    ])
+    def test_axis_value_meets_its_setting_rule_before_any_pretrain(
+            self, prepared, tmp_path, monkeypatch, kind, values):
+        calls = spy_on_pretrain(monkeypatch)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--kind", kind, "--data", str(prepared), "--out", str(out),
+                     f"--values={values}"] + SMALL_TRAIN)
+        assert code == EXIT_CONFIG
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, values, pretrains", [
+        ("label-fraction", "0.25,0.5,1.0", 1),  # only down_train changes
+        ("pretext-size", "0.05,0.1,1.0", 2),  # the first two both clamp to batch_size
+        ("queue-size", "32,64", 2),
+        ("corruption-heatmap", "0.0,0.3", 4),
+    ])
+    def test_one_pretrain_per_pretext_setting_and_seed(self, prepared, tmp_path,
+                                                       monkeypatch, kind, values,
+                                                       pretrains):
+        calls = spy_on_pretrain(monkeypatch)
+        code = main(["sweep", "--kind", kind, "--data", str(prepared),
+                     "--out", str(tmp_path / "s.csv"), "--values", values,
+                     "--seeds", "0,1"] + SMALL_TRAIN)
+        assert code == EXIT_OK
+        assert len(calls) == pretrains * 2
+
+    def test_run_config_seed_is_the_default_seed(self, prepared, tmp_path, monkeypatch):
+        calls = spy_on_pretrain(monkeypatch)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--kind", "label-fraction", "--data", str(prepared),
+                     "--out", str(out), "--values", "0.5", "--config", str(cfg)]
+                    + SMALL_TRAIN)
+        assert code == EXIT_OK
+        import csv
+        assert [row["seed"] for row in csv.DictReader(out.open())] == ["3"]
+        assert [args[6] for args, _ in calls] == [3]
+
+
+def spy_on_pretrain(monkeypatch) -> list:
+    """Record the (args, kwargs) of every `train.pretrain` call from here on."""
+    import qmatch.train as train_mod
+    real, calls = train_mod.pretrain, []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "pretrain", spy)
+    return calls
 
 
 def _sha256(data: bytes) -> str:

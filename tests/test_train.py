@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 
 import qmatch
 from qmatch.augment import CorruptionConfig
+from qmatch.baselines import BaselineConfig
 from qmatch.data import SplitSpec, apply_preprocess, fit_preprocess, make_splits
 from qmatch.distill import QMatchConfig, queue_init, training_step
 from qmatch.model import EmaParams, EncoderConfig, init_params
 from qmatch.tensor import UPDATE_BLOCK, Tensor
 from qmatch.train import (
+    PRETEXT_ALGORITHMS,
     AdamW,
+    Cell,
     EarlyStopper,
     TrainLoopConfig,
     TrainingError,
@@ -25,8 +29,7 @@ from qmatch.train import (
     grid_search,
     linear_eval,
     pretrain,
-    run_trial,
-    supervised_baseline,
+    run_cells,
 )
 from tests.conftest import make_fixture_dataset
 
@@ -560,17 +563,15 @@ class TestDownstream:
 
     def test_supervised_baseline(self, setup):
         ds, splits, state, config = setup
-        res = supervised_baseline(ds, splits, state, config,
-                                  TrainLoopConfig(**SMALL_LOOP), seed=0)
+        [[res]] = run_cells("supervised", "linear", ds, state, config, [_cell(splits)], [0])
         assert res.algorithm == "supervised"
+        assert res.task == "finetune"  # a random encoder is always fine-tuned
         assert res.test_accuracy > 50.0
 
-    def test_run_trial_pretext_then_linear(self, setup):
+    def test_run_cells_pretext_then_linear(self, setup):
         ds, splits, state, config = setup
-        res = run_trial("qmatch", "linear", ds, splits, state, config,
-                        TrainLoopConfig(**SMALL_LOOP), seed=0,
-                        qm_config=QMatchConfig(queue_capacity=64),
-                        hyperparameters={"queue_size": 64})
+        [[res]] = run_cells("qmatch", "linear", ds, state, config,
+                            [_cell(splits, {"queue_size": 64})], [0])
         assert res.algorithm == "qmatch"
         assert res.hyperparameters == {"queue_size": 64}
         assert 0.0 <= res.test_accuracy <= 100.0
@@ -595,14 +596,14 @@ class TestGridSearch:
     def test_failed_points_recorded_not_selected(self, setup, monkeypatch):
         ds, splits, state, config = setup
         import qmatch.train as train_mod
-        real = train_mod.run_trial
+        real = train_mod.finetune
 
-        def flaky(algorithm, task, *args, **kwargs):
-            if kwargs.get("hyperparameters", {}).get("learning_rate") == 123.0:
+        def flaky(*args, **kwargs):
+            if kwargs["hyperparameters"].get("learning_rate") == 123.0:
                 raise TrainingError("synthetic divergence")
-            return real(algorithm, task, *args, **kwargs)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(train_mod, "run_trial", flaky)
+        monkeypatch.setattr(train_mod, "finetune", flaky)
         best, results, outcomes = train_mod.grid_search(
             "supervised", {"learning_rate": [123.0, 1e-2]}, "finetune", ds, splits,
             state, config, TrainLoopConfig(**SMALL_LOOP), seeds=[0])
@@ -613,7 +614,7 @@ class TestGridSearch:
     def test_all_points_failing_raises(self, setup, monkeypatch):
         ds, splits, state, config = setup
         import qmatch.train as train_mod
-        monkeypatch.setattr(train_mod, "run_trial",
+        monkeypatch.setattr(train_mod, "finetune",
                             lambda *a, **k: (_ for _ in ()).throw(TrainingError("boom")))
         with pytest.raises(TrainingError, match="every grid point failed"):
             train_mod.grid_search("supervised", {"learning_rate": [1.0, 2.0]},
@@ -625,12 +626,12 @@ class TestGridSearch:
         import qmatch.train as train_mod
         seen = []
 
-        def record(algorithm, task, *args, **kwargs):
-            point = kwargs["hyperparameters"]
-            seen.append(tuple(sorted(point.items())))
-            return TrialResult(algorithm, "fixture", task, point, 0, 50.0, 50.0, 0.0)
+        def record(*args, algorithm, hyperparameters):
+            seen.append(tuple(sorted(hyperparameters.items())))
+            return TrialResult(algorithm, "fixture", "linear", hyperparameters, 0,
+                               50.0, 50.0, 0.0)
 
-        monkeypatch.setattr(train_mod, "run_trial", record)
+        monkeypatch.setattr(train_mod, "linear_eval", record)
         grid_a = {"learning_rate": [1e-3, 1e-2], "corruption_probability": [0.3]}
         grid_b = dict(reversed(list(grid_a.items())))
         train_mod.grid_search("vime", grid_a, "linear", ds, splits, state, config,
@@ -640,6 +641,91 @@ class TestGridSearch:
         train_mod.grid_search("vime", grid_b, "linear", ds, splits, state, config,
                               TrainLoopConfig(**SMALL_LOOP), seeds=[0])
         assert seen == first
+
+
+class TestRunCells:
+    @pytest.mark.parametrize("algorithm", PRETEXT_ALGORITHMS)
+    def test_pretrain_reads_no_loop_field_left_out_of_the_pretext_key(self, setup,
+                                                                      algorithm):
+        """Changing any TrainLoopConfig field the key leaves out leaves pretrain's
+        params bit-identical, so cells with equal keys can share one pretrain."""
+        ds, splits, state, config = setup
+        base = _cell(splits, patience=1)
+
+        def params_of(cell):
+            res = pretrain(algorithm, ds, cell.splits, state, config, cell.loop, seed=0,
+                           qm_config=cell.qm, corruption=cell.corr, extra=cell.extra)
+            return {**{k: t.data for k, t in res.params.tensors.items()},
+                    **res.params.buffers}
+
+        reference = params_of(base)
+        left_out = []
+        for field in fields(TrainLoopConfig):
+            value = getattr(base.loop, field.name)
+            changed = replace(base, loop=replace(base.loop, **{
+                field.name: value + 1 if isinstance(value, int) else value * 2}))
+            if changed.pretext_key() == base.pretext_key():
+                left_out.append(field.name)
+                for name, data in params_of(changed).items():
+                    assert_same_bits(data, reference[name])
+        assert left_out == ["downstream_max_epochs", "learning_rate", "weight_decay"]
+
+    def test_key_holds_every_pretext_setting(self, setup):
+        _, splits, _, _ = setup
+        base = _cell(splits)
+        assert base.pretext_key() == _cell(
+            {k: v.copy() for k, v in splits.items()}).pretext_key()
+        for changed in (replace(base, qm=QMatchConfig(queue_capacity=32)),
+                        replace(base, corr=CorruptionConfig(p_student=0.5)),
+                        replace(base, extra=BaselineConfig(tau=0.2)),
+                        replace(base, loop=replace(base.loop, pretext_learning_rate=0.1)),
+                        replace(base, splits={**splits,
+                                              "pretext_train": splits["pretext_train"][1:]}),
+                        replace(base, splits={**splits,
+                                              "pretext_val": splits["pretext_val"][1:]})):
+            assert changed.pretext_key() != base.pretext_key()
+
+    def test_results_in_cell_and_seed_order_with_one_pretrain_per_key_and_seed(
+            self, setup, monkeypatch):
+        ds, splits, state, config = setup
+        import qmatch.train as train_mod
+        real, calls = train_mod.pretrain, []
+
+        def spy(*args, **kwargs):
+            calls.append(args[5].pretext_learning_rate)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_mod, "pretrain", spy)
+        cells = [_cell(splits, {"i": i}, learning_rate=lr, pretext_learning_rate=plr)
+                 for i, (plr, lr) in enumerate([(1e-3, 1e-2), (2e-3, 1e-2), (1e-3, 1e-3)])]
+        results = run_cells("vime", "linear", ds, state, config, cells, [0, 1])
+        assert calls == [1e-3, 1e-3, 2e-3, 2e-3]  # per key, then per seed
+        assert [[(r.hyperparameters["i"], r.seed) for r in row] for row in results] == \
+            [[(i, 0), (i, 1)] for i in range(3)]
+        # a shared pretrain gives each cell what a pretrain of its own would
+        alone = run_cells("vime", "linear", ds, state, config, cells[2:], [1])
+        assert results[2][1] == replace(alone[0][0], wall_time=results[2][1].wall_time)
+
+    def test_failures_become_results_of_the_cells_they_stop(self, setup, monkeypatch):
+        ds, splits, state, config = setup
+        import qmatch.train as train_mod
+
+        def diverge(*args, **kwargs):
+            raise TrainingError("synthetic divergence")
+
+        monkeypatch.setattr(train_mod, "pretrain", diverge)
+        cells = [_cell(splits, {"i": i}, learning_rate=lr) for i, lr in enumerate([1e-2, 1e-3])]
+        results = run_cells("qmatch", "linear", ds, state, config, cells, [0, 1],
+                            failures=(TrainingError,))
+        assert all(isinstance(r, TrainingError) for row in results for r in row)
+        with pytest.raises(TrainingError, match="synthetic"):
+            run_cells("qmatch", "linear", ds, state, config, cells, [0])
+
+
+def _cell(splits, hyperparameters=None, **loop) -> Cell:
+    """A cell of SMALL_LOOP overridden by `loop`, queue 64 and default configs."""
+    return Cell(hyperparameters or {}, TrainLoopConfig(**{**SMALL_LOOP, **loop}),
+                QMatchConfig(queue_capacity=64), CorruptionConfig(), BaselineConfig(), splits)
 
 
 class TestAggregate:

@@ -20,6 +20,7 @@ from .tensor import (
     UPDATE_BLOCK,
     ShapeError,
     Tensor,
+    add,
     batch_norm_eval,
     batch_norm_train,
     maxout_rows,
@@ -184,7 +185,9 @@ def encoder_forward(params: ModelParams, x: Tensor, mode: str = "train") -> Tens
     h = x
     n = len(cfg.layer_widths)
     for i in range(n):
-        h = h @ params.tensors[f"layer{i}.weight"] + params.tensors[f"layer{i}.bias"]
+        # into the product's buffer: matmul's backward reads its operands, not its product
+        h = add(h @ params.tensors[f"layer{i}.weight"], params.tensors[f"layer{i}.bias"],
+                in_place=True)
         if i < n - 1:
             gamma = params.tensors[f"layer{i}.bn_scale"]
             beta = params.tensors[f"layer{i}.bn_bias"]
@@ -200,7 +203,8 @@ def encoder_forward(params: ModelParams, x: Tensor, mode: str = "train") -> Tens
                                     params.buffers[f"layer{i}.running_mean"],
                                     params.buffers[f"layer{i}.running_var"],
                                     eps=cfg.bn_eps)
-            h = relu(h)
+            # into batch norm's output: its backward reads xhat and its operands, not its output
+            h = relu(h, in_place=True)
     return maxout_rows(h, cfg.maxout_k)
 
 

@@ -5,7 +5,9 @@ record the operations applied to them.  Calling :func:`backward` on a
 scalar result walks the recorded graph in reverse topological order and
 accumulates gradients into every tensor that requires them, cutting each
 node's edges as soon as its own gradient is passed on, so activations are
-freed during the pass and a tensor can be reused in a fresh forward pass.
+freed during the pass and a tensor can be reused in a fresh forward pass;
+it can also hand each leaf to a callback as soon as the leaf's gradient is
+complete, so an optimizer can update the leaf and drop that gradient at once.
 A binary op (the four elementwise ones, matmul and the two losses) computes
 only the gradients its operands take: the gradient of an operand with
 requires_grad=False is never formed.  Inside :func:`no_grad` nothing is
@@ -188,12 +190,18 @@ def update_blocks(*arrays: np.ndarray):
 
 # -- elementwise arithmetic ---------------------------------------------------
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, in_place: bool = False) -> Tensor:
+    """a + b.  With `in_place`, the sum is written into a's buffer whenever it
+    has a's shape and dtype; the caller guarantees that nothing reads a's value
+    afterwards (the backward of add reads neither operand)."""
     def bwd(g):
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
+    if in_place and np.broadcast_shapes(a.shape, b.shape) == a.shape \
+            and np.result_type(a.data, b.data) == a.data.dtype:
+        return _make(np.add(a.data, b.data, out=a.data), (a, b), bwd)
     return _make(a.data + b.data, (a, b), bwd)
 
 
@@ -238,12 +246,15 @@ def log(a: Tensor) -> Tensor:
     return _make(np.log(a.data), (a,), bwd)
 
 
-def relu(a: Tensor) -> Tensor:
+def relu(a: Tensor, in_place: bool = False) -> Tensor:
+    """a * (a > 0).  With `in_place`, the result is written into a's buffer;
+    the caller guarantees that nothing reads a's value afterwards (the backward
+    of relu reads only the mask)."""
     mask = a.data > 0
 
     def bwd(g):
         _accumulate(a, g * mask)
-    return _make(a.data * mask, (a,), bwd)
+    return _make(np.multiply(a.data, mask, out=a.data if in_place else None), (a,), bwd)
 
 
 # -- reductions ---------------------------------------------------------------
@@ -409,14 +420,20 @@ def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
 
 # -- backward pass --------------------------------------------------------------
 
-def backward(loss: Tensor):
+def backward(loss: Tensor, leaf_done: Callable[[Tensor], None] | None = None):
     """Populate grad buffers for every requires_grad tensor reachable from loss,
     clearing the recorded graph as it goes: once a node has passed its gradient
-    on, its edges are cut, so it is freed unless the caller still holds it."""
+    on, its edges are cut, so it is freed unless the caller still holds it.
+
+    Each leaf's consumers are counted, and as soon as the last of them has run
+    the leaf's gradient is complete: `leaf_done`, if given, is then called once
+    with each leaf that takes gradients and got one, while the rest of the graph
+    is still to run (an optimizer can update the leaf and drop its gradient)."""
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar, got shape {loss.shape}")
     topo: list[Tensor] = []
     visited: set[int] = set()
+    pending: dict[int, int] = {}  # id(leaf) -> consumers yet to run
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, processed = stack.pop()
@@ -428,6 +445,8 @@ def backward(loss: Tensor):
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
+            if p._backward is None and p.requires_grad:
+                pending[id(p)] = pending.get(id(p), 0) + 1
             if id(p) not in visited:
                 stack.append((p, False))
 
@@ -436,10 +455,16 @@ def backward(loss: Tensor):
         node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        parents = node._parents
         node._parents = ()
         node._backward = None
         if node is not loss and not node.requires_grad:
             node.grad = None
+        for p in parents:
+            if id(p) in pending:
+                pending[id(p)] -= 1
+                if not pending[id(p)] and p.grad is not None and leaf_done is not None:
+                    leaf_done(p)
 
 
 def finite_difference_check(f: Callable[[], Tensor], params: Sequence[Tensor],

@@ -149,8 +149,9 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        # np.zeros, unlike zeros_like, leaves large moments to pages the kernel zeroes
+        self.m = {k: np.zeros(t.shape, t.data.dtype) for k, t in params.items()}
+        self.v = {k: np.zeros(t.shape, t.data.dtype) for k, t in params.items()}
         self._scratch = {t.data.dtype: (np.empty(UPDATE_BLOCK, t.data.dtype),
                                         np.empty(UPDATE_BLOCK, t.data.dtype))
                          for t in params.values()}
@@ -159,48 +160,65 @@ class AdamW:
     def _decayed(name: str) -> bool:
         return not (name.endswith("bias") or ".bn_" in name)
 
-    def step(self):
+    def step(self, loss: Tensor | None = None):
+        """One update.  Given `loss`, run its backward and update each parameter
+        as soon as its gradient is complete, then drop that gradient, so no
+        gradient outlives its update; without one, apply the gradients the
+        parameters hold."""
         self.step_count += 1
+        if loss is None:
+            for name, p in self.params.items():
+                if p.grad is not None:
+                    self._update(name, p)
+            return
+        names = {}
+        for name, p in self.params.items():
+            p.zero_grad()
+            names[id(p)] = name
+
+        def apply(leaf: Tensor):
+            if id(leaf) in names:
+                self._update(names[id(leaf)], leaf)
+                leaf.grad = None
+        backward(loss, apply)
+
+    def _update(self, name: str, p: Tensor):
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        g = np.ascontiguousarray(p.grad)
+        # the whole gradient is checked before any of the parameter changes
+        if not all(np.isfinite(gb).all() for (gb,) in update_blocks(g)):
+            raise TrainingError(
+                f"non-finite gradient in {name!r} at step {t} "
+                f"(|g|_max={np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else 'n/a'})")
+        decay = self.weight_decay and self._decayed(name)
         lr_wd = lr * self.weight_decay
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            g = np.ascontiguousarray(g)
-            # the whole gradient is checked before any of the parameter changes
-            if not all(np.isfinite(gb).all() for (gb,) in update_blocks(g)):
-                raise TrainingError(
-                    f"non-finite gradient in {name!r} at step {t} "
-                    f"(|g|_max={np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else 'n/a'})")
-            decay = self.weight_decay and self._decayed(name)
-            scratch_a, scratch_b = self._scratch[p.data.dtype]
-            for pb, gb, mb, vb in update_blocks(p.data, g, self.m[name], self.v[name]):
-                a = scratch_a[:pb.size].reshape(pb.shape)
-                b = scratch_b[:pb.size].reshape(pb.shape)
-                # m = b1*m + (1-b1)*g
-                np.multiply(mb, b1, out=mb)
-                np.multiply(gb, 1 - b1, out=a)
-                np.add(mb, a, out=mb)
-                # v = b2*v + ((1-b2)*g)*g
-                np.multiply(vb, b2, out=vb)
-                np.multiply(gb, 1 - b2, out=a)
-                np.multiply(a, gb, out=a)
-                np.add(vb, a, out=vb)
-                # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
-                np.divide(mb, bc1, out=a)
-                np.multiply(a, lr, out=a)
-                np.divide(vb, bc2, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, eps, out=b)
-                np.divide(a, b, out=a)
+        scratch_a, scratch_b = self._scratch[p.data.dtype]
+        for pb, gb, mb, vb in update_blocks(p.data, g, self.m[name], self.v[name]):
+            a = scratch_a[:pb.size].reshape(pb.shape)
+            b = scratch_b[:pb.size].reshape(pb.shape)
+            # m = b1*m + (1-b1)*g
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, 1 - b1, out=a)
+            np.add(mb, a, out=mb)
+            # v = b2*v + ((1-b2)*g)*g
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, 1 - b2, out=a)
+            np.multiply(a, gb, out=a)
+            np.add(vb, a, out=vb)
+            # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps)
+            np.divide(mb, bc1, out=a)
+            np.multiply(a, lr, out=a)
+            np.divide(vb, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(pb, a, out=pb)
+            if decay:
+                np.multiply(pb, lr_wd, out=a)
                 np.subtract(pb, a, out=pb)
-                if decay:
-                    np.multiply(pb, lr_wd, out=a)
-                    np.subtract(pb, a, out=pb)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Copies of the step count and moments (the live moments change in place)."""
@@ -233,18 +251,6 @@ class EarlyStopper:
         else:
             self.stale += 1
         return self.stale >= self.patience
-
-
-def _zero_grads(optimizer: AdamW):
-    for t in optimizer.params.values():
-        t.zero_grad()
-
-
-def _descend(optimizer: AdamW, loss: Tensor):
-    """One gradient update of the optimizer's parameters on `loss`."""
-    _zero_grads(optimizer)
-    backward(loss)
-    optimizer.step()
 
 
 def _early_stopped(max_epochs: int, patience: int, mode: str, run_epoch,
@@ -386,7 +392,7 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                 loss = baselines.tabnet_recon_loss(x_orig, expand_mask(state, mask), recon)
 
         if update:
-            _descend(optimizer, loss)
+            optimizer.step(loss)
             if ema is not None:
                 ema_update(ema, params)
             if queue is not None:
@@ -416,7 +422,6 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                 "heads": {k: Tensor(t.data.copy(), requires_grad=True) for k, t in heads.items()}}
 
     def live() -> dict:
-        _zero_grads(optimizer)
         return {"params": params, "ema": ema, "queue": queue, "heads": heads}
 
     start = time.monotonic()
@@ -495,11 +500,10 @@ def linear_eval(params: ModelParams, dataset: TabularDataset,
         for batch_idx in _batches(len(x_train), loop.batch_size, rng, drop_last=False):
             target = Tensor(_one_hot(y_train[batch_idx], num_classes))
             probs = softmax_rows(logits_of(x_train[batch_idx]), temperature=1.0)
-            _descend(optimizer, cross_entropy_rows(target, probs))
+            optimizer.step(cross_entropy_rows(target, probs))
         return accuracy("down_val")
 
     def live() -> dict:
-        _zero_grads(optimizer)
         return {k: t.data for k, t in head.items()}
 
     best_head, stopper, _ = _early_stopped(
@@ -547,11 +551,10 @@ def finetune(params: ModelParams, dataset: TabularDataset,
             emb = encoder_forward(model, Tensor(x_train[batch_idx]), mode="train")
             logits = emb @ head["classifier.weight"] + head["classifier.bias"]
             target = Tensor(_one_hot(y_train[batch_idx], num_classes))
-            _descend(optimizer, cross_entropy_rows(target, softmax_rows(logits, temperature=1.0)))
+            optimizer.step(cross_entropy_rows(target, softmax_rows(logits, temperature=1.0)))
         return accuracy("down_val")
 
     def live():
-        _zero_grads(optimizer)
         return model, {k: t.data for k, t in head.items()}
 
     (model, best_head), stopper, _ = _early_stopped(
@@ -574,12 +577,14 @@ def run_cells(algorithm: str, task: str, dataset: TabularDataset, state: Preproc
     """Run every cell at every seed; returns results[cell][seed].  Cells with
     equal `pretext_key`s share one pretrain per seed, whose encoder is freed
     once they have run (`linear_eval` and `finetune` leave it as it is);
-    `supervised` starts from `init_params` and always fine-tunes.  An exception
-    of a `failures` type becomes the result of the cells it stops."""
+    `supervised` cells all start from one `init_params` per seed, which reads
+    none of the key, and always fine-tune.  An exception of a `failures` type
+    becomes the result of the cells it stops."""
     downstream = finetune if task == "finetune" or algorithm == "supervised" else linear_eval
     groups: dict[tuple, list[tuple[int, Cell]]] = {}
     for i, cell in enumerate(cells):
-        groups.setdefault(cell.pretext_key(), []).append((i, cell))
+        key = () if algorithm == "supervised" else cell.pretext_key()
+        groups.setdefault(key, []).append((i, cell))
     results = [[None] * len(seeds) for _ in cells]
     for members in groups.values():
         _, first = members[0]
@@ -668,8 +673,10 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
     points = [dict(zip(keys, combo)) for combo in itertools.product(*(grid[k] for k in keys))]
     cells = [Cell(point, *_point_configs(point, loop, qm_config, corruption, extra), splits)
              for point in points]
-    first = run_cells(algorithm, task, dataset, state, encoder_config, cells, seeds[:1],
-                      failures=(TrainingError,))
+    # a point that diverges ends in its one recorded error, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        first = run_cells(algorithm, task, dataset, state, encoder_config, cells, seeds[:1],
+                          failures=(TrainingError,))
     outcomes = [{"point": p, "result": r, "failed": False} if isinstance(r, TrialResult)
                 else {"point": p, "result": None, "failed": True, "error": str(r)}
                 for p, (r,) in zip(points, first)]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -540,6 +541,33 @@ class TestGrid:
         # every point at seed 0 shares one pretrain, then the best point at seed 1
         assert [args[6] for args, _ in calls] == [0, 1]
 
+    def test_supervised_grid_initialises_once_per_seed(self, prepared, tmp_path,
+                                                      monkeypatch):
+        calls = spy_on_pretrain(monkeypatch, "init_params")
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"pretext_learning_rate": [1e-5, 1e-4, 1e-3],
+                                    "learning_rate": [1e-3, 1e-2]}))
+        code = main(["grid", "--data", str(prepared), "--out", str(tmp_path / "g"),
+                     "--algorithm", "supervised", "--seeds", "0", "--grid", str(path)]
+                    + SMALL_TRAIN)
+        assert code == EXIT_OK
+        # init_params reads the encoder config and the seed, none of a point
+        assert len(calls) == 1
+
+    def test_diverging_point_ends_in_its_error_without_warnings(self, prepared, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"pretext_learning_rate": [1e-3, 1e300]}))
+        out = tmp_path / "g"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["grid", "--data", str(prepared), "--out", str(out),
+                         "--algorithm", "qmatch", "--seeds", "0", "--grid", str(path)]
+                        + SMALL_TRAIN)
+        assert code == EXIT_OK
+        assert [str(w.message) for w in caught] == []
+        points = json.loads((out / "grid.json").read_text())["points"]
+        assert [p["failed"] for p in points] == [False, True]
+
 
 class TestSweep:
     def test_queue_size_sweep_rows(self, prepared, tmp_path):
@@ -620,16 +648,16 @@ class TestSweep:
         assert [args[6] for args, _ in calls] == [3]
 
 
-def spy_on_pretrain(monkeypatch) -> list:
-    """Record the (args, kwargs) of every `train.pretrain` call from here on."""
+def spy_on_pretrain(monkeypatch, name: str = "pretrain") -> list:
+    """Record the (args, kwargs) of every `train.<name>` call from here on."""
     import qmatch.train as train_mod
-    real, calls = train_mod.pretrain, []
+    real, calls = getattr(train_mod, name), []
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(train_mod, "pretrain", spy)
+    monkeypatch.setattr(train_mod, name, spy)
     return calls
 
 
@@ -700,7 +728,6 @@ PINNED_SWEEPS = [
 class TestPinnedOutputs:
     """`grid` and `sweep` reproduce recorded outputs byte for byte (but wall_time)."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging points
     @pytest.mark.parametrize("algorithm, task", sorted(PINNED_GRIDS),
                              ids=["-".join(case) for case in sorted(PINNED_GRIDS)])
     def test_grid(self, prepared, tmp_path, algorithm, task):

@@ -20,7 +20,7 @@ from qmatch.model import (
 )
 import qmatch.model
 from qmatch.tensor import (UPDATE_BLOCK, ShapeError, Tensor, backward, finite_difference_check,
-                           no_grad)
+                           no_grad, relu)
 from tests.test_tensor import same_bits
 
 
@@ -129,6 +129,28 @@ class TestForward:
         assert same_bits(x, x_before)
         for k, v in params.buffers.items():
             assert same_bits(v, buffers[k])
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_in_place_bias_and_relu_match_out_of_place_ops(self, rng, monkeypatch, mode):
+        config = small_config(layer_widths=(16, 12, 8), maxout_k=2)
+        x, g = rng.normal(size=(9, 5)), rng.normal(size=(9, 4))
+
+        def run():
+            params = init_params(config, seed=5)
+            out = encoder_forward(params, Tensor(x), mode=mode)
+            data = out.data.copy()
+            backward((out * Tensor(g)).sum())
+            return data, params
+
+        got, got_params = run()
+        monkeypatch.setattr(qmatch.model, "add", lambda a, b, in_place: a + b)
+        monkeypatch.setattr(qmatch.model, "relu", lambda a, in_place: relu(a))
+        want, want_params = run()
+        assert same_bits(got, want)
+        for k, t in want_params.tensors.items():
+            assert same_bits(got_params.tensors[k].grad, t.grad), k
+        for k, v in want_params.buffers.items():
+            assert same_bits(got_params.buffers[k], v), k
 
     def test_encoder_gradient_matches_finite_differences(self, rng):
         params = init_params(small_config(), seed=3)

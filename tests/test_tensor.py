@@ -31,6 +31,7 @@ from qmatch.tensor import (
     maxout_rows,
     mul,
     no_grad,
+    relu,
     softmax_rows,
     sub,
     update_blocks,
@@ -232,6 +233,94 @@ class TestBackward:
         c = Tensor(rand((3, 4), 10))
         f = lambda: ((a + b) * c).sum() + (softmax_rows(a * b, temperature=0.5) * c).sum()
         assert finite_difference_check(f, [a, b]) <= 1e-6
+
+
+class TestLeafDone:
+    """backward hands each leaf to `leaf_done` once its last consumer has run."""
+
+    def test_chain_updates_the_last_layer_before_the_first(self):
+        x = Tensor(rand((4, 3), 60))
+        w1 = Tensor(rand((3, 5), 61), requires_grad=True)
+        w2 = Tensor(rand((5, 2), 62), requires_grad=True)
+        seen = []
+
+        def leaf_done(leaf):
+            # when w2 is complete, w1's only consumer has not run yet
+            seen.append((leaf, w1.grad is None))
+        backward(((x @ w1) @ w2).sum(), leaf_done)
+        assert seen == [(w2, True), (w1, False)]
+
+    def test_leaf_shared_by_two_branches_is_called_once_after_both(self):
+        # as in infonce: both views go through the same weight
+        w = Tensor(rand((3, 4), 63), requires_grad=True)
+        x1, x2 = Tensor(rand((5, 3), 64)), Tensor(rand((5, 3), 65))
+        loss = lambda: (softmax_rows(x1 @ w, 0.5) * Tensor(rand((5, 4), 66))).sum() \
+            + ((x2 @ w) * (x2 @ w)).sum()
+        backward(loss())
+        want = w.grad.copy()
+        w.zero_grad()
+        seen = []
+        backward(loss(), lambda leaf: seen.append((leaf, leaf.grad.copy())))
+        assert len(seen) == 1 and seen[0][0] is w
+        assert same_bits(seen[0][1], want)
+
+    def test_leaf_feeding_a_transpose_is_called(self):
+        # the dino prototypes enter the logits as prototypes.T
+        protos = Tensor(rand((6, 4), 67), requires_grad=True)
+        z = Tensor(rand((5, 4), 68), requires_grad=True)
+        seen = []
+        backward(softmax_rows(z @ protos.T, 0.1).sum() * 2.0, seen.append)
+        assert sorted(map(id, seen)) == sorted([id(protos), id(z)])
+
+    def test_only_leaves_that_take_a_gradient(self):
+        w = Tensor(rand((3, 2), 69), requires_grad=True)
+        frozen = Tensor(rand((3, 2), 70))
+        seen = []
+        backward((w * frozen).sum(), seen.append)
+        assert seen == [w]
+
+
+class TestInPlace:
+    """In-place add and relu match the out-of-place ops to the byte."""
+
+    @staticmethod
+    def run(op_in_place, op, *arrays):
+        results = []
+        for f in (op, op_in_place):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = f(*leaves)
+            g = rand(out.shape, 72)
+            data = out.data.copy()
+            backward((out * Tensor(g)).sum())
+            results.append((data, [t.grad for t in leaves], leaves[0].data))
+        return results
+
+    def test_add_matches_out_of_place(self):
+        h, b = rand((6, 5), 73), rand((5,), 74)
+        (want, want_g, _), (got, got_g, buffer) = self.run(
+            lambda a, c: add(a, c, in_place=True), add, h, b)
+        assert same_bits(got, want) and same_bits(buffer, want)  # written into a's buffer
+        assert all(same_bits(x, y) for x, y in zip(got_g, want_g))
+
+    def test_relu_matches_out_of_place(self):
+        h = rand((6, 5), 75)
+        h[0, :2] = 0.0, -0.0
+        (want, want_g, _), (got, got_g, buffer) = self.run(
+            lambda a: relu(a, in_place=True), relu, h)
+        assert same_bits(got, want) and same_bits(buffer, want)
+        assert same_bits(got_g[0], want_g[0])
+
+    @pytest.mark.parametrize("a_dtype, b_shape", [
+        (np.float32, (5,)),    # the sum would widen to float64
+        (np.float64, (6, 5)),  # the sum would be larger than a
+    ], ids=["wider_dtype", "wider_shape"])
+    def test_add_leaves_a_that_cannot_hold_the_sum(self, a_dtype, b_shape):
+        a = Tensor(rand((1, 5), 76).astype(a_dtype))
+        b = Tensor(rand(b_shape, 77))
+        before = a.data.copy()
+        out = add(a, b, in_place=True)
+        assert same_bits(out.data, a.data.astype(np.float64) + b.data)
+        assert same_bits(a.data, before)
 
 
 class TestNoGrad:

@@ -11,7 +11,7 @@ from qmatch.baselines import BaselineConfig
 from qmatch.data import SplitSpec, apply_preprocess, fit_preprocess, make_splits
 from qmatch.distill import QMatchConfig, queue_init, training_step
 from qmatch.model import EmaParams, EncoderConfig, init_params
-from qmatch.tensor import UPDATE_BLOCK, Tensor
+from qmatch.tensor import UPDATE_BLOCK, Tensor, backward
 from qmatch.train import (
     PRETEXT_ALGORITHMS,
     AdamW,
@@ -203,12 +203,80 @@ class TestAdamW:
             tracemalloc.stop()
         assert peak < 0.05 * sum(t.data.nbytes for t in params.values())
 
+    def test_no_gradient_outlives_its_update(self, rng):
+        n = 400
+        params = {f"layer{i}.weight": Tensor(rng.normal(size=(n, n)) / np.sqrt(n),
+                                             requires_grad=True) for i in range(6)}
+        opt = AdamW(params, lr=1e-3, weight_decay=0.1)
+        x = Tensor(rng.normal(size=(2, n)))
+
+        def loss():
+            h = x
+            for w in params.values():
+                h = h @ w
+            return (h * h).sum()
+
+        opt.step(loss())  # warm-up
+        graph = loss()
+        tracemalloc.start()
+        try:
+            opt.step(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # backward-then-step holds all six weight gradients at once
+        assert peak < 2 * params["layer0.weight"].data.nbytes
+        assert all(t.grad is None for t in params.values())
+
     def test_non_contiguous_parameter_rejected(self):
         p = Tensor(np.ones((4, 3)).T, requires_grad=True)
         opt = AdamW({"w": p}, lr=0.1)
         p.grad = np.ones((3, 4))
         with pytest.raises(ValueError, match="contiguous"):
             opt.step()
+
+
+class TestStepOnLoss:
+    """`AdamW.step(loss)` updates each parameter inside backward and frees its
+    gradient; it must equal `zero_grad; backward; step()` bit for bit."""
+
+    @pytest.mark.parametrize("algorithm", PRETEXT_ALGORITHMS)
+    def test_equals_backward_then_step(self, setup, monkeypatch, algorithm):
+        ds, splits, state, config = setup
+        loop = TrainLoopConfig(**{**SMALL_LOOP, "max_epochs": 1, "patience": 0})
+        run = lambda: pretrain(algorithm, ds, splits, state, config, loop, seed=3,
+                               qm_config=QMatchConfig(queue_capacity=64),
+                               corruption=CorruptionConfig(p_student=0.3))
+        step, grads_held = AdamW.step, []
+
+        def checked(self, loss=None):
+            step(self, loss)
+            grads_held.append(sum(t.grad is not None for t in self.params.values()))
+
+        monkeypatch.setattr(AdamW, "step", checked)
+        got = run()
+        assert len(grads_held) == 256 // 32 and not any(grads_held)
+
+        def reference(self, loss=None):
+            for t in self.params.values():
+                t.zero_grad()
+            backward(loss)
+            step(self)
+
+        monkeypatch.setattr(AdamW, "step", reference)
+        want = run()
+        assert got.val_history == want.val_history
+        pairs = [(got.params, want.params)] + ([(got.ema.params, want.ema.params)]
+                                               if want.ema else [])
+        for g, w in pairs:
+            for k, t in w.tensors.items():
+                assert_same_bits(g.tensors[k].data, t.data)
+            for k, v in w.buffers.items():
+                assert_same_bits(g.buffers[k], v)
+        for k, t in want.heads.items():
+            assert_same_bits(got.heads[k].data, t.data)
+        if want.queue:
+            assert_same_bits(got.queue.storage, want.queue.storage)
 
 
 class TestEarlyStopper:

@@ -92,8 +92,8 @@ def dino_proto_loss(z_student: Tensor, z_teacher, bank: PrototypeBank,
     proto_t = bank.prototypes.detach()
     t_logits = (z_t @ proto_t.T).data
     p_t = Tensor(_softmax_np((t_logits - bank.center) / tau_t))
-    s_logits = z_student @ bank.prototypes.T
-    p_s = softmax_rows(s_logits, temperature=tau_s)
+    # into the logits' buffer: matmul's backward reads its operands, not its product
+    p_s = softmax_rows(z_student @ bank.prototypes.T, temperature=tau_s, in_place=True)
     loss = cross_entropy_rows(p_t, p_s)
     if update_center:
         bank.update_center(t_logits)

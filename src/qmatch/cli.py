@@ -366,14 +366,28 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    results: list[TrialResult] = []
-    for path in args.results:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
+def _read_results(path: str) -> list[TrialResult]:
+    """The trial results of one JSONL file; a line that is not one (bad UTF-8 or
+    JSON, wrong keys or types, an accuracy outside [0, 100]) is a DataError
+    naming the file and the line."""
+    try:
+        fh = open(path, "rb")
+    except IsADirectoryError:
+        raise DataError(f"{path}: is a directory, not a results file") from None
+    results = []
+    with fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
                 if line:
                     results.append(TrialResult.from_json(line))
+            except (TypeError, ValueError) as e:
+                raise DataError(f"{path}:{number}: not a trial result: {e}") from None
+    return results
+
+
+def cmd_report(args) -> int:
+    results = [r for path in args.results for r in _read_results(path)]
     if not results:
         raise ConfigError("no result lines found")
     agg = aggregate(results)

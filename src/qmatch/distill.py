@@ -103,8 +103,9 @@ def qmatch_loss(z_student: Tensor, z_teacher, queue: EmbeddingQueue,
     if z_student.shape[1] != queue.dim:
         raise ValueError(f"embedding dim {z_student.shape[1]} != queue dim {queue.dim}")
     q_t = Tensor(queue.storage.T.copy())  # detached history: no gradient into Q
-    p_s = softmax_rows(z_student @ q_t, temperature=config.tau_student)
-    p_t = softmax_rows(z_t @ q_t, temperature=config.tau_teacher)
+    # into the logits' buffers: matmul's backward reads its operands, not its product
+    p_s = softmax_rows(z_student @ q_t, temperature=config.tau_student, in_place=True)
+    p_t = softmax_rows(z_t @ q_t, temperature=config.tau_teacher, in_place=True)
     return cross_entropy_rows(p_t, p_s)
 
 

@@ -192,7 +192,8 @@ def encoder_forward(params: ModelParams, x: Tensor, mode: str = "train") -> Tens
             gamma = params.tensors[f"layer{i}.bn_scale"]
             beta = params.tensors[f"layer{i}.bn_bias"]
             if mode == "train":
-                h, mu, var = batch_norm_train(h, gamma, beta, eps=cfg.bn_eps)
+                # into the biased product's buffer: neither add's nor matmul's backward reads it
+                h, mu, var = batch_norm_train(h, gamma, beta, eps=cfg.bn_eps, in_place=True)
                 m = cfg.batchnorm_momentum
                 params.buffers[f"layer{i}.running_mean"][...] = (
                     (1 - m) * params.buffers[f"layer{i}.running_mean"] + m * mu)

@@ -358,13 +358,17 @@ def l2_normalize_rows(z: Tensor) -> Tensor:
     return _make(out_data, (z,), bwd)
 
 
-def softmax_rows(logits: Tensor, temperature: float = 1.0) -> Tensor:
+def softmax_rows(logits: Tensor, temperature: float = 1.0,
+                 in_place: bool = False) -> Tensor:
     """Row softmax of logits/temperature with max-subtraction for stability.
 
-    Forward and backward each allocate one full-size array and finish in it."""
+    Forward and backward each allocate one full-size array and finish in it.
+    With `in_place`, the forward allocates none: the probabilities are written
+    into the logits' buffer; the caller guarantees that nothing reads the logits'
+    value afterwards (the backward of softmax reads only the probabilities)."""
     if temperature <= 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    probs = logits.data / temperature
+    probs = np.divide(logits.data, temperature, out=logits.data if in_place else None)
     np.subtract(probs, probs.max(axis=1, keepdims=True), out=probs)
     np.exp(probs, out=probs)
     np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs)
@@ -382,22 +386,36 @@ def softmax_rows(logits: Tensor, temperature: float = 1.0) -> Tensor:
 
 def cross_entropy_rows(target: Tensor, pred: Tensor) -> Tensor:
     """Mean over rows of -sum_j target[j] * log(pred[j] + EPS_LOG); both
-    inputs are expected row-stochastic."""
+    inputs are expected row-stochastic.
+
+    The log table is kept for the backward only when the target takes a
+    gradient; otherwise the forward's product overwrites it and it is dropped.
+    The backward forms pred + EPS_LOG a block of rows at a time, so the pred
+    gradient is the only full-size array it allocates for pred."""
     if target.shape != pred.shape:
         raise ShapeError(f"cross-entropy shapes disagree: {target.shape} vs {pred.shape}")
     b = target.shape[0]
     logp = pred.data + EPS_LOG
     np.log(logp, out=logp)
+    if records(target):
+        value = -(target.data * logp).sum() / b
+    else:
+        same = np.result_type(target.data, logp) == logp.dtype
+        value = -np.multiply(target.data, logp, out=logp if same else None).sum() / b
+        logp = None
 
     def bwd(g):
         if pred.requires_grad:
             # -(g/b) * target / (pred + EPS_LOG)
             gp = -(g / b) * target.data
-            np.divide(gp, pred.data + EPS_LOG, out=gp)
+            rows = max(1, UPDATE_BLOCK // max(1, gp[:1].size))
+            for start in range(0, b, rows):
+                block = gp[start:start + rows]
+                np.divide(block, pred.data[start:start + rows] + EPS_LOG, out=block)
             _accumulate(pred, gp)
         if target.requires_grad:
             _accumulate(target, -(g / b) * logp)
-    return _make(np.asarray(-(target.data * logp).sum() / b), (target, pred), bwd)
+    return _make(np.asarray(value), (target, pred), bwd)
 
 
 def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
@@ -500,18 +518,21 @@ def finite_difference_check(f: Callable[[], Tensor], params: Sequence[Tensor],
 
 # -- batch normalization ---------------------------------------------------------
 
-def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5):
+def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
+                     in_place: bool = False):
     """Batch-statistics normalization with affine scale/shift.
 
     Returns (out, batch_mean, batch_var); the caller owns running-stat updates.
     The forward allocates xhat (kept for the backward) and the output; the
-    backward allocates two full-size arrays.  Wherever this runs, all three
-    operands take gradients.
+    backward allocates two full-size arrays.  With `in_place`, xhat is written
+    into x's buffer; the caller guarantees that nothing reads x's value
+    afterwards (the backward of batch norm reads xhat, not x).  Wherever this
+    runs, all three operands take gradients.
     """
     mu = x.data.mean(axis=0)
     var = x.data.var(axis=0)
     std = np.sqrt(var + eps)
-    xhat = x.data - mu
+    xhat = np.subtract(x.data, mu, out=x.data if in_place else None)
     np.divide(xhat, std, out=xhat)
     out = xhat * gamma.data
     np.add(out, beta.data, out=out)

@@ -795,3 +795,24 @@ class TestReport:
 
     def test_missing_file(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", [
+        {"test_accuracy": 150.0}, {"test_accuracy": math.nan}, {"seed": None},
+        [1, 2], {"test_accuracy": "50"}, b'{"algorithm": "q\xffmatch"}', b"{",
+    ], ids=["accuracy_150", "accuracy_nan", "missing_key", "json_array",
+            "string_accuracy", "not_utf8", "bad_json"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys, line):
+        good = TrialResult("qmatch", "adult1pct", "linear", {}, 0, 60.0, 60.0, 0.0).to_json()
+        if isinstance(line, dict):  # the good line with these fields changed (None: dropped)
+            fields = {**json.loads(good), **line}
+            line = {k: v for k, v in fields.items() if v is not None}
+        if not isinstance(line, bytes):
+            line = json.dumps(line).encode()
+        path = tmp_path / "results.jsonl"
+        path.write_bytes(good.encode() + b"\n" + line + b"\n")
+        assert main(["report", str(path)]) == EXIT_CONFIG
+        assert f"{path}:2: not a trial result" in capsys.readouterr().err
+
+    def test_directory_rejected(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == EXIT_CONFIG
+        assert f"{tmp_path}: is a directory" in capsys.readouterr().err

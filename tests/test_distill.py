@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,21 @@ class TestQMatchLoss:
         backward(qmatch_loss(z_s, z_t, q, cfg))
         assert z_s.grad is not None and np.any(z_s.grad != 0)
         assert z_t.grad is None
+
+    def test_loss_peaks_below_four_batch_by_queue_arrays(self, rng):
+        # logits, probabilities and log table on both sides would be six
+        b, d, capacity = 512, 128, 2048
+        q = queue_init(capacity, d, rng)
+        z_s = Tensor(unit_rows(rng, b, d), requires_grad=True)
+        z_t = unit_rows(rng, b, d)
+        tracemalloc.start()
+        try:
+            backward(qmatch_loss(z_s, z_t, q, QMatchConfig(queue_capacity=capacity)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * b * capacity * np.dtype(np.float64).itemsize
+        assert z_s.grad.shape == (b, d)
 
     def test_dim_mismatch(self, rng):
         q = queue_init(16, 8, rng)

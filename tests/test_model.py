@@ -19,8 +19,8 @@ from qmatch.model import (
     save_checkpoint,
 )
 import qmatch.model
-from qmatch.tensor import (UPDATE_BLOCK, ShapeError, Tensor, backward, finite_difference_check,
-                           no_grad, relu)
+from qmatch.tensor import (UPDATE_BLOCK, ShapeError, Tensor, backward, batch_norm_train,
+                           finite_difference_check, no_grad, relu)
 from tests.test_tensor import same_bits
 
 
@@ -145,6 +145,10 @@ class TestForward:
         got, got_params = run()
         monkeypatch.setattr(qmatch.model, "add", lambda a, b, in_place: a + b)
         monkeypatch.setattr(qmatch.model, "relu", lambda a, in_place: relu(a))
+        # and batch norm out of its input's buffer
+        monkeypatch.setattr(qmatch.model, "batch_norm_train",
+                            lambda h, gamma, beta, eps, in_place: batch_norm_train(
+                                h, gamma, beta, eps=eps))
         want, want_params = run()
         assert same_bits(got, want)
         for k, t in want_params.tensors.items():

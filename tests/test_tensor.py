@@ -281,7 +281,8 @@ class TestLeafDone:
 
 
 class TestInPlace:
-    """In-place add and relu match the out-of-place ops to the byte."""
+    """In-place add, relu, softmax and batch norm match the out-of-place ops to
+    the byte."""
 
     @staticmethod
     def run(op_in_place, op, *arrays):
@@ -309,6 +310,25 @@ class TestInPlace:
             lambda a: relu(a, in_place=True), relu, h)
         assert same_bits(got, want) and same_bits(buffer, want)
         assert same_bits(got_g[0], want_g[0])
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.07])
+    def test_softmax_matches_out_of_place(self, temperature):
+        h = rand((6, 9), 78) * 5
+        (want, want_g, _), (got, got_g, buffer) = self.run(
+            lambda a: softmax_rows(a, temperature, in_place=True),
+            lambda a: softmax_rows(a, temperature), h)
+        assert same_bits(got, want) and same_bits(buffer, want)  # written into the logits
+        assert same_bits(got_g[0], want_g[0])
+
+    def test_batch_norm_matches_out_of_place(self):
+        h, gamma, beta = rand((16, 5), 79) * 3 + 1, rand((5,), 80), rand((5,), 81)
+        (want, want_g, _), (got, got_g, buffer) = self.run(
+            lambda *t: batch_norm_train(*t, in_place=True)[0],
+            lambda *t: batch_norm_train(*t)[0], h, gamma, beta)
+        assert same_bits(got, want)
+        xhat = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + 1e-5)
+        assert same_bits(buffer, xhat)  # x's buffer holds xhat
+        assert all(same_bits(x, y) for x, y in zip(got_g, want_g))
 
     @pytest.mark.parametrize("a_dtype, b_shape", [
         (np.float32, (5,)),    # the sum would widen to float64
@@ -494,21 +514,50 @@ class TestKernelsMatchTextbook:
         assert same_bits(x.grad, ref_grad)
 
     def test_cross_entropy_rows(self):
+        self.check_cross_entropy_rows(5, 7, target_grad=True)
+
+    @pytest.mark.parametrize("b, d, target_grad, pred_dtype", [
+        (5, 7, False, np.float64), (300, 257, False, np.float64),
+        (300, 257, True, np.float64), (5, 7, False, np.float32),
+    ], ids=["frozen", "frozen_row_blocks", "row_blocks",  # blocks of 127, 127, 46 rows
+            "frozen_narrower_pred"])  # the f64 product cannot go into the f32 log table
+    def test_cross_entropy_rows_frozen_target_and_row_blocks(self, b, d, target_grad,
+                                                             pred_dtype):
+        self.check_cross_entropy_rows(b, d, target_grad, pred_dtype)
+
+    @staticmethod
+    def check_cross_entropy_rows(b, d, target_grad, pred_dtype=np.float64):
         rng = np.random.default_rng(22)
-        target = Tensor(rng.dirichlet(np.ones(7), size=5), requires_grad=True)
-        pred = Tensor(rng.dirichlet(np.ones(7), size=5), requires_grad=True)
+        target = Tensor(rng.dirichlet(np.ones(d), size=b), requires_grad=target_grad)
+        pred = Tensor(rng.dirichlet(np.ones(d), size=b), requires_grad=True, dtype=pred_dtype)
         g = np.asarray(0.37)
-        b = 5
         logp = np.log(pred.data + EPS_LOG)
         ref_loss = np.asarray(-(target.data * logp).sum() / b)
-        ref_pred_grad = -(g / b) * target.data / (pred.data + EPS_LOG)
+        ref_pred_grad = (-(g / b) * target.data / (pred.data + EPS_LOG)).astype(pred_dtype)
         ref_target_grad = -(g / b) * logp
 
         out = cross_entropy_rows(target, pred)
         assert same_bits(out.data, ref_loss)
         run_backward(out, g)
         assert same_bits(pred.grad, ref_pred_grad)
-        assert same_bits(target.grad, ref_target_grad)
+        if target_grad:
+            assert same_bits(target.grad, ref_target_grad)
+        else:
+            assert target.grad is None
+
+    @pytest.mark.parametrize("target_grad", [False, True], ids=["frozen", "trained"])
+    def test_cross_entropy_keeps_log_table_only_for_target_gradient(self, target_grad):
+        rng = np.random.default_rng(27)
+        target = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=target_grad)
+        pred = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = cross_entropy_rows(target, pred)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert round(kept / pred.data.nbytes) == int(target_grad)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_batch_norm_train(self, order):
@@ -545,8 +594,9 @@ def traced_peak(fn) -> int:
 
 
 @pytest.mark.parametrize("kernel, forward_arrays, backward_arrays", [
-    ("softmax_rows", 1, 1), ("cross_entropy_rows", 2, 2),
-    ("batch_norm_train", 2, 2),
+    ("softmax_rows", 1, 1), ("softmax_rows_in_place", 0, 1),
+    ("cross_entropy_rows", 2, 2), ("cross_entropy_rows_frozen_target", 1, 1),
+    ("batch_norm_train", 2, 2), ("batch_norm_train_in_place", 1, 2),
 ])
 def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
     """Full-size arrays each kernel allocates (output and, for the backward, the
@@ -554,12 +604,16 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
     rng = np.random.default_rng(47)
     x = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
     gamma, beta = Tensor(rand(256, 48), requires_grad=True), Tensor(rand(256, 49))
+    target = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
     ops = {
         "softmax_rows": lambda: softmax_rows(x, 0.1),
-        "cross_entropy_rows": lambda: cross_entropy_rows(Tensor(x.data), x),
+        "softmax_rows_in_place": lambda: softmax_rows(x, 0.1, in_place=True),
+        "cross_entropy_rows": lambda: cross_entropy_rows(target, x),
+        "cross_entropy_rows_frozen_target": lambda: cross_entropy_rows(Tensor(x.data), x),
         "batch_norm_train": lambda: batch_norm_train(x, gamma, beta)[0],
+        "batch_norm_train_in_place": lambda: batch_norm_train(x, gamma, beta, in_place=True)[0],
     }
-    g = np.ones(()) if kernel == "cross_entropy_rows" else rand((512, 256), 51)
+    g = np.ones(()) if kernel.startswith("cross_entropy") else rand((512, 256), 51)
     out = []
     assert traced_peak(lambda: out.append(ops[kernel]())) < (forward_arrays + 0.5) * x.data.nbytes
     assert traced_peak(lambda: out[0]._backward(g)) < (backward_arrays + 0.5) * x.data.nbytes

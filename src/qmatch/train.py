@@ -465,82 +465,35 @@ def _embed_all(params: ModelParams, x: np.ndarray, batch_size: int = 2048) -> np
     return np.concatenate(outs, axis=0)
 
 
-def linear_eval(params: ModelParams, dataset: TabularDataset,
+def _downstream(params: ModelParams, dataset: TabularDataset,
                 splits: dict[str, np.ndarray], state: PreprocessState,
-                loop: TrainLoopConfig, seed: int,
-                algorithm: str = "", hyperparameters: dict | None = None) -> TrialResult:
-    """Train an affine classifier on frozen encoder embeddings."""
+                loop: TrainLoopConfig, seed: int, frozen: bool,
+                algorithm: str, hyperparameters: dict | None) -> TrialResult:
+    """Train a fresh affine classifier with early stopping on validation
+    accuracy: on embeddings of the encoder computed once when `frozen`,
+    otherwise through a copy of the encoder that trains with it."""
     start = time.monotonic()
+    task = "linear" if frozen else "finetune"
     rng = np.random.default_rng(seed)
     num_classes = dataset.num_classes
     missing = np.setdiff1d(np.arange(num_classes), dataset.labels[splits["down_train"]])
     if missing.size:
         raise TrainingError(f"classes {missing.tolist()} absent from downstream train labels")
 
-    embeds = {}
-    for split in ("down_train", "down_val", "test"):
-        raw = dataset.features[splits[split]]
-        embeds[split] = _embed_all(params, apply_preprocess(state, raw))
-    labels = {split: dataset.labels[splits[split]]
-              for split in ("down_train", "down_val", "test")}
-
+    model = params if frozen else params.copy()
     head = _head(rng, params.config.embed_dim, num_classes, "classifier")
-    optimizer = AdamW(head, lr=loop.learning_rate, weight_decay=loop.weight_decay)
-
-    def logits_of(x: np.ndarray) -> Tensor:
-        return Tensor(x) @ head["classifier.weight"] + head["classifier.bias"]
-
-    def accuracy(split: str) -> float:
-        pred = logits_of(embeds[split]).data.argmax(axis=1)
-        return 100.0 * float((pred == labels[split]).mean())
-
-    x_train, y_train = embeds["down_train"], labels["down_train"]
-
-    def run_epoch(epoch: int) -> float:
-        for batch_idx in _batches(len(x_train), loop.batch_size, rng, drop_last=False):
-            target = Tensor(_one_hot(y_train[batch_idx], num_classes))
-            probs = softmax_rows(logits_of(x_train[batch_idx]), temperature=1.0)
-            optimizer.step(cross_entropy_rows(target, probs))
-        return accuracy("down_val")
-
-    def live() -> dict:
-        return {k: t.data for k, t in head.items()}
-
-    best_head, stopper, _ = _early_stopped(
-        loop.downstream_max_epochs, loop.patience, "max", run_epoch,
-        lambda: {k: t.data.copy() for k, t in head.items()}, live)
-    for k, t in head.items():
-        t.data[...] = best_head[k]
-
-    return TrialResult(algorithm=algorithm or "linear", dataset=dataset.name,
-                       task="linear", hyperparameters=hyperparameters or {},
-                       seed=seed, val_accuracy=stopper.best,
-                       test_accuracy=accuracy("test"),
-                       wall_time=time.monotonic() - start)
-
-
-def finetune(params: ModelParams, dataset: TabularDataset,
-             splits: dict[str, np.ndarray], state: PreprocessState,
-             loop: TrainLoopConfig, seed: int,
-             algorithm: str = "", hyperparameters: dict | None = None) -> TrialResult:
-    """Train the whole encoder plus a fresh classifier head on the labels."""
-    start = time.monotonic()
-    rng = np.random.default_rng(seed)
-    num_classes = dataset.num_classes
-    model = params.copy()
-    head = _head(rng, model.config.embed_dim, num_classes, "classifier")
-    trainable = dict(model.trainable())
+    trainable = {} if frozen else dict(model.trainable())
     trainable.update(head)
     optimizer = AdamW(trainable, lr=loop.learning_rate, weight_decay=loop.weight_decay)
 
-    data = {}
-    labels = {}
+    data, labels = {}, {}
     for split in ("down_train", "down_val", "test"):
-        data[split] = apply_preprocess(state, dataset.features[splits[split]])
+        x = apply_preprocess(state, dataset.features[splits[split]])
+        data[split] = _embed_all(params, x) if frozen else x
         labels[split] = dataset.labels[splits[split]]
 
     def accuracy(split: str) -> float:
-        emb = _embed_all(model, data[split])
+        emb = data[split] if frozen else _embed_all(model, data[split])
         logits = emb @ head["classifier.weight"].data + head["classifier.bias"].data
         return 100.0 * float((logits.argmax(axis=1) == labels[split]).mean())
 
@@ -548,27 +501,48 @@ def finetune(params: ModelParams, dataset: TabularDataset,
 
     def run_epoch(epoch: int) -> float:
         for batch_idx in _batches(len(x_train), loop.batch_size, rng, drop_last=False):
-            emb = encoder_forward(model, Tensor(x_train[batch_idx]), mode="train")
+            emb = Tensor(x_train[batch_idx])
+            if not frozen:
+                emb = encoder_forward(model, emb, mode="train")
             logits = emb @ head["classifier.weight"] + head["classifier.bias"]
             target = Tensor(_one_hot(y_train[batch_idx], num_classes))
             optimizer.step(cross_entropy_rows(target, softmax_rows(logits, temperature=1.0)))
         return accuracy("down_val")
 
+    def snapshot():
+        return (model if frozen else model.copy()), {k: t.data.copy() for k, t in head.items()}
+
     def live():
         return model, {k: t.data for k, t in head.items()}
 
     (model, best_head), stopper, _ = _early_stopped(
-        loop.downstream_max_epochs, loop.patience, "max", run_epoch,
-        lambda: (model.copy(), {k: t.data.copy() for k, t in head.items()}), live)
+        loop.downstream_max_epochs, loop.patience, "max", run_epoch, snapshot, live)
     for k, t in head.items():
         t.data[...] = best_head[k]
 
     # `accuracy` reads `model` late, so this scores the best parameters
-    return TrialResult(algorithm=algorithm or "finetune", dataset=dataset.name,
-                       task="finetune", hyperparameters=hyperparameters or {},
-                       seed=seed, val_accuracy=stopper.best,
-                       test_accuracy=accuracy("test"),
+    return TrialResult(algorithm=algorithm or task, dataset=dataset.name, task=task,
+                       hyperparameters=hyperparameters or {}, seed=seed,
+                       val_accuracy=stopper.best, test_accuracy=accuracy("test"),
                        wall_time=time.monotonic() - start)
+
+
+def linear_eval(params: ModelParams, dataset: TabularDataset,
+                splits: dict[str, np.ndarray], state: PreprocessState,
+                loop: TrainLoopConfig, seed: int,
+                algorithm: str = "", hyperparameters: dict | None = None) -> TrialResult:
+    """Train an affine classifier on frozen encoder embeddings."""
+    return _downstream(params, dataset, splits, state, loop, seed, True,
+                       algorithm, hyperparameters)
+
+
+def finetune(params: ModelParams, dataset: TabularDataset,
+             splits: dict[str, np.ndarray], state: PreprocessState,
+             loop: TrainLoopConfig, seed: int,
+             algorithm: str = "", hyperparameters: dict | None = None) -> TrialResult:
+    """Train the whole encoder plus a fresh classifier head on the labels."""
+    return _downstream(params, dataset, splits, state, loop, seed, False,
+                       algorithm, hyperparameters)
 
 
 def run_cells(algorithm: str, task: str, dataset: TabularDataset, state: PreprocessState,

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
-from qmatch.cli import EXIT_CONFIG, EXIT_OK, main
-from qmatch.data import ColumnSpec, PreprocessState, load_manifest, save_csv
+from qmatch.cli import EXIT_CONFIG, EXIT_OK, Workspace, main
+from qmatch.data import (ColumnSpec, PreprocessState, load_manifest, save_csv,
+                         save_manifest)
 from qmatch.distill import QMatchConfig
 from qmatch.model import EncoderConfig, init_params, save_checkpoint
 from qmatch.train import TrialResult
@@ -441,6 +442,25 @@ def test_checkpoint_for_another_table_width_is_runtime_error(prepared, tmp_path,
                  "--out", str(tmp_path / "r.jsonl")])
     assert code == 3
     assert "input columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["linear-eval", "finetune"])
+def test_class_absent_from_down_train_is_runtime_error(prepared, checkpoint, tmp_path,
+                                                       capsys, command):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("preprocess.json", "meta.json"):
+        (data / name).write_bytes((prepared / name).read_bytes())
+    ws = Workspace(prepared)
+    splits, labels = ws.splits, ws.dataset.labels
+    splits["down_train"] = splits["down_train"][labels[splits["down_train"]] != 2]
+    save_manifest(splits, data / "splits.json")
+    out = tmp_path / "r.jsonl"
+    code = main([command, "--checkpoint", str(checkpoint), "--data", str(data),
+                 "--out", str(out)])
+    assert code == 3
+    assert "absent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestGrid:

@@ -740,9 +740,9 @@ def test_runtime_dependencies_are_numpy_alone():
 UNCALLED_PUBLIC_NAMES = {
     "finite_difference_check": "the gradient oracle the tests use",
     "collision_probability": "the paper's published collision probability",
-    "teacher_entropy": "the loss lower bound for the per-epoch run log (ROADMAP item 2)",
-    "EmbeddingQueue.mean_pairwise_cosine": "the collapse signal for the run log (ROADMAP item 2)",
-    "AdamW.state_arrays": "the optimizer state of an exact resume (ROADMAP item 4)",
+    "teacher_entropy": "the loss lower bound for the per-epoch run log (ROADMAP [run-log])",
+    "EmbeddingQueue.mean_pairwise_cosine": "the collapse signal for the run log (ROADMAP [run-log])",
+    "AdamW.state_arrays": "the optimizer state of an exact resume (ROADMAP [resume])",
     "EmbeddingQueue.ordered": "the FIFO order the queue tests compare",
     "save_csv": "the fixture writer, and the other half of the load_csv round trip",
 }

@@ -10,7 +10,7 @@ from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
 from qmatch.data import SplitSpec, apply_preprocess, fit_preprocess, make_splits
 from qmatch.distill import QMatchConfig, queue_init, training_step
-from qmatch.model import EmaParams, EncoderConfig, init_params
+from qmatch.model import EmaParams, EncoderConfig, ModelParams, init_params
 from qmatch.tensor import UPDATE_BLOCK, Tensor, backward
 from qmatch.train import (
     PRETEXT_ALGORITHMS,
@@ -363,6 +363,34 @@ class TestEarlyStopped:
         (model, _), _, _ = returned[0]
         assert all(t.grad is None for t in model.tensors.values())
 
+    @pytest.mark.parametrize("fn", [linear_eval, finetune], ids=lambda fn: fn.__name__)
+    def test_downstream_copies_the_encoder_only_to_fine_tune(self, setup, monkeypatch, fn):
+        ds, splits, state, config = setup
+        copies, returned = [], []
+
+        def spy_copy(self, *args, **kwargs):
+            copies.append(self)
+            return copy(self, *args, **kwargs)
+
+        def spy_early_stopped(*args):
+            returned.append(early_stopped(*args))
+            return returned[-1]
+
+        copy, early_stopped = ModelParams.copy, qmatch.train._early_stopped
+        monkeypatch.setattr(ModelParams, "copy", spy_copy)
+        monkeypatch.setattr(qmatch.train, "_early_stopped", spy_early_stopped)
+        loop = TrainLoopConfig(**{**SMALL_LOOP, "max_epochs": 8, "downstream_max_epochs": 8,
+                                  "patience": 7})
+        fn(init_params(config, 0), ds, splits, state, loop, seed=0)
+        history = returned[0][2]
+        # in max mode, an epoch improves when it beats every earlier one
+        followed = sum(metric > max(history[:e], default=-np.inf)
+                       for e, metric in enumerate(history[:-1]))
+        assert followed >= 2
+        # a frozen encoder is never copied; fine-tuning copies it once to train
+        # and once per best epoch that a later epoch would overwrite
+        assert len(copies) == (0 if fn is linear_eval else 1 + followed)
+
 
 class TestEvalForwards:
     def test_record_no_graph(self, setup, monkeypatch):
@@ -618,7 +646,8 @@ class TestDownstream:
                           TrainLoopConfig(**SMALL_LOOP), seed=0)
         assert abs(res.test_accuracy - 100.0 / 3.0) < 15.0
 
-    def test_missing_class_raises(self, setup):
+    @pytest.mark.parametrize("fn", [linear_eval, finetune], ids=lambda fn: fn.__name__)
+    def test_missing_class_raises(self, setup, fn):
         ds, splits, state, config = setup
         broken = make_fixture_dataset(n=600, seed=0)
         broken.labels = broken.labels.copy()
@@ -626,8 +655,7 @@ class TestDownstream:
         broken.labels[splits["test"][0]] = 2  # keep num_classes at 3
         params = init_params(config, seed=1)
         with pytest.raises(TrainingError, match="absent"):
-            linear_eval(params, broken, splits, state,
-                        TrainLoopConfig(**SMALL_LOOP), seed=0)
+            fn(params, broken, splits, state, TrainLoopConfig(**SMALL_LOOP), seed=0)
 
     def test_supervised_baseline(self, setup):
         ds, splits, state, config = setup

@@ -56,6 +56,11 @@ SMALL_TRAIN = ["--widths", "32,32", "--batch-size", "32",
                "--max-epochs", "2", "--patience", "1", "--queue-size", "64"]
 
 
+# sha256 of the array bytes `qmatch pretrain` writes for the qmatch run of
+# TestPretrain.test_best_epoch_before_the_last_writes_pinned_arrays
+PINNED_BEST_EPOCH_ARRAYS = "5e15d59a253346017dd2c3c7217b3a58901339306144165c82dab32989273cc2"
+
+
 @pytest.fixture(scope="module")
 def checkpoint(prepared, tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.qmc"
@@ -162,6 +167,22 @@ class TestPretrain:
     def test_checkpoint_written(self, checkpoint):
         assert checkpoint.exists()
         assert checkpoint.read_bytes()[:8] == b"QMCKPT01"
+
+    def test_best_epoch_before_the_last_writes_pinned_arrays(self, prepared, tmp_path,
+                                                             capsys):
+        """The arrays of a checkpoint whose best epoch a later epoch followed keep
+        their recorded digest (the header holds paths and is left out)."""
+        path = tmp_path / "best.qmc"
+        code = main(["pretrain", "--data", str(prepared), "--out", str(path),
+                     "--algorithm", "qmatch", "--seed", "2", "--widths", "32,32",
+                     "--batch-size", "32", "--max-epochs", "4", "--patience", "2",
+                     "--queue-size", "64"])
+        assert code == EXIT_OK
+        report = dict(kv.split("=", 1) for kv in capsys.readouterr().out.split())
+        assert int(report["best_epoch"]) < int(report["epochs_run"]) - 1
+        raw = path.read_bytes()
+        arrays = raw[16 + int.from_bytes(raw[8:16], "little"):]
+        assert _sha256(arrays) == PINNED_BEST_EPOCH_ARRAYS
 
     def test_no_algorithm_is_config_error(self, prepared, tmp_path):
         code = main(["pretrain", "--data", str(prepared),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -262,7 +263,8 @@ def ema_update(ema: EmaParams, student: ModelParams):
 # Layout: 8-byte magic, 8-byte little-endian header length, UTF-8 JSON header,
 # then the named arrays as raw little-endian values in header order.  The reader
 # checks every header entry before it reads any array, and reads each array
-# straight into its own preallocated buffer.
+# straight into a preallocated buffer: a new one, or a live array the caller
+# gives, as pretrain does to restore its best epoch.
 
 def _array_entries(arrays: dict[str, np.ndarray]):
     entries = []
@@ -284,10 +286,11 @@ def _array_entries(arrays: dict[str, np.ndarray]):
     return entries
 
 
-def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
-                    optimizer_state: dict[str, np.ndarray] | None = None,
-                    metadata: dict | None = None,
-                    queue_storage: np.ndarray | None = None):
+def _checkpoint_arrays(params: ModelParams, ema: EmaParams | None = None,
+                       optimizer_state: dict[str, np.ndarray] | None = None,
+                       queue_storage: np.ndarray | None = None) -> tuple[dict, dict]:
+    """The header (without metadata) and the named arrays of a checkpoint; each
+    array is the caller's own buffer unless that is not contiguous."""
     arrays: dict[str, np.ndarray] = {}
     for k, t in params.tensors.items():
         arrays[f"params/{k}"] = np.ascontiguousarray(t.data)
@@ -296,7 +299,6 @@ def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
     header: dict = {
         "format_version": CHECKPOINT_VERSION,
         "config": params.config.to_dict(),
-        "metadata": metadata or {},
     }
     if ema is not None:
         header["ema_decay"] = ema.decay
@@ -309,18 +311,50 @@ def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
             arrays[f"optimizer/{k}"] = np.ascontiguousarray(v)
     if queue_storage is not None:
         arrays["queue/storage"] = np.ascontiguousarray(queue_storage)
+    return header, arrays
 
-    header["arrays"] = _array_entries(arrays)
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for name in arrays:
-            data = arrays[name]
-            if data.dtype.byteorder == ">":
-                data = data.astype(data.dtype.newbyteorder("<"))
-            fh.write(memoryview(data))  # the array's own buffer, not a copy of it
+
+def _write_container(fh, header: dict, arrays: dict[str, np.ndarray]):
+    """Write `header` with an entry per array, then the arrays, to the binary
+    file `fh` from its current position."""
+    entries = _array_entries(arrays)
+    blob = json.dumps({**header, "arrays": entries}, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    fh.write(CHECKPOINT_MAGIC)
+    fh.write(len(blob).to_bytes(8, "little"))
+    fh.write(blob)
+    for name in arrays:
+        data = arrays[name]
+        if data.dtype.byteorder == ">":
+            data = data.astype(data.dtype.newbyteorder("<"))
+        fh.write(memoryview(data))  # the array's own buffer, not a copy of it
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
+                    optimizer_state: dict[str, np.ndarray] | None = None,
+                    metadata: dict | None = None,
+                    queue_storage: np.ndarray | None = None):
+    """Write a checkpoint to `path` atomically: into a temporary file next to
+    it, which then replaces `path`, so a failed write leaves `path` as it was."""
+    header, arrays = _checkpoint_arrays(params, ema, optimizer_state, queue_storage)
+    header["metadata"] = metadata or {}
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())  # the mode open() would give
+            _write_container(fh, header, arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _checked_entries(path, entries, payload: int) -> list[tuple[str, tuple, np.dtype, int]]:
@@ -373,25 +407,54 @@ def _check_layout(path, config: EncoderConfig, shapes: dict[str, tuple]):
                                   f"config: {wrong}")
 
 
+def _read_header(fh, path) -> tuple[dict, int, int]:
+    """The header of the container in the binary file `fh`, read from its start
+    and checked as far as it can be without the arrays, and the offset and size
+    of the payload."""
+    fh.seek(0)
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(8) != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    hlen = int.from_bytes(fh.read(8), "little")
+    if hlen > size - 16:
+        raise CheckpointError(f"{path}: truncated header")
+    try:
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: corrupt header: {e}") from None
+    if not isinstance(header, dict) or not isinstance(header.get("metadata", {}), dict):
+        raise CheckpointError(f"{path}: corrupt header: it or its metadata is not an object")
+    if header.get("format_version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: format version {header.get('format_version')} != {CHECKPOINT_VERSION}")
+    return header, 16 + hlen, size - 16 - hlen
+
+
+def _read_arrays(fh, path, base: int, entries, arrays: dict[str, np.ndarray]):
+    """Read each checked entry straight into the array of its name."""
+    for name, _, _, offset in entries:
+        arr = arrays[name]
+        fh.seek(base + offset)
+        if fh.readinto(arr) != arr.nbytes:
+            raise CheckpointError(f"{path}: truncated array {name}")
+
+
+def _read_container_into(fh, arrays: dict[str, np.ndarray]) -> dict:
+    """Read the container in `fh` into `arrays`, which must be its arrays by
+    name, shape and dtype, in its order; returns the header."""
+    header, base, payload = _read_header(fh, fh.name)
+    entries = _checked_entries(fh.name, header.get("arrays"), payload)
+    if [e[:3] for e in entries] != [(k, a.shape, a.dtype) for k, a in arrays.items()]:
+        raise CheckpointError(f"{fh.name}: arrays do not match the ones to read into")
+    _read_arrays(fh, fh.name, base, entries, arrays)
+    return header
+
+
 def load_checkpoint(path, expected_config: EncoderConfig | None = None):
     """Returns a dict with params, ema (or None), optimizer_state, metadata,
     and queue_storage (or None).  Any malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(8) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        hlen = int.from_bytes(fh.read(8), "little")
-        if hlen > size - 16:
-            raise CheckpointError(f"{path}: truncated header")
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"{path}: corrupt header: {e}") from None
-        if not isinstance(header, dict) or not isinstance(header.get("metadata", {}), dict):
-            raise CheckpointError(f"{path}: corrupt header: it or its metadata is not an object")
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: format version {header.get('format_version')} != {CHECKPOINT_VERSION}")
+        header, base, payload = _read_header(fh, path)
         try:
             config = EncoderConfig.from_dict(header["config"])
         except (KeyError, TypeError, ValueError) as e:
@@ -399,27 +462,24 @@ def load_checkpoint(path, expected_config: EncoderConfig | None = None):
         if expected_config is not None and config.to_dict() != expected_config.to_dict():
             raise CheckpointError(f"{path}: checkpoint config does not match expected config")
 
-        base = 16 + hlen
-        entries = _checked_entries(path, header.get("arrays"), size - base)
+        entries = _checked_entries(path, header.get("arrays"), payload)
         _check_layout(path, config, {name: shape for name, shape, _, _ in entries})
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape, dtype, offset in entries:
-            arr = arrays[name] = np.empty(shape, dtype=dtype)
-            fh.seek(base + offset)
-            if fh.readinto(arr) != arr.nbytes:
-                raise CheckpointError(f"{path}: truncated array {name}")
+        arrays = {name: np.empty(shape, dtype=dtype) for name, shape, dtype, _ in entries}
+        _read_arrays(fh, path, base, entries, arrays)
 
-    def build(prefix_t, prefix_b):
-        tensors = {k[len(prefix_t):]: Tensor(v, requires_grad=True)
+    def build(prefix_t, prefix_b, requires_grad):
+        tensors = {k[len(prefix_t):]: Tensor(v, requires_grad=requires_grad)
                    for k, v in arrays.items() if k.startswith(prefix_t)}
         buffers = {k[len(prefix_b):]: v
                    for k, v in arrays.items() if k.startswith(prefix_b)}
         return ModelParams(config, tensors, buffers)
 
-    params = build("params/", "buffers/")
+    params = build("params/", "buffers/", True)
     ema = None
     if any(k.startswith("ema/") for k in arrays):
-        ema = EmaParams(build("ema/", "ema_buffers/"), decay=header.get("ema_decay", 0.9))
+        # frozen, like the teacher pretrain keeps: its forwards record no graph
+        ema = EmaParams(build("ema/", "ema_buffers/", False),
+                        decay=header.get("ema_decay", 0.9))
     optimizer_state = {k[len("optimizer/"):]: v
                        for k, v in arrays.items() if k.startswith("optimizer/")}
     return {

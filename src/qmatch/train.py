@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import numbers
+import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass, replace
 
@@ -33,6 +34,9 @@ from .model import (
     EmaParams,
     EncoderConfig,
     ModelParams,
+    _checkpoint_arrays,
+    _read_container_into,
+    _write_container,
     check_fields,
     ema_update,
     encoder_forward,
@@ -318,7 +322,9 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
              corruption: CorruptionConfig | None = None,
              extra: baselines.BaselineConfig | None = None) -> PretrainResult:
     """Train the encoder on the chosen pretext task and keep the best-epoch
-    parameters (early stopping on pretext validation loss)."""
+    parameters (early stopping on pretext validation loss).  While later epochs
+    run, the best state waits in an unnamed temporary file, not in a second copy
+    in memory, and is then read back into the live arrays."""
     if algorithm not in PRETEXT_ALGORITHMS:
         raise ValueError(f"unknown pretext algorithm {algorithm!r}")
     check_pretext_batch(loop, splits)
@@ -414,19 +420,41 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                           for b in _batches(len(val_idx), loop.batch_size, None, False)]
         return float(np.mean(val_losses))
 
-    def snapshot() -> dict:
-        return {"params": params.copy(),
-                "ema": EmaParams(ema.params.copy(requires_grad=False), ema.decay) if ema else None,
-                "queue": EmbeddingQueue(queue.capacity, queue.dim, queue.snapshot(),
-                                        queue.cursor) if queue else None,
-                "heads": {k: Tensor(t.data.copy(), requires_grad=True) for k, t in heads.items()}}
+    def run_state() -> tuple[dict, dict]:
+        """The checkpoint header and arrays of the live state, the arrays themselves."""
+        storage = queue.storage if queue is not None else None
+        header, arrays = _checkpoint_arrays(params, ema, queue_storage=storage)
+        arrays.update({f"heads/{k}": t.data for k, t in heads.items()})
+        return header, arrays
+
+    spill = None  # an unnamed file holding the best state, once a later epoch changes it
+
+    def snapshot():
+        nonlocal spill
+        if spill is None:
+            spill = tempfile.TemporaryFile()
+        spill.seek(0)
+        header, arrays = run_state()
+        header["metadata"] = {"queue_cursor": queue.cursor} if queue is not None else {}
+        _write_container(spill, header, arrays)
+        spill.truncate()
+        return spill
 
     def live() -> dict:
         return {"params": params, "ema": ema, "queue": queue, "heads": heads}
 
     start = time.monotonic()
-    best, stopper, val_history = _early_stopped(loop.max_epochs, loop.patience, "min",
-                                                run_epoch, snapshot, live)
+    try:
+        best, stopper, val_history = _early_stopped(loop.max_epochs, loop.patience, "min",
+                                                    run_epoch, snapshot, live)
+        if best is spill:  # a later epoch ran: read the best state back in place
+            header = _read_container_into(spill, run_state()[1])
+            if queue is not None:
+                queue.cursor = header["metadata"]["queue_cursor"]
+            best = live()
+    finally:
+        if spill is not None:
+            spill.close()
     return PretrainResult(**best, best_epoch=stopper.best_epoch, val_history=val_history,
                           wall_time=time.monotonic() - start)
 
@@ -519,6 +547,8 @@ def _downstream(params: ModelParams, dataset: TabularDataset,
         loop.downstream_max_epochs, loop.patience, "max", run_epoch, snapshot, live)
     for k, t in head.items():
         t.data[...] = best_head[k]
+    # the moments, and a trained encoder that is not the best, die before scoring
+    optimizer = trainable = None
 
     # `accuracy` reads `model` late, so this scores the best parameters
     return TrialResult(algorithm=algorithm or task, dataset=dataset.name, task=task,

@@ -618,7 +618,8 @@ class TestSweep:
                     + SMALL_TRAIN)
         assert code == EXIT_OK
         import csv
-        rows = list(csv.DictReader(out.open()))
+        with out.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 2 sizes x 2 seeds
         assert {r["queue_size"] for r in rows} == {"64", "128"}
         for r in rows:
@@ -685,7 +686,8 @@ class TestSweep:
                     + SMALL_TRAIN)
         assert code == EXIT_OK
         import csv
-        assert [row["seed"] for row in csv.DictReader(out.open())] == ["3"]
+        with out.open(newline="") as fh:
+            assert [row["seed"] for row in csv.DictReader(fh)] == ["3"]
         assert [args[6] for args, _ in calls] == [3]
 
 

@@ -449,6 +449,49 @@ class TestCheckpoint:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "01e2a6072a980bf405440735b0afe5a528be77381920841fe4aa649fde390b35")
 
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "keep.ckpt"
+        save_checkpoint(path, init_params(small_config(), seed=32), metadata={"n": 1})
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that refuses every write past the header."""
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
+
+            def write(self, data):
+                if self.written >= 16 + int.from_bytes(before[8:16], "little"):
+                    raise OSError(28, "No space left on device")
+                self.written += len(data)
+                return self.fh.write(data)
+
+        write = qmatch.model._write_container
+        monkeypatch.setattr(qmatch.model, "_write_container",
+                            lambda fh, header, arrays: write(DiskFull(fh), header, arrays))
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, init_params(small_config(), seed=33), metadata={"n": 2})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.ckpt"]
+
+    def test_written_file_has_the_mode_open_gives(self, tmp_path):
+        path = tmp_path / "mode.ckpt"
+        save_checkpoint(path, init_params(small_config(), seed=34))
+        with open(tmp_path / "plain", "wb"):
+            pass
+        assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_loaded_ema_is_frozen(self, tmp_path, rng):
+        params = init_params(small_config(), seed=35)
+        path = tmp_path / "ema.ckpt"
+        save_checkpoint(path, params, ema=EmaParams(params.copy(requires_grad=False)))
+        loaded = load_checkpoint(path)
+        assert all(t.requires_grad for t in loaded["params"].tensors.values())
+        teacher = loaded["ema"].params
+        assert not any(t.requires_grad for t in teacher.tensors.values())
+        # a teacher forward records no graph: it takes the in-place inference path
+        out = encoder_forward(teacher, Tensor(rng.normal(size=(4, 5))), mode="eval")
+        assert not out.requires_grad and out._parents == ()
+
     def test_save_writes_arrays_without_a_copy(self, tmp_path):
         params = init_params(small_config(input_dim=64, layer_widths=(256, 256)), seed=25)
         ema = EmaParams(params.copy())

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -363,6 +364,29 @@ class TestEarlyStopped:
         (model, _), _, _ = returned[0]
         assert all(t.grad is None for t in model.tensors.values())
 
+    def test_finetune_drops_its_optimizer_before_scoring_the_test_split(self, setup,
+                                                                       monkeypatch):
+        ds, splits, state, config = setup
+        optimizers, alive = [], []
+
+        class Spied(AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(weakref.ref(self))
+
+        def spy_embed_all(params, x, *args, **kwargs):
+            if len(x) == len(splits["test"]):
+                alive.append([r() is not None for r in optimizers])
+            return embed_all(params, x, *args, **kwargs)
+
+        embed_all = qmatch.train._embed_all
+        monkeypatch.setattr(qmatch.train, "AdamW", Spied)
+        monkeypatch.setattr(qmatch.train, "_embed_all", spy_embed_all)
+        finetune(init_params(config, 0), ds, splits, state, TrainLoopConfig(**SMALL_LOOP),
+                 seed=0)
+        # its moments (and a trained copy that is not the best) are no longer held
+        assert alive == [[False]]
+
     @pytest.mark.parametrize("fn", [linear_eval, finetune], ids=lambda fn: fn.__name__)
     def test_downstream_copies_the_encoder_only_to_fine_tune(self, setup, monkeypatch, fn):
         ds, splits, state, config = setup
@@ -514,6 +538,109 @@ class TestPretrain:
         assert a.val_history == b.val_history
         for name, t in a.params.tensors.items():
             np.testing.assert_array_equal(t.data, b.params.tensors[name].data)
+
+
+# on the `setup` fixture at seed 0, every algorithm's best epoch precedes its last
+SPILL_LOOP = {**SMALL_LOOP, "max_epochs": 5, "patience": 4, "pretext_learning_rate": 1e-4}
+
+
+def _spill_run(setup, algorithm, max_epochs=SPILL_LOOP["max_epochs"], config=None, **loop):
+    ds, splits, state, small = setup
+    loop = TrainLoopConfig(**{**SPILL_LOOP, **loop, "max_epochs": max_epochs,
+                              "patience": min(SPILL_LOOP["patience"], max_epochs - 1)})
+    # a capacity that does not divide the 256 rows pushed per epoch moves the cursor
+    return pretrain(algorithm, ds, splits, state, config or small, loop, seed=0,
+                    qm_config=QMatchConfig(queue_capacity=100))
+
+
+def assert_same_params(got: ModelParams, want: ModelParams):
+    assert list(got.tensors) == list(want.tensors) and list(got.buffers) == list(want.buffers)
+    for k, t in want.tensors.items():
+        assert got.tensors[k].requires_grad == t.requires_grad, k
+        assert_same_bits(got.tensors[k].data, t.data)
+    for k, v in want.buffers.items():
+        assert_same_bits(got.buffers[k], v)
+
+
+def spy_on_spill_files(monkeypatch) -> list:
+    """Every file pretrain opens for its best epoch, from here on."""
+    opened, real = [], qmatch.train.tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        opened.append(real(*args, **kwargs))
+        return opened[-1]
+    monkeypatch.setattr(qmatch.train.tempfile, "TemporaryFile", spy)
+    return opened
+
+
+class TestBestEpochSpill:
+    """pretrain keeps its best epoch in an unnamed file and reads it back in place."""
+
+    @pytest.mark.parametrize("algorithm", PRETEXT_ALGORITHMS)
+    def test_result_equals_the_run_cut_at_the_best_epoch(self, setup, monkeypatch,
+                                                         algorithm):
+        opened = spy_on_spill_files(monkeypatch)
+        res = _spill_run(setup, algorithm)
+        assert res.best_epoch < len(res.val_history) - 1
+        assert len(opened) == 1 and opened[0].closed  # one file, overwritten, then closed
+        cut = _spill_run(setup, algorithm, max_epochs=res.best_epoch + 1)
+        assert cut.val_history == res.val_history[:res.best_epoch + 1]
+        assert_same_params(res.params, cut.params)
+        assert (res.ema is None) == (cut.ema is None)
+        if cut.ema is not None:
+            assert res.ema.decay == cut.ema.decay
+            assert not any(t.requires_grad for t in cut.ema.params.tensors.values())
+            assert_same_params(res.ema.params, cut.ema.params)
+        assert (res.queue is None) == (cut.queue is None)
+        if cut.queue is not None:
+            assert res.queue.cursor == cut.queue.cursor != 0
+            assert_same_bits(res.queue.storage, cut.queue.storage)
+        assert list(res.heads) == list(cut.heads)
+        for k, t in cut.heads.items():
+            assert res.heads[k].requires_grad == t.requires_grad
+            assert_same_bits(res.heads[k].data, t.data)
+
+    @pytest.mark.parametrize("algorithm", ["qmatch", "vime"])
+    def test_keeping_the_best_epoch_allocates_nothing(self, setup, algorithm):
+        # wide enough that an in-memory copy of the best state would add 1.2 MB (qmatch:
+        # params, EMA, queue) or 0.6 MB (vime: params, heads) to the peak; at this rate
+        # the best epoch of both precedes the last
+        config = replace(setup[3], layer_widths=(256, 256))
+        peaks = {}
+        for epochs in (1, SPILL_LOOP["max_epochs"]):
+            tracemalloc.start()
+            try:
+                res = _spill_run(setup, algorithm, max_epochs=epochs, config=config,
+                                 pretext_learning_rate=1e-3)
+                peaks[epochs] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert res.best_epoch < len(res.val_history) - 1
+        # the interpreter's own small objects move a peak by some 20 KB between runs
+        assert peaks[SPILL_LOOP["max_epochs"]] <= peaks[1] + 64 * 1024
+
+    def test_one_epoch_opens_no_file(self, setup, monkeypatch):
+        opened = spy_on_spill_files(monkeypatch)
+        _spill_run(setup, "qmatch", max_epochs=1)
+        assert opened == []
+
+    def test_failed_run_leaves_no_file(self, setup, monkeypatch, tmp_path):
+        monkeypatch.setattr(qmatch.train.tempfile, "tempdir", str(tmp_path))
+        opened = spy_on_spill_files(monkeypatch)
+        calls = []
+
+        def failing_ema_update(*args):
+            calls.append(args)
+            if len(calls) > 2 * 256 // SPILL_LOOP["batch_size"]:  # in the third epoch
+                raise TrainingError("diverged")
+            return ema_update(*args)
+
+        ema_update = qmatch.train.ema_update
+        monkeypatch.setattr(qmatch.train, "ema_update", failing_ema_update)
+        with pytest.raises(TrainingError, match="diverged"):
+            _spill_run(setup, "qmatch")
+        assert len(opened) == 1 and opened[0].closed
+        assert list(tmp_path.iterdir()) == []
 
 
 # val_history (as float.hex) and best epoch of each algorithm on the `setup`

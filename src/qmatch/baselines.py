@@ -18,8 +18,7 @@ from .tensor import (
     bce_with_logits,
     concat_rows,
     cross_entropy_rows,
-    exp,
-    log,
+    info_nce_rows,
     softmax_rows,
     tsum,
 )
@@ -63,16 +62,8 @@ def in_batch_info_nce(z1: Tensor, z2: Tensor, tau: float) -> Tensor:
     other views in the batch."""
     b = z1.shape[0]
     allz = concat_rows([z1, z2])  # 2B x D
-    sims = allz @ allz.T
-    e = exp(sims * (1.0 / tau))
-    mask = np.ones((2 * b, 2 * b))
-    np.fill_diagonal(mask, 0.0)  # an anchor is excluded from its own sets
-    denom = tsum(e * Tensor(mask), axis=1)
-    pos_idx = np.concatenate([np.arange(b) + b, np.arange(b)])
-    pick = np.zeros((2 * b, 2 * b))
-    pick[np.arange(2 * b), pos_idx] = 1.0
-    s_pos = tsum(e * Tensor(pick), axis=1)
-    return (log(denom) - log(s_pos)).mean()
+    positives = np.concatenate([np.arange(b) + b, np.arange(b)])
+    return info_nce_rows(allz @ allz.T, positives, tau)
 
 
 def mse_align_loss(z: Tensor, z_positive) -> Tensor:

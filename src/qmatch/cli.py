@@ -216,7 +216,7 @@ def cmd_pretrain(args) -> int:
                                                                      PRETEXT_ALGORITHMS)
     if algorithm is None:
         raise ConfigError("no algorithm given (flag --algorithm or config file)")
-    check_pretext_batch(loop, ws.splits)
+    check_pretext_batch(algorithm, loop, qm, ws.splits)
     resolved = _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed)
     if args.dry_run:
         print(json.dumps(resolved, indent=2, sort_keys=True))

@@ -232,20 +232,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data / b.data, (a, b), bwd)
 
 
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * out_data)
-    return _make(out_data, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accumulate(a, g / a.data)
-    return _make(np.log(a.data), (a,), bwd)
-
-
 def relu(a: Tensor, in_place: bool = False) -> Tensor:
     """a * (a > 0).  With `in_place`, the result is written into a's buffer;
     the caller guarantees that nothing reads a's value afterwards (the backward
@@ -418,6 +404,35 @@ def cross_entropy_rows(target: Tensor, pred: Tensor) -> Tensor:
     return _make(np.asarray(value), (target, pred), bwd)
 
 
+def info_nce_rows(sims: Tensor, positives: np.ndarray, tau: float) -> Tensor:
+    """Mean over rows i of log(sum_{j != i} e[i, j]) - log(e[i, positives[i]]),
+    with e = exp(sims / tau) and positives[i] != i.  The forward allocates e,
+    kept for the backward, which writes the gradient into e's buffer."""
+    if sims.ndim != 2 or not sims.shape[0] == sims.shape[1] == len(positives):
+        raise ShapeError(f"info_nce_rows expects square sims and one positive per row, "
+                         f"got {sims.shape} and {len(positives)}")
+    n = sims.shape[0]
+    rows = np.arange(n)
+    e = np.multiply(sims.data, 1.0 / tau)
+    np.exp(e, out=e)
+    diag = e.diagonal().copy()
+    np.fill_diagonal(e, 0.0)  # an anchor is excluded from its own denominator
+    denom = e.sum(axis=1)
+    np.fill_diagonal(e, diag)
+    s_pos = e[rows, positives]
+    value = (np.log(denom) - np.log(s_pos)).mean()
+
+    def bwd(g):
+        # d/de[i, j] = g_den[i] off the diagonal, plus g_pos[i] at (i, positives[i])
+        g_den = (g / n) / denom
+        g_pos = -(g / n) / s_pos
+        np.multiply(e, g_den[:, None], out=e)
+        np.fill_diagonal(e, 0.0)
+        e[rows, positives] = (g_den + g_pos) * s_pos
+        _accumulate(sims, np.multiply(e, 1.0 / tau, out=e))
+    return _make(np.asarray(value), (sims,), bwd)
+
+
 def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     """Mean binary cross-entropy from raw logits, computed in the stable form
     max(x,0) - x*t + log(1 + exp(-|x|))."""
@@ -523,18 +538,25 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
     """Batch-statistics normalization with affine scale/shift.
 
     Returns (out, batch_mean, batch_var); the caller owns running-stat updates.
-    The forward allocates xhat (kept for the backward) and the output; the
+    Mean and variance take np.mean's and np.var's steps, but the deviations are
+    formed once and become xhat.  The forward allocates xhat (kept for the
+    backward) and the output, which first holds the squared deviations; the
     backward allocates two full-size arrays.  With `in_place`, xhat is written
     into x's buffer; the caller guarantees that nothing reads x's value
     afterwards (the backward of batch norm reads xhat, not x).  Wherever this
     runs, all three operands take gradients.
     """
-    mu = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
-    std = np.sqrt(var + eps)
+    n = np.intp(len(x.data))  # np.mean and np.var divide their sums by an intp count
+    mu = x.data.sum(axis=0)
+    mu /= n
     xhat = np.subtract(x.data, mu, out=x.data if in_place else None)
+    out = np.square(xhat)
+    var = out.sum(axis=0)
+    var /= n
+    std = np.sqrt(var + eps)
     np.divide(xhat, std, out=xhat)
-    out = xhat * gamma.data
+    same = out.dtype == np.result_type(xhat, gamma.data)  # not for f32 x with f64 gamma
+    out = np.multiply(xhat, gamma.data, out=out if same else None)
     np.add(out, beta.data, out=out)
 
     def bwd(g):

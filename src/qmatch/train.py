@@ -281,11 +281,16 @@ def _early_stopped(max_epochs: int, patience: int, mode: str, run_epoch,
     return live() if stopper.stale == 0 else best, stopper, history
 
 
-def check_pretext_batch(loop: TrainLoopConfig, splits: dict[str, np.ndarray]):
-    """Full batches only, so a larger batch would leave the encoder untrained."""
+def check_pretext_batch(algorithm: str, loop: TrainLoopConfig, qm: QMatchConfig,
+                        splits: dict[str, np.ndarray]):
+    """Full batches only, so a larger batch would leave the encoder untrained;
+    and a qmatch batch is pushed into the queue whole, so it must fit in it."""
     if loop.batch_size > len(splits["pretext_train"]):
         raise ConfigError(f"batch_size {loop.batch_size} exceeds the "
                           f"{len(splits['pretext_train'])} pretext_train rows")
+    if algorithm == "qmatch" and loop.batch_size > qm.queue_capacity:
+        raise ConfigError(f"batch_size {loop.batch_size} exceeds the queue_capacity "
+                          f"{qm.queue_capacity} of the qmatch queue")
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator | None,
@@ -327,9 +332,9 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
     in memory, and is then read back into the live arrays."""
     if algorithm not in PRETEXT_ALGORITHMS:
         raise ValueError(f"unknown pretext algorithm {algorithm!r}")
-    check_pretext_batch(loop, splits)
     extra = extra or baselines.BaselineConfig()
     qm_config = qm_config or QMatchConfig()
+    check_pretext_batch(algorithm, loop, qm_config, splits)
     corruption = corruption or CorruptionConfig()
     rng = np.random.default_rng(seed)
 
@@ -587,6 +592,8 @@ def run_cells(algorithm: str, task: str, dataset: TabularDataset, state: Preproc
     downstream = finetune if task == "finetune" or algorithm == "supervised" else linear_eval
     groups: dict[tuple, list[tuple[int, Cell]]] = {}
     for i, cell in enumerate(cells):
+        if algorithm != "supervised":  # every cell's pretrain is checked before the first
+            check_pretext_batch(algorithm, cell.loop, cell.qm, cell.splits)
         key = () if algorithm == "supervised" else cell.pretext_key()
         groups.setdefault(key, []).append((i, cell))
     results = [[None] * len(seeds) for _ in cells]

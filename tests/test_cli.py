@@ -184,6 +184,13 @@ class TestPretrain:
         arrays = raw[16 + int.from_bytes(raw[8:16], "little"):]
         assert _sha256(arrays) == PINNED_BEST_EPOCH_ARRAYS
 
+    @pytest.mark.parametrize("algorithm, code", [("qmatch", EXIT_CONFIG), ("vime", EXIT_OK)])
+    def test_queue_must_hold_a_batch_only_for_qmatch(self, prepared, tmp_path, algorithm,
+                                                     code):
+        assert main(["pretrain", "--data", str(prepared), "--out", str(tmp_path / "c.qmc"),
+                     "--algorithm", algorithm, "--widths", "32,32", "--batch-size", "64",
+                     "--queue-size", "32", "--dry-run"]) == code
+
     def test_no_algorithm_is_config_error(self, prepared, tmp_path):
         code = main(["pretrain", "--data", str(prepared),
                      "--out", str(tmp_path / "c.qmc")] + SMALL_TRAIN)
@@ -257,6 +264,8 @@ PRETRAIN_FLAG_CASES = [
     (["--batch-size", "0"], "batch_size"), (["--batch-size", "-4"], "batch_size"),
     (["--batch-size", "256"], "batch_size"),
     (["--batch-size", "256", "--dry-run"], "batch_size"),
+    (["--queue-size", "32"], "batch_size"),  # a qmatch batch of 64 must fit in the queue
+    (["--queue-size", "32", "--dry-run"], "batch_size"),
     (["--lr", "0.001"], None),
 ]
 
@@ -570,6 +579,19 @@ class TestGrid:
         assert calls == []
         assert not out.exists()
 
+    def test_queue_smaller_than_batch_is_config_error_before_any_pretrain(
+            self, prepared, tmp_path, monkeypatch, capsys):
+        calls = spy_on_pretrain(monkeypatch)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"queue_size": [64, 16]}))  # the batch is 32
+        out = tmp_path / "g"
+        code = main(["grid", "--data", str(prepared), "--out", str(out),
+                     "--algorithm", "qmatch", "--grid", str(path)] + SMALL_TRAIN)
+        assert code == EXIT_CONFIG
+        assert "exceeds the queue_capacity 16" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_one_pretrain_per_pretext_setting_and_seed(self, prepared, tmp_path,
                                                        monkeypatch):
         calls = spy_on_pretrain(monkeypatch)
@@ -648,6 +670,7 @@ class TestSweep:
         ("label-fraction", "-1"), ("label-fraction", "2"), ("label-fraction", "nan"),
         ("pretext-size", "0"), ("pretext-size", "nan"), ("pretext-size", "1.5"),
         ("queue-size", "nan"), ("queue-size", "64.7"), ("queue-size", "-64"),
+        ("queue-size", "64,16"),  # 16 cannot take a batch of 32
         ("corruption-heatmap", "1.5"), ("corruption-heatmap", "nan"),
     ])
     def test_axis_value_meets_its_setting_rule_before_any_pretrain(

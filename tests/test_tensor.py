@@ -26,6 +26,7 @@ from qmatch.tensor import (
     cross_entropy_rows,
     div,
     finite_difference_check,
+    info_nce_rows,
     l2_normalize_rows,
     matmul,
     maxout_rows,
@@ -358,6 +359,15 @@ class TestNoGrad:
         assert plain._parents == () and plain._backward is None and not plain.requires_grad
         np.testing.assert_array_equal(plain.data, recorded.data)
 
+    def test_info_nce_rows_records_nothing_and_computes_the_same(self):
+        sims, positives = info_nce_inputs(4)
+        recorded = info_nce_rows(Tensor(sims, requires_grad=True), positives, 0.2)
+        with no_grad():
+            plain = info_nce_rows(Tensor(sims, requires_grad=True), positives, 0.2)
+        assert recorded._parents and recorded.requires_grad
+        assert plain._parents == () and plain._backward is None and not plain.requires_grad
+        assert same_bits(plain.data, recorded.data)
+
     def test_state_restored_after_exception_and_nesting(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(RuntimeError):
@@ -582,6 +592,66 @@ class TestKernelsMatchTextbook:
         assert same_bits(gamma.grad, (g * xhat).sum(axis=0))
         assert same_bits(beta.grad, g.sum(axis=0))
 
+    @pytest.mark.parametrize("tau", [0.04, 0.2])
+    @pytest.mark.parametrize("n", [2, 8, 1024])
+    def test_info_nce_rows(self, n, tau):
+        # the dense graph the op replaced: 0/1 selector masks for the negatives
+        # (all but the anchor) and the positive, applied by elementwise products
+        sims, positives = info_nce_inputs(n // 2)
+        g = np.asarray(0.37)
+        e = np.exp(sims * np.asarray(1.0 / tau))
+        mask = np.ones((n, n))
+        np.fill_diagonal(mask, 0.0)
+        pick = np.zeros((n, n))
+        pick[np.arange(n), positives] = 1.0
+        denom, s_pos = (e * mask).sum(axis=1), (e * pick).sum(axis=1)
+        ref_loss = np.asarray((np.log(denom) - np.log(s_pos)).mean())
+        g_rows = np.broadcast_to(g / n, (n,)).copy()
+        g_den, g_pos = g_rows / denom, -g_rows / s_pos
+        g_e = (np.broadcast_to(g_den[:, None], (n, n)).copy() * mask
+               + np.broadcast_to(g_pos[:, None], (n, n)).copy() * pick)
+        ref_grad = g_e * e * np.asarray(1.0 / tau)
+
+        x = Tensor(sims, requires_grad=True)
+        out = info_nce_rows(x, positives, tau)
+        assert same_bits(out.data, ref_loss)
+        run_backward(out, g)
+        assert same_bits(x.grad, ref_grad)
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["out_of_place", "in_place"])
+    @pytest.mark.parametrize("dtype, gamma_dtype", [
+        (np.float64, np.float64), (np.float32, np.float32), (np.float32, np.float64),
+    ], ids=["f64", "f32", "f32_with_f64_gamma"])
+    def test_batch_norm_train_statistics(self, dtype, gamma_dtype, in_place):
+        data = (rand((37, 6), 28) * 3 + 1).astype(dtype)
+        gamma = Tensor(rand(6, 29).astype(gamma_dtype), requires_grad=True)
+        beta = Tensor(rand(6, 30).astype(gamma_dtype), requires_grad=True)
+        mu, var = data.mean(axis=0), data.var(axis=0)
+        xhat = (data - mu) / np.sqrt(var + 1e-5)
+        ref_out = xhat * gamma.data + beta.data
+
+        x = Tensor(data.copy(), requires_grad=True)
+        out, out_mu, out_var = batch_norm_train(x, gamma, beta, in_place=in_place)
+        assert same_bits(out_mu, mu) and same_bits(out_var, var)
+        assert same_bits(out.data, ref_out)  # in the dtype xhat * gamma takes
+        assert same_bits(x.data, xhat if in_place else data)
+
+
+def info_nce_inputs(b: int, seed: int = 31):
+    """Similarities of 2b unit rows and each row's positive, the other view of
+    its sample, as in_batch_info_nce forms them."""
+    z = rand((2 * b, 16), seed)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z @ z.T, np.concatenate([np.arange(b) + b, np.arange(b)])
+
+
+def test_info_nce_rows_rejects_bad_shapes():
+    sims, positives = info_nce_inputs(3)
+    with pytest.raises(ShapeError):
+        info_nce_rows(Tensor(sims[:5]), positives, 0.1)
+    with pytest.raises(ShapeError):
+        info_nce_rows(Tensor(sims), positives[:5], 0.1)
+
 
 def traced_peak(fn) -> int:
     """Peak bytes that numpy allocates while fn() runs, beyond what was live before."""
@@ -597,6 +667,7 @@ def traced_peak(fn) -> int:
     ("softmax_rows", 1, 1), ("softmax_rows_in_place", 0, 1),
     ("cross_entropy_rows", 2, 2), ("cross_entropy_rows_frozen_target", 1, 1),
     ("batch_norm_train", 2, 2), ("batch_norm_train_in_place", 1, 2),
+    ("info_nce_rows", 1, 0),  # the backward writes into the forward's exp table
 ])
 def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
     """Full-size arrays each kernel allocates (output and, for the backward, the
@@ -605,6 +676,9 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
     x = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
     gamma, beta = Tensor(rand(256, 48), requires_grad=True), Tensor(rand(256, 49))
     target = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
+    if kernel == "info_nce_rows":  # the bounds count arrays of the sims' size
+        sims, positives = info_nce_inputs(256)
+        x = Tensor(sims, requires_grad=True)
     ops = {
         "softmax_rows": lambda: softmax_rows(x, 0.1),
         "softmax_rows_in_place": lambda: softmax_rows(x, 0.1, in_place=True),
@@ -612,8 +686,10 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
         "cross_entropy_rows_frozen_target": lambda: cross_entropy_rows(Tensor(x.data), x),
         "batch_norm_train": lambda: batch_norm_train(x, gamma, beta)[0],
         "batch_norm_train_in_place": lambda: batch_norm_train(x, gamma, beta, in_place=True)[0],
+        "info_nce_rows": lambda: info_nce_rows(x, positives, 0.1),
     }
-    g = np.ones(()) if kernel.startswith("cross_entropy") else rand((512, 256), 51)
+    g = np.ones(()) if kernel.startswith(("cross_entropy", "info_nce")) \
+        else rand((512, 256), 51)
     out = []
     assert traced_peak(lambda: out.append(ops[kernel]())) < (forward_arrays + 0.5) * x.data.nbytes
     assert traced_peak(lambda: out[0]._backward(g)) < (backward_arrays + 0.5) * x.data.nbytes

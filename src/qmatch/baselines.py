@@ -82,19 +82,13 @@ def dino_proto_loss(z_student: Tensor, z_teacher, bank: PrototypeBank,
     z_t = z_teacher.detach() if isinstance(z_teacher, Tensor) else Tensor(z_teacher)
     proto_t = bank.prototypes.detach()
     t_logits = (z_t @ proto_t.T).data
-    p_t = Tensor(_softmax_np((t_logits - bank.center) / tau_t))
+    p_t = softmax_rows(Tensor(t_logits - bank.center), temperature=tau_t, in_place=True)
     # into the logits' buffer: matmul's backward reads its operands, not its product
     p_s = softmax_rows(z_student @ bank.prototypes.T, temperature=tau_s, in_place=True)
     loss = cross_entropy_rows(p_t, p_s)
     if update_center:
         bank.update_center(t_logits)
     return loss
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def vime_pretext_loss(x_original: Tensor, mask: np.ndarray,

@@ -283,8 +283,8 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
     freeze the one-hot layout.
 
     Statistics are accumulated with a streaming (Welford) update, so after a
-    full pass they equal the exact full-dataset statistics.  An empty fitting
-    set is a DataError: it would leave an identity transform.
+    full pass they equal the full-dataset statistics up to rounding.  An empty
+    fitting set is a DataError: it would leave an identity transform.
     """
     x = dataset.features if rows is None else dataset.features[rows]
     if len(x) == 0:

@@ -112,10 +112,8 @@ def qmatch_loss(z_student: Tensor, z_teacher, queue: EmbeddingQueue,
 def teacher_entropy(z_teacher: np.ndarray, queue: EmbeddingQueue,
                     tau_teacher: float) -> float:
     """Mean row entropy of the teacher distribution (loss lower bound)."""
-    logits = (z_teacher @ queue.storage.T) / tau_teacher
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = softmax_rows(Tensor(z_teacher @ queue.storage.T), temperature=tau_teacher,
+                     in_place=True).data
     return float(-(p * np.log(p + EPS_LOG)).sum(axis=1).mean())
 
 

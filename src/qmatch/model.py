@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -330,12 +330,6 @@ def _write_container(fh, header: dict, arrays: dict[str, np.ndarray]):
         fh.write(memoryview(data))  # the array's own buffer, not a copy of it
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
                     optimizer_state: dict[str, np.ndarray] | None = None,
                     metadata: dict | None = None,
@@ -345,11 +339,12 @@ def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
     header, arrays = _checkpoint_arrays(params, ema, optimizer_state, queue_storage)
     header["metadata"] = metadata or {}
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
-                               dir=os.path.dirname(path) or ".")
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    # a new file with the mode open() would give: the kernel applies the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())  # the mode open() would give
             _write_container(fh, header, arrays)
         os.replace(tmp, path)
     except BaseException:

@@ -89,16 +89,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _wrap(other))
 
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
-
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other))
 
     def __neg__(self):
         return mul(self, Tensor(np.asarray(-1.0, dtype=self.data.dtype)))
@@ -221,15 +215,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
     return _make(a.data * b.data, (a, b), bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-    return _make(a.data / b.data, (a, b), bwd)
 
 
 def relu(a: Tensor, in_place: bool = False) -> Tensor:

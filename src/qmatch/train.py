@@ -257,28 +257,36 @@ class EarlyStopper:
         return self.stale >= self.patience
 
 
-def _early_stopped(max_epochs: int, patience: int, mode: str, run_epoch,
-                   snapshot, live):
+def _early_stopped(max_epochs: int, patience: int, mode: str, run_epoch, live_arrays):
     """Run `run_epoch(epoch) -> validation metric` until the budget ends or
-    `patience` epochs pass without improvement.  Returns (best state, stopper,
-    metric history).
+    `patience` epochs pass without improvement, and leave the live state at its
+    best epoch.  Returns (the checkpoint header read back, or None if the last
+    epoch run is the best; stopper; metric history).
 
-    `live()` returns the training state itself and `snapshot()` a copy of it.
-    The best state is copied only when another epoch is about to change it; if
-    the last epoch run is the best one, the live state is returned."""
+    `live_arrays()` returns the checkpoint header and the named arrays of the
+    live state, the arrays themselves.  The best epoch waits in an unnamed
+    temporary file, written only when another epoch is about to change it, and
+    is read back in place after the last epoch; a run whose last epoch is its
+    best opens no file."""
     stopper = EarlyStopper(patience, mode)
     history: list[float] = []
-    best = None  # a copy of the best state, once a later epoch changes the live one
-    for epoch in range(max_epochs):
-        if epoch and stopper.stale == 0:  # the previous epoch improved
-            best = snapshot()
-        history.append(run_epoch(epoch))
-        stop = stopper.update(history[-1], epoch)
-        if stopper.stale == 0:
-            best = None  # outdated by the live state
-        if stop:
-            break
-    return live() if stopper.stale == 0 else best, stopper, history
+    spill = None
+    try:
+        for epoch in range(max_epochs):
+            if epoch and stopper.stale == 0:  # the previous epoch improved
+                if spill is None:
+                    spill = tempfile.TemporaryFile()
+                spill.seek(0)
+                _write_container(spill, *live_arrays())
+                spill.truncate()
+            history.append(run_epoch(epoch))
+            if stopper.update(history[-1], epoch):
+                break
+        header = _read_container_into(spill, live_arrays()[1]) if stopper.stale else None
+    finally:
+        if spill is not None:
+            spill.close()
+    return header, stopper, history
 
 
 def check_pretext_batch(algorithm: str, loop: TrainLoopConfig, qm: QMatchConfig,
@@ -425,43 +433,20 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                           for b in _batches(len(val_idx), loop.batch_size, None, False)]
         return float(np.mean(val_losses))
 
-    def run_state() -> tuple[dict, dict]:
-        """The checkpoint header and arrays of the live state, the arrays themselves."""
+    def live_arrays() -> tuple[dict, dict]:
         storage = queue.storage if queue is not None else None
         header, arrays = _checkpoint_arrays(params, ema, queue_storage=storage)
+        header["metadata"] = {"queue_cursor": queue.cursor} if queue is not None else {}
         arrays.update({f"heads/{k}": t.data for k, t in heads.items()})
         return header, arrays
 
-    spill = None  # an unnamed file holding the best state, once a later epoch changes it
-
-    def snapshot():
-        nonlocal spill
-        if spill is None:
-            spill = tempfile.TemporaryFile()
-        spill.seek(0)
-        header, arrays = run_state()
-        header["metadata"] = {"queue_cursor": queue.cursor} if queue is not None else {}
-        _write_container(spill, header, arrays)
-        spill.truncate()
-        return spill
-
-    def live() -> dict:
-        return {"params": params, "ema": ema, "queue": queue, "heads": heads}
-
     start = time.monotonic()
-    try:
-        best, stopper, val_history = _early_stopped(loop.max_epochs, loop.patience, "min",
-                                                    run_epoch, snapshot, live)
-        if best is spill:  # a later epoch ran: read the best state back in place
-            header = _read_container_into(spill, run_state()[1])
-            if queue is not None:
-                queue.cursor = header["metadata"]["queue_cursor"]
-            best = live()
-    finally:
-        if spill is not None:
-            spill.close()
-    return PretrainResult(**best, best_epoch=stopper.best_epoch, val_history=val_history,
-                          wall_time=time.monotonic() - start)
+    header, stopper, val_history = _early_stopped(loop.max_epochs, loop.patience, "min",
+                                                  run_epoch, live_arrays)
+    if header is not None and queue is not None:
+        queue.cursor = header["metadata"]["queue_cursor"]
+    return PretrainResult(params, ema, queue, heads, best_epoch=stopper.best_epoch,
+                          val_history=val_history, wall_time=time.monotonic() - start)
 
 
 @dataclass
@@ -542,20 +527,17 @@ def _downstream(params: ModelParams, dataset: TabularDataset,
             optimizer.step(cross_entropy_rows(target, softmax_rows(logits, temperature=1.0)))
         return accuracy("down_val")
 
-    def snapshot():
-        return (model if frozen else model.copy()), {k: t.data.copy() for k, t in head.items()}
+    def live_arrays() -> tuple[dict, dict]:
+        header, arrays = _checkpoint_arrays(model)
+        if frozen:  # only the head trains
+            arrays.clear()
+        arrays.update({f"heads/{k}": t.data for k, t in head.items()})
+        return header, arrays
 
-    def live():
-        return model, {k: t.data for k, t in head.items()}
+    _, stopper, _ = _early_stopped(loop.downstream_max_epochs, loop.patience, "max",
+                                   run_epoch, live_arrays)
+    optimizer = None  # its moments die before scoring
 
-    (model, best_head), stopper, _ = _early_stopped(
-        loop.downstream_max_epochs, loop.patience, "max", run_epoch, snapshot, live)
-    for k, t in head.items():
-        t.data[...] = best_head[k]
-    # the moments, and a trained encoder that is not the best, die before scoring
-    optimizer = trainable = None
-
-    # `accuracy` reads `model` late, so this scores the best parameters
     return TrialResult(algorithm=algorithm or task, dataset=dataset.name, task=task,
                        hyperparameters=hyperparameters or {}, seed=seed,
                        val_accuracy=stopper.best, test_accuracy=accuracy("test"),

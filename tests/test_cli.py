@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmatch.data
 from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
 from qmatch.cli import EXIT_CONFIG, EXIT_OK, Workspace, main
@@ -109,6 +110,21 @@ class TestPrepareData:
 
     def test_unknown_flag(self):
         assert main(["prepare-data", "--frobnicate"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags, quantile", [([], True), (["--no-quantile"], False)],
+                             ids=["preset_default", "no_quantile"])
+    def test_preset_gives_the_quantile_default(self, corpus, tmp_path, monkeypatch, flags,
+                                               quantile):
+        monkeypatch.setitem(qmatch.data.PRESETS, "tiny",
+                            {"pretext": 200, "down": 60, "test": 60, "quantile": True})
+        out = tmp_path / "x"
+        code = main(["prepare-data", "--csv", str(corpus / "fixture.csv"),
+                     "--schema", str(corpus / "schema.json"), "--preset", "tiny",
+                     "--out", str(out)] + flags)
+        assert code == EXIT_OK
+        assert json.loads((out / "meta.json").read_text())["quantile"] is quantile
+        assert json.loads((out / "preprocess.json").read_text())["quantile"] is quantile
+        assert len(load_manifest(out / "splits.json")["pretext_train"]) == 190
 
     @pytest.mark.parametrize("spec", [
         {"pretext_train": 192, "pretext_val": 32, "down_train": 60, "down_val": 60,
@@ -378,6 +394,8 @@ def test_any_split_spec_value_ends_in_exit_0_or_2(corpus, tmp_path_factory, key,
     ["grid", "--algorithm", "nope"],
     ["sweep", "--kind", "queue-size", "--algorithm", "nope"],
     ["grid", "--algorithm", "qmatch", "--seeds", "1,x"],
+    ["grid"],  # no algorithm
+    ["grid", "--algorithm", "qmatch", "--grid", "RUN_CONFIG"],  # not an object of lists
     ["sweep", "--kind", "queue-size", "--values", "64,abc"],
     ["sweep", "--kind", "corruption-heatmap", "--values", "0.1",
      "--teacher-values", "0.1,abc"],

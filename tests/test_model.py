@@ -480,6 +480,18 @@ class TestCheckpoint:
             pass
         assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
 
+    def test_write_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        def umask(mask):
+            # a file another thread creates while the mask is 0 would be world-writable
+            raise AssertionError("the umask is process-wide")
+
+        monkeypatch.setattr(qmatch.model.os, "umask", umask)
+        params = init_params(small_config(), seed=36)
+        save_checkpoint(tmp_path / "m.ckpt", params)
+        loaded = load_checkpoint(tmp_path / "m.ckpt")["params"]
+        for k, t in params.tensors.items():
+            assert same_bits(loaded.tensors[k].data, t.data)
+
     def test_loaded_ema_is_frozen(self, tmp_path, rng):
         params = init_params(small_config(), seed=35)
         path = tmp_path / "ema.ckpt"

@@ -24,7 +24,6 @@ from qmatch.tensor import (
     batch_norm_train,
     bce_with_logits,
     cross_entropy_rows,
-    div,
     finite_difference_check,
     info_nce_rows,
     l2_normalize_rows,
@@ -700,13 +699,13 @@ class TestNoUnusedGradients:
     never formed."""
 
     @pytest.mark.parametrize("frozen", [0, 1])
-    @pytest.mark.parametrize("op", [add, sub, mul, div])
+    @pytest.mark.parametrize("op", [add, sub, mul])
     def test_elementwise_op_skips_frozen_operand(self, monkeypatch, op, frozen):
         shapes = ((3, 4), (1, 4))  # the operands' gradients differ in shape
 
         def grads(requires):
             a = Tensor(rand(shapes[0], 52), requires_grad=requires[0])
-            b = Tensor(rand(shapes[1], 53) + 4, requires_grad=requires[1])
+            b = Tensor(rand(shapes[1], 53), requires_grad=requires[1])
             backward(op(a, b).sum())
             return a.grad, b.grad
         both = grads((True, True))

@@ -11,7 +11,7 @@ from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
 from qmatch.data import SplitSpec, apply_preprocess, fit_preprocess, make_splits
 from qmatch.distill import QMatchConfig, queue_init, training_step
-from qmatch.model import EmaParams, EncoderConfig, ModelParams, init_params
+from qmatch.model import CHECKPOINT_VERSION, EmaParams, EncoderConfig, ModelParams, init_params
 from qmatch.tensor import UPDATE_BLOCK, Tensor, backward
 from qmatch.train import (
     PRETEXT_ALGORITHMS,
@@ -306,35 +306,45 @@ class TestEarlyStopper:
 
 
 class TestEarlyStopped:
-    @pytest.mark.parametrize("metrics, patience, mode, best_epoch, copies", [
+    @pytest.mark.parametrize("metrics, patience, mode, best_epoch, writes", [
         ([5, 4, 3], 2, "min", 2, 2),           # the last epoch is the best
         ([5, 4, 6, 3, 7, 8], 5, "min", 3, 3),  # a later epoch ran after the best
         ([5, 6, 7, 8], 2, "min", 0, 1),        # patience ends the run
         ([1, 2, 1], 1, "max", 1, 2),
         ([5], 0, "min", 0, 0),
     ], ids=["last_is_best", "best_inside", "patience_ends", "max_mode", "one_epoch"])
-    def test_copies_only_what_a_later_epoch_would_overwrite(self, metrics, patience, mode,
-                                                           best_epoch, copies):
-        live = {"epochs_run": 0}
-        taken = []
+    def test_copies_only_what_a_later_epoch_would_overwrite(self, monkeypatch, metrics,
+                                                           patience, mode, best_epoch, writes):
+        opened = spy_on_spill_files(monkeypatch)
+        written = []
+
+        def spy_write(fh, header, arrays):
+            written.append(arrays["epochs_run"].copy())
+            return write(fh, header, arrays)
+
+        write = qmatch.train._write_container
+        monkeypatch.setattr(qmatch.train, "_write_container", spy_write)
+        live = np.zeros(1)
 
         def run_epoch(epoch):
-            live["epochs_run"] = epoch + 1
+            live[0] = epoch + 1
             return metrics[epoch]
 
-        def snapshot():
-            taken.append(dict(live))
-            return taken[-1]
+        def live_arrays():
+            return {"format_version": CHECKPOINT_VERSION, "metadata": {"at": live[0]}}, \
+                {"epochs_run": live}
 
-        best, stopper, history = _early_stopped(len(metrics), patience, mode, run_epoch,
-                                                snapshot, lambda: live)
+        header, stopper, history = _early_stopped(len(metrics), patience, mode, run_epoch,
+                                                  live_arrays)
         assert stopper.best_epoch == best_epoch and history == metrics[:len(history)]
-        # one copy per improving epoch that another epoch follows
-        assert len(taken) == copies
+        # one write per improving epoch that another epoch follows, all into one file
+        assert len(written) == writes
+        assert len(opened) == min(writes, 1) and all(f.closed for f in opened)
         if best_epoch == len(history) - 1:
-            assert best is live
-        else:
-            assert best is taken[-1] and best == {"epochs_run": best_epoch + 1}
+            assert header is None and live[0] == len(history)
+        else:  # the last write, read back into the live array
+            assert header["metadata"] == {"at": best_epoch + 1}
+            assert live[0] == written[-1][0] == best_epoch + 1
 
     @pytest.mark.parametrize("algorithm, max_epochs", [("qmatch", 3), ("vime", 1),
                                                        ("tabnet", 3)])
@@ -351,18 +361,19 @@ class TestEarlyStopped:
     @pytest.mark.parametrize("epochs", [1, 6])
     def test_finetune_best_state_holds_no_gradients(self, setup, monkeypatch, epochs):
         ds, splits, state, config = setup
-        returned = []
+        scored = []
 
-        def spy(*args):
-            returned.append(early_stopped(*args))
-            return returned[-1]
+        def spy_embed_all(params, x, *args, **kwargs):
+            if len(x) == len(splits["test"]):
+                scored.append([t.grad is None for t in params.tensors.values()])
+            return embed_all(params, x, *args, **kwargs)
 
-        early_stopped = qmatch.train._early_stopped
-        monkeypatch.setattr(qmatch.train, "_early_stopped", spy)
+        embed_all = qmatch.train._embed_all
+        monkeypatch.setattr(qmatch.train, "_embed_all", spy_embed_all)
         loop = TrainLoopConfig(**{**SMALL_LOOP, "downstream_max_epochs": epochs})
         finetune(init_params(config, 0), ds, splits, state, loop, seed=0)
-        (model, _), _, _ = returned[0]
-        assert all(t.grad is None for t in model.tensors.values())
+        # the encoder that scores the test split, the best one, holds no gradient
+        assert len(scored) == 1 and all(scored[0])
 
     def test_finetune_drops_its_optimizer_before_scoring_the_test_split(self, setup,
                                                                        monkeypatch):
@@ -400,9 +411,15 @@ class TestEarlyStopped:
             returned.append(early_stopped(*args))
             return returned[-1]
 
+        def spy_write(fh, header, arrays):
+            written.append(list(arrays))
+            return write(fh, header, arrays)
+
         copy, early_stopped = ModelParams.copy, qmatch.train._early_stopped
+        written, write = [], qmatch.train._write_container
         monkeypatch.setattr(ModelParams, "copy", spy_copy)
         monkeypatch.setattr(qmatch.train, "_early_stopped", spy_early_stopped)
+        monkeypatch.setattr(qmatch.train, "_write_container", spy_write)
         loop = TrainLoopConfig(**{**SMALL_LOOP, "max_epochs": 8, "downstream_max_epochs": 8,
                                   "patience": 7})
         fn(init_params(config, 0), ds, splits, state, loop, seed=0)
@@ -411,9 +428,13 @@ class TestEarlyStopped:
         followed = sum(metric > max(history[:e], default=-np.inf)
                        for e, metric in enumerate(history[:-1]))
         assert followed >= 2
-        # a frozen encoder is never copied; fine-tuning copies it once to train
-        # and once per best epoch that a later epoch would overwrite
-        assert len(copies) == (0 if fn is linear_eval else 1 + followed)
+        # a frozen encoder is never copied; fine-tuning copies it once, to train;
+        # each best epoch that a later epoch would overwrite goes to the file instead
+        assert len(copies) == (0 if fn is linear_eval else 1)
+        head = ["heads/classifier.weight", "heads/classifier.bias"]
+        encoder = [] if fn is linear_eval else \
+            list(qmatch.train._checkpoint_arrays(copies[0])[1])
+        assert written == [encoder + head] * followed
 
 
 class TestEvalForwards:
@@ -563,7 +584,7 @@ def assert_same_params(got: ModelParams, want: ModelParams):
 
 
 def spy_on_spill_files(monkeypatch) -> list:
-    """Every file pretrain opens for its best epoch, from here on."""
+    """Every file an early-stopped loop opens for its best epoch, from here on."""
     opened, real = [], qmatch.train.tempfile.TemporaryFile
 
     def spy(*args, **kwargs):
@@ -574,7 +595,8 @@ def spy_on_spill_files(monkeypatch) -> list:
 
 
 class TestBestEpochSpill:
-    """pretrain keeps its best epoch in an unnamed file and reads it back in place."""
+    """The early-stopped loops keep their best epoch in an unnamed file and read it
+    back in place."""
 
     @pytest.mark.parametrize("algorithm", PRETEXT_ALGORITHMS)
     def test_result_equals_the_run_cut_at_the_best_epoch(self, setup, monkeypatch,
@@ -639,6 +661,57 @@ class TestBestEpochSpill:
         monkeypatch.setattr(qmatch.train, "ema_update", failing_ema_update)
         with pytest.raises(TrainingError, match="diverged"):
             _spill_run(setup, "qmatch")
+        assert len(opened) == 1 and opened[0].closed
+        assert list(tmp_path.iterdir()) == []
+
+    def test_finetune_equals_the_run_cut_at_the_best_epoch(self, setup, monkeypatch):
+        ds, splits, state, config = setup
+        params = init_params(config, 0)
+        models, heads, loops = [], [], []
+
+        def spy(fn, out):
+            def wrapped(*args, **kwargs):
+                out.append(fn(*args, **kwargs))
+                return out[-1]
+            return wrapped
+
+        monkeypatch.setattr(ModelParams, "copy", spy(ModelParams.copy, models))
+        monkeypatch.setattr(qmatch.train, "_head", spy(qmatch.train._head, heads))
+        monkeypatch.setattr(qmatch.train, "_early_stopped",
+                            spy(qmatch.train._early_stopped, loops))
+        opened = spy_on_spill_files(monkeypatch)
+        res = finetune(params, ds, splits, state, TrainLoopConfig(**SMALL_LOOP), seed=0)
+        stopper, history = loops[0][1:]
+        assert stopper.best_epoch < len(history) - 1
+        assert len(opened) == 1 and opened[0].closed  # one file, overwritten, then closed
+        cut = TrainLoopConfig(**{**SMALL_LOOP, "downstream_max_epochs": stopper.best_epoch + 1})
+        ref = finetune(params, ds, splits, state, cut, seed=0)
+        assert loops[1][2] == history[:stopper.best_epoch + 1]
+        assert (res.val_accuracy, res.test_accuracy) == (ref.val_accuracy, ref.test_accuracy)
+        assert_same_params(models[0], models[1])
+        assert list(heads[0]) == list(heads[1])
+        for k, t in heads[1].items():
+            assert_same_bits(heads[0][k].data, t.data)
+
+    @pytest.mark.parametrize("fn", [linear_eval, finetune], ids=lambda fn: fn.__name__)
+    def test_failed_downstream_run_leaves_no_file(self, setup, monkeypatch, tmp_path, fn):
+        ds, splits, state, config = setup
+        monkeypatch.setattr(qmatch.train.tempfile, "tempdir", str(tmp_path))
+        opened = spy_on_spill_files(monkeypatch)
+        steps = []
+
+        def failing_step(self, *args):
+            steps.append(self)
+            # in the second epoch (90 rows make 3 batches): the first one is in the file
+            if len(steps) > 3:
+                raise TrainingError("diverged")
+            return step(self, *args)
+
+        step = AdamW.step
+        monkeypatch.setattr(AdamW, "step", failing_step)
+        with pytest.raises(TrainingError, match="diverged"):
+            fn(init_params(config, 0), ds, splits, state, TrainLoopConfig(**SMALL_LOOP),
+               seed=0)
         assert len(opened) == 1 and opened[0].closed
         assert list(tmp_path.iterdir()) == []
 

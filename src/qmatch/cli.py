@@ -125,12 +125,17 @@ class Workspace:
         self.dir = Path(directory)
         with open(self.dir / "meta.json") as fh:
             self.meta = json.load(fh)
-        self.splits = load_manifest(self.dir / "splits.json")
         with open(self.dir / "preprocess.json") as fh:
             self.state = PreprocessState.from_dict(json.load(fh))
         schema = load_schema(_resolve(self.meta["schema"]))
         self.dataset = load_csv(_resolve(self.meta["csv"]), schema,
                                 name=self.meta["name"])
+        self.splits = load_manifest(self.dir / "splits.json")
+        rows = len(self.dataset)
+        for name, idx in self.splits.items():  # -1 would pick the last row unnoticed
+            if idx.size and not 0 <= idx.min() <= idx.max() < rows:
+                raise DataError(f"{self.dir / 'splits.json'}: split {name!r} holds a row "
+                                f"index outside [0, {rows})")
 
 
 def cmd_prepare_data(args) -> int:
@@ -225,12 +230,13 @@ def cmd_pretrain(args) -> int:
                       qm_config=qm, corruption=corr, extra=extra)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out, result.params, ema=result.ema,
-                    metadata={"algorithm": algorithm, "seed": seed,
-                              "best_epoch": result.best_epoch,
-                              "preprocess_ref": str(Path(args.data) / "preprocess.json"),
-                              "config": resolved},
-                    queue_storage=result.queue.snapshot() if result.queue else None)
+    metadata = {"algorithm": algorithm, "seed": seed, "best_epoch": result.best_epoch,
+                "preprocess_ref": str(Path(args.data) / "preprocess.json"),
+                "config": resolved}
+    if result.queue is not None:  # the ring buffer's rows are in order from its cursor
+        metadata["queue_cursor"] = result.queue.cursor
+    save_checkpoint(out, result.params, ema=result.ema, metadata=metadata,
+                    queue_storage=result.queue.storage if result.queue else None)
     print(f"best_epoch={result.best_epoch} "
           f"best_val_loss={min(result.val_history):.6f} "
           f"epochs_run={len(result.val_history)} checkpoint={out}")
@@ -265,6 +271,9 @@ def cmd_eval(args, task: str) -> int:
         raise CheckpointError(f"{ckpt_path}: the encoder takes {ckpt['config'].input_dim} "
                               f"input columns, the prepared data has {ws.state.output_dim}")
     algorithm = ckpt["metadata"].get("algorithm", "unknown")
+    if not isinstance(algorithm, str):  # it names the result's row in a report
+        raise CheckpointError(f"{ckpt_path}: metadata algorithm must be a string, "
+                              f"got {algorithm!r}")
     fn = linear_eval if task == "linear" else finetune
     result = fn(ckpt["params"], ws.dataset, ws.splits, ws.state, loop,
                 args.seed if args.seed is not None else 0,

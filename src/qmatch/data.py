@@ -502,7 +502,20 @@ def save_manifest(splits: dict[str, np.ndarray], path, metadata: dict | None = N
 
 
 def load_manifest(path) -> dict[str, np.ndarray]:
+    """The splits of a manifest file; a split that is not a list of integers is a
+    DataError naming the file and the split."""
     with open(path) as fh:
         payload = json.load(fh)
-    return {name: np.asarray(idx, dtype=np.int64)
-            for name, idx in payload.items() if not name.startswith("_")}
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: a manifest is a JSON object of splits")
+    splits = {}
+    for name, idx in payload.items():
+        if name.startswith("_"):
+            continue
+        try:  # JSON true and 1.5 are no row numbers
+            if not isinstance(idx, list) or any(type(i) is not int for i in idx):
+                raise TypeError
+            splits[name] = np.asarray(idx, dtype=np.int64)
+        except (TypeError, OverflowError):
+            raise DataError(f"{path}: split {name!r} is not a list of integers") from None
+    return splits

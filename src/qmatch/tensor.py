@@ -562,11 +562,23 @@ def batch_norm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5,
 def batch_norm_eval(x: Tensor, gamma: Tensor, beta: Tensor,
                     running_mean: np.ndarray, running_var: np.ndarray,
                     eps: float = 1e-5) -> Tensor:
+    """Running-statistics normalization with affine scale/shift, in x's buffer.
+
+    xhat is written into x's buffer, and so is the output unless a gradient can
+    flow (the backward reads xhat), so with nothing recorded the forward
+    allocates no full-size array.  The caller guarantees that nothing reads x's
+    value afterwards.  Where an operand is wider than x, the result takes the
+    wider dtype in new arrays instead, as add's in-place rule has it.
+    """
     std = np.sqrt(running_var + eps)
-    xhat = (x.data - running_mean) / std
+    same = np.result_type(x.data, running_mean, std, gamma.data, beta.data) == x.data.dtype
+    buf = x.data if same else None
+    xhat = np.divide(np.subtract(x.data, running_mean, out=buf), std, out=buf)
+    out = np.multiply(xhat, gamma.data, out=None if records(x, gamma, beta) else buf)
+    out = np.add(out, beta.data, out=out if same else None)
 
     def bwd(g):
         _accumulate(x, g * gamma.data / std)
         _accumulate(gamma, (g * xhat).sum(axis=0))
         _accumulate(beta, g.sum(axis=0))
-    return _make(xhat * gamma.data + beta.data, (x, gamma, beta), bwd)
+    return _make(out, (x, gamma, beta), bwd)

@@ -100,7 +100,13 @@ class TrialResult:
     wall_time: float
 
     def __post_init__(self):
+        # a report groups and sorts by these names, so a list or a number among them breaks it
+        for name in ("algorithm", "dataset", "task"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
         for a in (self.val_accuracy, self.test_accuracy):
+            if isinstance(a, bool) or not isinstance(a, numbers.Real):
+                raise TypeError(f"accuracy must be a number, got {a!r}")
             if not 0.0 <= a <= 100.0:
                 raise ValueError(f"accuracy {a} outside [0, 100]")
 

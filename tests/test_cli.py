@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmatch.cli
 import qmatch.data
 from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
@@ -15,8 +16,8 @@ from qmatch.cli import EXIT_CONFIG, EXIT_OK, Workspace, main
 from qmatch.data import (ColumnSpec, PreprocessState, load_manifest, save_csv,
                          save_manifest)
 from qmatch.distill import QMatchConfig
-from qmatch.model import EncoderConfig, init_params, save_checkpoint
-from qmatch.train import TrialResult
+from qmatch.model import EncoderConfig, init_params, load_checkpoint, save_checkpoint
+from qmatch.train import TrialResult, pretrain
 from tests.conftest import make_fixture_dataset
 from tests.test_model import BAD_HEADERS, rewrite_header
 
@@ -199,6 +200,22 @@ class TestPretrain:
         raw = path.read_bytes()
         arrays = raw[16 + int.from_bytes(raw[8:16], "little"):]
         assert _sha256(arrays) == PINNED_BEST_EPOCH_ARRAYS
+
+    def test_checkpoint_keeps_the_queue_and_its_cursor(self, prepared, tmp_path, monkeypatch):
+        results = []
+
+        def run(*args, **kwargs):
+            results.append(pretrain(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(qmatch.cli, "pretrain", run)
+        path = tmp_path / "q.qmc"
+        # 192 pretext rows an epoch pushed into 80 slots leave the cursor off 0
+        assert main(["pretrain", "--data", str(prepared), "--out", str(path),
+                     "--algorithm", "qmatch"] + SMALL_TRAIN + ["--queue-size", "80"]) == EXIT_OK
+        queue, ckpt = results[0].queue, load_checkpoint(path)
+        assert queue.cursor != 0 and ckpt["metadata"]["queue_cursor"] == queue.cursor
+        assert ckpt["queue_storage"].tobytes() == queue.storage.tobytes()
 
     @pytest.mark.parametrize("algorithm, code", [("qmatch", EXIT_CONFIG), ("vime", EXIT_OK)])
     def test_queue_must_hold_a_batch_only_for_qmatch(self, prepared, tmp_path, algorithm,
@@ -490,6 +507,40 @@ def test_checkpoint_for_another_table_width_is_runtime_error(prepared, tmp_path,
                  "--out", str(tmp_path / "r.jsonl")])
     assert code == 3
     assert "input columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", [1.5, -1, 600, True, "3"],
+                         ids=["fraction", "negative", "past_the_last_row", "bool", "string"])
+def test_bad_split_index_is_config_error(prepared, tmp_path, capsys, index):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("preprocess.json", "meta.json"):
+        (data / name).write_bytes((prepared / name).read_bytes())
+    manifest = json.loads((prepared / "splits.json").read_text())
+    manifest["down_val"][0] = index  # the fixture table has 600 rows
+    (data / "splits.json").write_text(json.dumps(manifest))
+    code = main(["pretrain", "--data", str(data), "--out", str(tmp_path / "c.qmc"),
+                 "--algorithm", "qmatch", "--dry-run"] + SMALL_TRAIN)
+    assert code == EXIT_CONFIG
+    assert f"{data / 'splits.json'}: split 'down_val'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["linear-eval", "finetune"])
+def test_non_string_algorithm_in_checkpoint_is_runtime_error(prepared, tmp_path, capsys,
+                                                             monkeypatch, command):
+    state = PreprocessState.from_dict(json.loads((prepared / "preprocess.json").read_text()))
+    path = tmp_path / "listed.qmc"
+    config = EncoderConfig(input_dim=state.output_dim, layer_widths=(32, 32))
+    save_checkpoint(path, init_params(config, seed=0), metadata={"algorithm": ["qmatch"]})
+    # refused before any training, not when the result is formed
+    monkeypatch.setattr(qmatch.cli, command.replace("-", "_"),
+                        lambda *a, **k: pytest.fail("trained"))
+    out = tmp_path / "r.jsonl"
+    code = main([command, "--checkpoint", str(path), "--data", str(prepared),
+                 "--out", str(out)])
+    assert code == 3
+    assert f"{path}: metadata algorithm must be a string" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["linear-eval", "finetune"])
@@ -883,8 +934,10 @@ class TestReport:
     @pytest.mark.parametrize("line", [
         {"test_accuracy": 150.0}, {"test_accuracy": math.nan}, {"seed": None},
         [1, 2], {"test_accuracy": "50"}, b'{"algorithm": "q\xffmatch"}', b"{",
+        {"algorithm": ["qmatch"]}, {"dataset": 7}, {"val_accuracy": True},
     ], ids=["accuracy_150", "accuracy_nan", "missing_key", "json_array",
-            "string_accuracy", "not_utf8", "bad_json"])
+            "string_accuracy", "not_utf8", "bad_json", "list_algorithm", "int_dataset",
+            "bool_accuracy"])
     def test_malformed_line_names_file_and_line(self, tmp_path, capsys, line):
         good = TrialResult("qmatch", "adult1pct", "linear", {}, 0, 60.0, 60.0, 0.0).to_json()
         if isinstance(line, dict):  # the good line with these fields changed (None: dropped)

@@ -108,7 +108,7 @@ class TestForward:
     @pytest.mark.parametrize("config", [
         small_config(), small_config(layer_widths=(16, 12, 8), maxout_k=2)],
         ids=["small", "three_layers"])
-    def test_inference_equals_taped_eval(self, rng, monkeypatch, config, rows):
+    def test_inference_equals_taped_eval(self, rng, config, rows):
         params = init_params(config, seed=4)
         for _ in range(3):  # running statistics away from their (0, 1) start
             encoder_forward(params, Tensor(rng.normal(1.0, 2.0, size=(16, 5))), mode="train")
@@ -118,8 +118,6 @@ class TestForward:
         taped = encoder_forward(params, Tensor(x, requires_grad=True), mode="eval")
         assert taped._parents  # a gradient can flow, so the graph is recorded
 
-        # the in-place branch never reaches the taped batch norm
-        monkeypatch.setattr(qmatch.model, "batch_norm_eval", None)
         with no_grad():
             inside_no_grad = encoder_forward(params, Tensor(x), mode="eval")
         frozen = encoder_forward(params.copy(requires_grad=False), Tensor(x), mode="eval")
@@ -129,6 +127,25 @@ class TestForward:
         assert same_bits(x, x_before)
         for k, v in params.buffers.items():
             assert same_bits(v, buffers[k])
+
+    def test_inference_allocates_only_products_and_masks(self, rng):
+        """Under no_grad, an eval forward holds at most a layer's input, its
+        product and the ReLU mask at once: bias, batch norm and ReLU write
+        into the product."""
+        config = EncoderConfig(input_dim=64, layer_widths=(256, 256, 512), maxout_k=4)
+        params = init_params(config, seed=8)
+        x = Tensor(rng.normal(size=(512, 64)))
+        widths = (0,) + config.layer_widths  # x itself is allocated before tracing
+        bound = max(len(x.data) * (8 * w_in + 8 * w + w)
+                    for w_in, w in zip(widths, widths[1:]))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                encoder_forward(params, x, mode="eval")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_in_place_bias_and_relu_match_out_of_place_ops(self, rng, monkeypatch, mode):

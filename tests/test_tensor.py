@@ -21,6 +21,7 @@ from qmatch.tensor import (
     Tensor,
     add,
     backward,
+    batch_norm_eval,
     batch_norm_train,
     bce_with_logits,
     cross_entropy_rows,
@@ -329,6 +330,30 @@ class TestInPlace:
         xhat = (h - h.mean(axis=0)) / np.sqrt(h.var(axis=0) + 1e-5)
         assert same_bits(buffer, xhat)  # x's buffer holds xhat
         assert all(same_bits(x, y) for x, y in zip(got_g, want_g))
+
+    @pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
+    @pytest.mark.parametrize("dtype, stats_dtype, gamma_dtype", [
+        (np.float64, np.float64, np.float64), (np.float32, np.float32, np.float32),
+        (np.float32, np.float64, np.float32), (np.float32, np.float32, np.float64),
+    ], ids=["f64", "f32", "f32_with_f64_stats", "f32_with_f64_gamma"])
+    def test_batch_norm_eval_writes_into_x_where_it_keeps_the_dtype(
+            self, dtype, stats_dtype, gamma_dtype, recorded):
+        data = (rand((9, 5), 82) * 3 + 1).astype(dtype)
+        mean, var = rand(5, 83).astype(stats_dtype), (rand(5, 84) ** 2).astype(stats_dtype)
+        gamma = Tensor(rand(5, 85).astype(gamma_dtype), requires_grad=recorded)
+        beta = Tensor(rand(5, 86).astype(gamma_dtype))
+        xhat = (data - mean) / np.sqrt(var + 1e-5)
+
+        x = Tensor(data.copy())
+        out = batch_norm_eval(x, gamma, beta, mean, var)
+        want = xhat * gamma.data + beta.data
+        assert same_bits(out.data, want)
+        if want.dtype != dtype:  # never narrowed into x
+            assert same_bits(x.data, data)
+        elif recorded:  # the backward reads xhat, so the output gets its own buffer
+            assert same_bits(x.data, xhat) and not np.shares_memory(out.data, x.data)
+        else:
+            assert out.data is x.data
 
     @pytest.mark.parametrize("a_dtype, b_shape", [
         (np.float32, (5,)),    # the sum would widen to float64
@@ -667,6 +692,7 @@ def traced_peak(fn) -> int:
     ("cross_entropy_rows", 2, 2), ("cross_entropy_rows_frozen_target", 1, 1),
     ("batch_norm_train", 2, 2), ("batch_norm_train_in_place", 1, 2),
     ("info_nce_rows", 1, 0),  # the backward writes into the forward's exp table
+    ("batch_norm_eval", 1, 2), ("batch_norm_eval_unrecorded", 0, None),
 ])
 def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
     """Full-size arrays each kernel allocates (output and, for the backward, the
@@ -675,6 +701,7 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
     x = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
     gamma, beta = Tensor(rand(256, 48), requires_grad=True), Tensor(rand(256, 49))
     target = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
+    stats = rand(256, 50), rand(256, 54) ** 2
     if kernel == "info_nce_rows":  # the bounds count arrays of the sims' size
         sims, positives = info_nce_inputs(256)
         x = Tensor(sims, requires_grad=True)
@@ -686,12 +713,16 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
         "batch_norm_train": lambda: batch_norm_train(x, gamma, beta)[0],
         "batch_norm_train_in_place": lambda: batch_norm_train(x, gamma, beta, in_place=True)[0],
         "info_nce_rows": lambda: info_nce_rows(x, positives, 0.1),
+        "batch_norm_eval": lambda: batch_norm_eval(x, gamma, beta, *stats),
+        "batch_norm_eval_unrecorded": lambda: batch_norm_eval(
+            Tensor(x.data), Tensor(gamma.data), beta, *stats),
     }
     g = np.ones(()) if kernel.startswith(("cross_entropy", "info_nce")) \
         else rand((512, 256), 51)
     out = []
     assert traced_peak(lambda: out.append(ops[kernel]())) < (forward_arrays + 0.5) * x.data.nbytes
-    assert traced_peak(lambda: out[0]._backward(g)) < (backward_arrays + 0.5) * x.data.nbytes
+    if backward_arrays is not None:  # None: nothing recorded, so there is no backward
+        assert traced_peak(lambda: out[0]._backward(g)) < (backward_arrays + 0.5) * x.data.nbytes
 
 
 class TestNoUnusedGradients:

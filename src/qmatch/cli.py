@@ -12,7 +12,7 @@ import csv as csvmod
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,8 @@ from .model import (
     CheckpointError,
     ConfigError,
     EncoderConfig,
+    _checked,
+    _field_types,
     load_checkpoint,
     save_checkpoint,
 )
@@ -76,37 +78,6 @@ def data_root() -> Path:
 def _resolve(path: str) -> Path:
     p = Path(path)
     return p if p.is_absolute() else data_root() / p
-
-
-def _field_types(cls, *skip) -> dict[str, str]:
-    return {f.name: f.type for f in fields(cls) if f.name not in skip}
-
-
-def _checked(obj, where: str, types: dict[str, str]) -> dict:
-    """`obj` if it is a JSON object of `types`' keys, each value of the JSON type
-    its annotation names; the rules for the values live in the config dataclasses."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
-    for key, value in obj.items():
-        if key not in types:
-            raise ConfigError(f"{where}: unknown key {key!r}; known: {', '.join(types)}")
-        if not _has_json_type(value, types[key]):
-            raise ConfigError(f"{where}: {key} must be {types[key]}, got {value!r}")
-    return obj
-
-
-def _has_json_type(value, annotation: str) -> bool:
-    kind, _, optional = annotation.partition(" | ")
-    if value is None:
-        return optional == "None"
-    if kind == "tuple":  # layer_widths
-        return isinstance(value, list) and all(_has_json_type(v, "int") for v in value)
-    if isinstance(value, bool):  # JSON true and false are no numbers
-        return kind == "bool"
-    if isinstance(value, int) and kind == "float":  # as a flag's float() would read it
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, {"int": int, "float": (int, float), "str": str,
-                              "bool": bool, "dict": dict}[kind])
 
 
 def load_run_config(path) -> dict:
@@ -377,7 +348,7 @@ def cmd_sweep(args) -> int:
 
 def _read_results(path: str) -> list[TrialResult]:
     """The trial results of one JSONL file; a line that is not one (bad UTF-8 or
-    JSON, wrong keys or types, an accuracy outside [0, 100]) is a DataError
+    JSON, wrong keys or types, a value TrialResult refuses) is a DataError
     naming the file and the line."""
     try:
         fh = open(path, "rb")

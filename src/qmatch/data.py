@@ -35,13 +35,27 @@ class ColumnSpec:
 def load_schema(path) -> list[ColumnSpec]:
     with open(path) as fh:
         raw = json.load(fh)
-    cols = [ColumnSpec(c["name"], c["type"], c.get("categories")) for c in raw["columns"]]
+    try:
+        cols = [ColumnSpec(c["name"], c["type"], c.get("categories")) for c in raw["columns"]]
+    except (TypeError, KeyError) as e:
+        raise DataError(f"{path}: expected a \"columns\" list of objects, each with a "
+                        f"\"name\" and a \"type\" ({type(e).__name__}: {e})") from None
     for c in cols:
         if c.type not in ("numeric", "categorical", "label"):
             raise DataError(f"column {c.name!r}: unknown type {c.type!r}")
     if sum(1 for c in cols if c.type == "label") > 1:
         raise DataError("schema declares more than one label column")
+    _check_unique_names(cols, path)
     return cols
+
+
+def _check_unique_names(schema: list[ColumnSpec], where):
+    """Columns are found by name, so a repeated one would read another's cells."""
+    seen = set()
+    for c in schema:
+        if c.name in seen:
+            raise DataError(f"{where}: column name {c.name!r} appears more than once")
+        seen.add(c.name)
 
 
 class TabularDataset:
@@ -84,6 +98,7 @@ def load_csv(path, schema: list[ColumnSpec], name: str = "") -> TabularDataset:
     by cell, which either accepts it too (``1_000``, whitespace-only lines) or
     words the error with its row, value and column.
     """
+    _check_unique_names(schema, path)
     feature_cols = [c for c in schema if c.type != "label"]
     try:
         features, cat_vocab, labels, label_vocab = _load_columns(path, schema)
@@ -99,10 +114,8 @@ def _load_columns(path, schema: list[ColumnSpec]):
     labels by a converter that maps each stripped value to its vocabulary code.
     Raises (never ``DataError``) on any input whose result could differ from
     ``_load_cells``, which then gives the verdict."""
-    # the cell loop finds columns by name and fails on unknown types
-    if (len({c.name for c in schema}) != len(schema)
-            or any(c.type not in ("numeric", "categorical", "label") for c in schema)):
-        raise ValueError("duplicate column names or unknown column types")
+    if any(c.type not in ("numeric", "categorical", "label") for c in schema):
+        raise ValueError("unknown column types")  # the cell loop words the error
     luts = {i: {} if c.categories is None else {v: k for k, v in enumerate(c.categories)}
             for i, c in enumerate(schema) if c.type != "numeric"}
     converters = {i: (lambda s, lut=lut: lut.setdefault(s.strip(), len(lut)))

@@ -13,7 +13,8 @@ import json
 import math
 import os
 import secrets
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -50,6 +51,37 @@ def check_fields(config, rule: str, test, *names: str):
     for name in names:
         if not test(getattr(config, name)):
             raise ConfigError(f"{name} must be {rule}, got {getattr(config, name)!r}")
+
+
+def _field_types(cls, *skip) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
+
+
+def _checked(obj, where: str, types: dict[str, str]) -> dict:
+    """`obj` if it is a JSON object of `types`' keys, each value of the JSON type
+    its annotation names; the rules for the values live in the config dataclasses."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
+    for key, value in obj.items():
+        if key not in types:
+            raise ConfigError(f"{where}: unknown key {key!r}; known: {', '.join(types)}")
+        if not _has_json_type(value, types[key]):
+            raise ConfigError(f"{where}: {key} must be {types[key]}, got {value!r}")
+    return obj
+
+
+def _has_json_type(value, annotation: str) -> bool:
+    kind, _, optional = annotation.partition(" | ")
+    if value is None:
+        return optional == "None"
+    if kind == "tuple":  # layer_widths
+        return isinstance(value, list) and all(_has_json_type(v, "int") for v in value)
+    if isinstance(value, bool):  # JSON true and false are no numbers
+        return kind == "bool"
+    if isinstance(value, int) and kind == "float":  # as a flag's float() would read it
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, {"int": int, "float": (int, float), "str": str,
+                              "bool": bool, "dict": dict}[kind])
 
 
 @dataclass

@@ -34,7 +34,9 @@ from .model import (
     EmaParams,
     EncoderConfig,
     ModelParams,
+    _checked,
     _checkpoint_arrays,
+    _field_types,
     _read_container_into,
     _write_container,
     check_fields,
@@ -100,22 +102,20 @@ class TrialResult:
     wall_time: float
 
     def __post_init__(self):
-        # a report groups and sorts by these names, so a list or a number among them breaks it
-        for name in ("algorithm", "dataset", "task"):
-            if not isinstance(getattr(self, name), str):
-                raise TypeError(f"{name} must be a string, got {getattr(self, name)!r}")
         for a in (self.val_accuracy, self.test_accuracy):
-            if isinstance(a, bool) or not isinstance(a, numbers.Real):
-                raise TypeError(f"accuracy must be a number, got {a!r}")
             if not 0.0 <= a <= 100.0:
                 raise ValueError(f"accuracy {a} outside [0, 100]")
+        check_fields(self, "'linear' or 'finetune'", lambda t: t in ("linear", "finetune"),
+                     "task")
+        check_fields(self, ">= 0 and finite", lambda w: 0 <= w < np.inf, "wall_time")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "TrialResult":
-        return cls(**json.loads(line))
+        """The result a JSON line holds, each field of its annotated JSON type."""
+        return cls(**_checked(json.loads(line), cls.__name__, _field_types(cls)))
 
 
 # Hyperparameter spaces mirroring the experiment protocol.
@@ -239,69 +239,55 @@ class AdamW:
         return out
 
 
-class EarlyStopper:
-    """Tracks the best metric; signals a stop after `patience` epochs without
-    strict improvement."""
-
-    def __init__(self, patience: int, mode: str = "min"):
-        self.patience = patience
-        self.mode = mode
-        self.best: float | None = None
-        self.best_epoch = -1
-        self.stale = 0
-
-    def update(self, metric: float, epoch: int) -> bool:
-        improved = (self.best is None
-                    or (self.mode == "min" and metric < self.best)
-                    or (self.mode == "max" and metric > self.best))
-        if improved:
-            self.best = metric
-            self.best_epoch = epoch
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
-
-
 def _early_stopped(max_epochs: int, patience: int, mode: str, run_epoch, live_arrays):
     """Run `run_epoch(epoch) -> validation metric` until the budget ends or
     `patience` epochs pass without improvement, and leave the live state at its
-    best epoch.  Returns (the checkpoint header read back, or None if the last
-    epoch run is the best; stopper; metric history).
+    best epoch.  An epoch improves when its metric is strictly below ("min"
+    `mode`) or above ("max") the best so far; the first epoch always does, a
+    NaN never does.  Returns (the checkpoint header read back, or None if the
+    last epoch run is the best; the best epoch; metric history).
 
     `live_arrays()` returns the checkpoint header and the named arrays of the
     live state, the arrays themselves.  The best epoch waits in an unnamed
     temporary file, written only when another epoch is about to change it, and
     is read back in place after the last epoch; a run whose last epoch is its
     best opens no file."""
-    stopper = EarlyStopper(patience, mode)
     history: list[float] = []
+    best = stale = 0
     spill = None
     try:
         for epoch in range(max_epochs):
-            if epoch and stopper.stale == 0:  # the previous epoch improved
+            if epoch and stale == 0:  # the previous epoch improved
                 if spill is None:
                     spill = tempfile.TemporaryFile()
                 spill.seek(0)
                 _write_container(spill, *live_arrays())
                 spill.truncate()
-            history.append(run_epoch(epoch))
-            if stopper.update(history[-1], epoch):
+            metric = run_epoch(epoch)
+            history.append(metric)
+            if not epoch or (metric < history[best] if mode == "min" else metric > history[best]):
+                best, stale = epoch, 0
+            else:
+                stale += 1
+            if stale >= patience:
                 break
-        header = _read_container_into(spill, live_arrays()[1]) if stopper.stale else None
+        header = _read_container_into(spill, live_arrays()[1]) if stale else None
     finally:
         if spill is not None:
             spill.close()
-    return header, stopper, history
+    return header, best, history
 
 
 def check_pretext_batch(algorithm: str, loop: TrainLoopConfig, qm: QMatchConfig,
                         splits: dict[str, np.ndarray]):
     """Full batches only, so a larger batch would leave the encoder untrained;
-    and a qmatch batch is pushed into the queue whole, so it must fit in it."""
+    a qmatch batch is pushed into the queue whole, so it must fit in it; and early
+    stopping needs a validation loss, so pretext_val must hold a row."""
     if loop.batch_size > len(splits["pretext_train"]):
         raise ConfigError(f"batch_size {loop.batch_size} exceeds the "
                           f"{len(splits['pretext_train'])} pretext_train rows")
+    if not len(splits["pretext_val"]):
+        raise ConfigError("pretext_val holds no rows, so no epoch has a validation loss")
     if algorithm == "qmatch" and loop.batch_size > qm.queue_capacity:
         raise ConfigError(f"batch_size {loop.batch_size} exceeds the queue_capacity "
                           f"{qm.queue_capacity} of the qmatch queue")
@@ -331,7 +317,6 @@ class PretrainResult:
     heads: dict[str, Tensor]
     best_epoch: int
     val_history: list[float]
-    wall_time: float
 
 
 def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarray],
@@ -380,9 +365,10 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
     trainable.update(heads)
     optimizer = AdamW(trainable, lr=loop.pretext_learning_rate, weight_decay=0.0)
 
-    def step_loss(raw: np.ndarray, step_rng: np.random.Generator,
-                  update: bool, bn_mode: str) -> float:
-        """Forward one batch; with `update`, descend and run the EMA/queue hooks."""
+    def step_loss(raw: np.ndarray, step_rng: np.random.Generator, update: bool) -> float:
+        """Forward one batch, in train mode with `update` (then descend and run the
+        EMA/queue hooks), else in eval mode."""
+        bn_mode = "train" if update else "eval"
         if algorithm in ("qmatch", "dino"):
             z_s, z_t = student_teacher(raw, pool, params, ema, corruption, step_rng,
                                        preprocess=pre, mode=bn_mode)
@@ -427,15 +413,13 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
 
     def run_epoch(epoch: int) -> float:
         for batch_idx in _batches(len(train_idx), loop.batch_size, rng, drop_last=True):
-            loss_val = step_loss(dataset.features[train_idx[batch_idx]], rng,
-                                 update=True, bn_mode="train")
+            loss_val = step_loss(dataset.features[train_idx[batch_idx]], rng, update=True)
             if not np.isfinite(loss_val):
                 raise TrainingError(f"non-finite pretext loss at epoch {epoch}")
         # validation with a per-epoch deterministic corruption stream
         val_rng = np.random.default_rng([seed, epoch, 0x5EED])
         with no_grad():
-            val_losses = [step_loss(dataset.features[val_idx[b]], val_rng,
-                                    update=False, bn_mode="eval")
+            val_losses = [step_loss(dataset.features[val_idx[b]], val_rng, update=False)
                           for b in _batches(len(val_idx), loop.batch_size, None, False)]
         return float(np.mean(val_losses))
 
@@ -446,13 +430,11 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
         arrays.update({f"heads/{k}": t.data for k, t in heads.items()})
         return header, arrays
 
-    start = time.monotonic()
-    header, stopper, val_history = _early_stopped(loop.max_epochs, loop.patience, "min",
-                                                  run_epoch, live_arrays)
+    header, best_epoch, val_history = _early_stopped(loop.max_epochs, loop.patience, "min",
+                                                     run_epoch, live_arrays)
     if header is not None and queue is not None:
         queue.cursor = header["metadata"]["queue_cursor"]
-    return PretrainResult(params, ema, queue, heads, best_epoch=stopper.best_epoch,
-                          val_history=val_history, wall_time=time.monotonic() - start)
+    return PretrainResult(params, ema, queue, heads, best_epoch, val_history)
 
 
 @dataclass
@@ -540,13 +522,13 @@ def _downstream(params: ModelParams, dataset: TabularDataset,
         arrays.update({f"heads/{k}": t.data for k, t in head.items()})
         return header, arrays
 
-    _, stopper, _ = _early_stopped(loop.downstream_max_epochs, loop.patience, "max",
-                                   run_epoch, live_arrays)
+    _, best, history = _early_stopped(loop.downstream_max_epochs, loop.patience, "max",
+                                      run_epoch, live_arrays)
     optimizer = None  # its moments die before scoring
 
     return TrialResult(algorithm=algorithm or task, dataset=dataset.name, task=task,
                        hyperparameters=hyperparameters or {}, seed=seed,
-                       val_accuracy=stopper.best, test_accuracy=accuracy("test"),
+                       val_accuracy=history[best], test_accuracy=accuracy("test"),
                        wall_time=time.monotonic() - start)
 
 

@@ -160,6 +160,24 @@ class TestPrepareData:
         assert not (tmp_path / "x").exists()
 
 
+    @pytest.mark.parametrize("schema, message", [
+        ({"columns": [{"name": "a", "type": "numeric"}, {"name": "a", "type": "numeric"}]},
+         "column name 'a' appears more than once"),
+        ({"columns": 5}, "expected a \"columns\" list"),
+        ({"columns": [{"name": "a", "type": "numeric"}, {"name": "b"}]},
+         "expected a \"columns\" list"),
+    ], ids=["repeated_name", "columns_not_a_list", "column_without_type"])
+    def test_bad_schema_is_config_error(self, corpus, tmp_path, capsys, schema, message):
+        (tmp_path / "t.csv").write_text("a,a\n1,10\n2,20\n3,30\n")
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        code = main(["prepare-data", "--csv", str(tmp_path / "t.csv"),
+                     "--schema", str(tmp_path / "schema.json"),
+                     "--split-spec", str(corpus / "spec.json"), "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert f"{tmp_path / 'schema.json'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 def prepare_spec(corpus, tmp_path, spec) -> int:
     """prepare-data with `spec` as the split-spec file, into tmp_path / "x"."""
     path = tmp_path / "spec.json"
@@ -223,6 +241,22 @@ class TestPretrain:
         assert main(["pretrain", "--data", str(prepared), "--out", str(tmp_path / "c.qmc"),
                      "--algorithm", algorithm, "--widths", "32,32", "--batch-size", "64",
                      "--queue-size", "32", "--dry-run"]) == code
+
+    @pytest.mark.parametrize("command", [
+        ["pretrain"], ["pretrain", "--dry-run"], ["grid"],
+        ["sweep", "--kind", "queue-size", "--values", "64"],
+    ], ids=" ".join)
+    def test_empty_pretext_val_is_config_error(self, corpus, tmp_path, monkeypatch, capsys,
+                                               command):
+        spec = {**json.loads((corpus / "spec.json").read_text()), "pretext_val": 0}
+        assert prepare_spec(corpus, tmp_path, spec) == EXIT_OK
+        calls = spy_on_pretrain(monkeypatch)
+        out = tmp_path / "out"
+        code = main([command[0], "--data", str(tmp_path / "x"), "--out", str(out),
+                     "--algorithm", "qmatch"] + command[1:] + SMALL_TRAIN)
+        assert code == EXIT_CONFIG
+        assert "pretext_val holds no rows" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_no_algorithm_is_config_error(self, prepared, tmp_path):
         code = main(["pretrain", "--data", str(prepared),
@@ -935,9 +969,11 @@ class TestReport:
         {"test_accuracy": 150.0}, {"test_accuracy": math.nan}, {"seed": None},
         [1, 2], {"test_accuracy": "50"}, b'{"algorithm": "q\xffmatch"}', b"{",
         {"algorithm": ["qmatch"]}, {"dataset": 7}, {"val_accuracy": True},
+        {"seed": "zero"}, {"hyperparameters": 5}, {"wall_time": "slow"}, {"task": "pretext"},
     ], ids=["accuracy_150", "accuracy_nan", "missing_key", "json_array",
             "string_accuracy", "not_utf8", "bad_json", "list_algorithm", "int_dataset",
-            "bool_accuracy"])
+            "bool_accuracy", "string_seed", "int_hyperparameters", "string_wall_time",
+            "pretext_task"])
     def test_malformed_line_names_file_and_line(self, tmp_path, capsys, line):
         good = TrialResult("qmatch", "adult1pct", "linear", {}, 0, 60.0, 60.0, 0.0).to_json()
         if isinstance(line, dict):  # the good line with these fields changed (None: dropped)

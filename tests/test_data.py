@@ -119,6 +119,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="unknown type"):
             load_schema(p)
 
+    def test_repeated_column_name_rejected(self, tmp_path):
+        # each feature would read the last column of that name: 10,20,30 twice
+        p = write_csv(tmp_path / "a.csv", "a,a\n1,10\n2,20\n3,30\n")
+        with pytest.raises(DataError, match="column name 'a' appears more than once"):
+            load_csv(p, [ColumnSpec("a", "numeric"), ColumnSpec("a", "numeric")])
+
 
 NUMBERS = ["0", "1", "-2.5", "3e2", ".5", "-0", "1_000", "nan", "inf", "-Infinity", "1e999",
            "", "abc", "0x10", "1 2"]

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -11,13 +12,13 @@ from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
 from qmatch.data import SplitSpec, apply_preprocess, fit_preprocess, make_splits
 from qmatch.distill import QMatchConfig, queue_init, training_step
-from qmatch.model import CHECKPOINT_VERSION, EmaParams, EncoderConfig, ModelParams, init_params
+from qmatch.model import (CHECKPOINT_VERSION, ConfigError, EmaParams, EncoderConfig,
+                          ModelParams, init_params)
 from qmatch.tensor import UPDATE_BLOCK, Tensor, backward
 from qmatch.train import (
     PRETEXT_ALGORITHMS,
     AdamW,
     Cell,
-    EarlyStopper,
     TrainLoopConfig,
     TrainingError,
     TrialResult,
@@ -280,41 +281,25 @@ class TestStepOnLoss:
             assert_same_bits(got.queue.storage, want.queue.storage)
 
 
-class TestEarlyStopper:
-    def test_stops_after_exact_patience(self):
-        stopper = EarlyStopper(patience=32, mode="min")
-        assert not stopper.update(1.0, 0)
-        stops = [stopper.update(1.0, e) for e in range(1, 40)]
-        assert stops.index(True) == 31  # epoch 32: the 32nd non-improving epoch
-        assert stopper.best_epoch == 0
-
-    def test_improvement_resets_counter(self):
-        stopper = EarlyStopper(patience=3, mode="min")
-        metrics = [5.0, 4.0, 4.0, 3.0, 3.0, 3.0, 3.0]
-        stops = [stopper.update(m, e) for e, m in enumerate(metrics)]
-        assert stops == [False] * 6 + [True]
-        assert stopper.best == 3.0 and stopper.best_epoch == 3
-
-    def test_monotone_improvement_never_stops(self):
-        stopper = EarlyStopper(patience=2, mode="max")
-        assert not any(stopper.update(float(e), e) for e in range(100))
-
-    def test_equal_metric_is_not_improvement(self):
-        stopper = EarlyStopper(patience=1, mode="max")
-        stopper.update(1.0, 0)
-        assert stopper.update(1.0, 1)
-
-
 class TestEarlyStopped:
-    @pytest.mark.parametrize("metrics, patience, mode, best_epoch, writes", [
-        ([5, 4, 3], 2, "min", 2, 2),           # the last epoch is the best
-        ([5, 4, 6, 3, 7, 8], 5, "min", 3, 3),  # a later epoch ran after the best
-        ([5, 6, 7, 8], 2, "min", 0, 1),        # patience ends the run
-        ([1, 2, 1], 1, "max", 1, 2),
-        ([5], 0, "min", 0, 0),
-    ], ids=["last_is_best", "best_inside", "patience_ends", "max_mode", "one_epoch"])
+    @pytest.mark.parametrize("metrics, patience, mode, best_epoch, epochs_run, writes", [
+        ([5, 4, 3], 2, "min", 2, 3, 2),           # the last epoch is the best
+        ([5, 4, 6, 3, 7, 8], 5, "min", 3, 6, 3),  # a later epoch ran after the best
+        ([5, 6, 7, 8], 2, "min", 0, 3, 1),        # patience ends the run
+        ([1, 2, 1], 1, "max", 1, 3, 2),
+        ([5], 0, "min", 0, 1, 0),
+        ([1.0] * 40, 32, "min", 0, 33, 1),        # the 32nd epoch without a gain stops it
+        ([5, 4, 4, 3, 3, 3, 3, 0], 3, "min", 3, 7, 3),  # a gain resets the count
+        ([float(e) for e in range(100)], 2, "max", 99, 100, 99),
+        ([1, 1, 2], 1, "max", 0, 2, 1),           # an equal metric is no gain
+        ([5, math.nan, 4], 2, "min", 2, 3, 1),    # a NaN is no gain either
+        ([math.nan, 1, 2], 2, "min", 0, 3, 1),    # but the first epoch always is
+    ], ids=["last_is_best", "best_inside", "patience_ends", "max_mode", "one_epoch",
+            "exact_patience", "improvement_resets_count", "max_gains_never_stop",
+            "equal_metric_is_stale", "nan_is_stale", "first_nan_is_best"])
     def test_copies_only_what_a_later_epoch_would_overwrite(self, monkeypatch, metrics,
-                                                           patience, mode, best_epoch, writes):
+                                                           patience, mode, best_epoch,
+                                                           epochs_run, writes):
         opened = spy_on_spill_files(monkeypatch)
         written = []
 
@@ -334,14 +319,14 @@ class TestEarlyStopped:
             return {"format_version": CHECKPOINT_VERSION, "metadata": {"at": live[0]}}, \
                 {"epochs_run": live}
 
-        header, stopper, history = _early_stopped(len(metrics), patience, mode, run_epoch,
-                                                  live_arrays)
-        assert stopper.best_epoch == best_epoch and history == metrics[:len(history)]
+        header, best, history = _early_stopped(len(metrics), patience, mode, run_epoch,
+                                               live_arrays)
+        assert best == best_epoch and history == metrics[:epochs_run]
         # one write per improving epoch that another epoch follows, all into one file
         assert len(written) == writes
         assert len(opened) == min(writes, 1) and all(f.closed for f in opened)
-        if best_epoch == len(history) - 1:
-            assert header is None and live[0] == len(history)
+        if best_epoch == epochs_run - 1:
+            assert header is None and live[0] == epochs_run
         else:  # the last write, read back into the live array
             assert header["metadata"] == {"at": best_epoch + 1}
             assert live[0] == written[-1][0] == best_epoch + 1
@@ -543,6 +528,13 @@ class TestPretrain:
         assert ref.best_epoch == res.best_epoch
         np.testing.assert_array_equal(res.queue.ordered(), ref.queue.ordered())
 
+    def test_empty_pretext_val_is_config_error(self, setup, monkeypatch):
+        ds, splits, state, config = setup
+        monkeypatch.setattr(qmatch.train, "init_params", None)  # training would call it
+        with pytest.raises(ConfigError, match="pretext_val holds no rows"):
+            pretrain("qmatch", ds, {**splits, "pretext_val": splits["pretext_val"][:0]},
+                     state, config, TrainLoopConfig(**SMALL_LOOP), seed=0)
+
     def test_unknown_algorithm(self, setup):
         ds, splits, state, config = setup
         with pytest.raises(ValueError, match="unknown pretext"):
@@ -681,12 +673,12 @@ class TestBestEpochSpill:
                             spy(qmatch.train._early_stopped, loops))
         opened = spy_on_spill_files(monkeypatch)
         res = finetune(params, ds, splits, state, TrainLoopConfig(**SMALL_LOOP), seed=0)
-        stopper, history = loops[0][1:]
-        assert stopper.best_epoch < len(history) - 1
+        best, history = loops[0][1:]
+        assert best < len(history) - 1
         assert len(opened) == 1 and opened[0].closed  # one file, overwritten, then closed
-        cut = TrainLoopConfig(**{**SMALL_LOOP, "downstream_max_epochs": stopper.best_epoch + 1})
+        cut = TrainLoopConfig(**{**SMALL_LOOP, "downstream_max_epochs": best + 1})
         ref = finetune(params, ds, splits, state, cut, seed=0)
-        assert loops[1][2] == history[:stopper.best_epoch + 1]
+        assert loops[1][2] == history[:best + 1]
         assert (res.val_accuracy, res.test_accuracy) == (ref.val_accuracy, ref.test_accuracy)
         assert_same_params(models[0], models[1])
         assert list(heads[0]) == list(heads[1])

@@ -30,6 +30,7 @@ from .data import (
     load_schema,
     make_splits,
     preset_split,
+    read_json,
     save_manifest,
 )
 from .distill import QMatchConfig
@@ -81,32 +82,51 @@ def _resolve(path: str) -> Path:
 
 
 def load_run_config(path) -> dict:
-    with open(path) as fh:
-        cfg = _checked(json.load(fh), str(path), {
-            "algorithm": "str", "seed": "int", **dict.fromkeys(RUN_CONFIG_SECTIONS, "dict")})
+    cfg = _checked(read_json(path), str(path), {
+        "algorithm": "str", "seed": "int", **dict.fromkeys(RUN_CONFIG_SECTIONS, "dict")})
     for name, (cls, *skip) in RUN_CONFIG_SECTIONS.items():
         _checked(cfg.get(name, {}), f"{path}: {name}", _field_types(cls, *skip))
     return cfg
 
 
+# meta.json key -> its JSON type; prepare-data writes them all, Workspace reads the first three
+WORKSPACE_META = {"csv": "str", "schema": "str", "name": "str", "preset": "str | None",
+                  "seed": "int", "quantile": "bool"}
+
+
 class Workspace:
-    """A prepared-data directory: manifest, preprocess state, meta."""
+    """A prepared-data directory: manifest, preprocess state, meta.  A file that
+    breaks its rules is a DataError or ConfigError naming it."""
 
     def __init__(self, directory: Path):
         self.dir = Path(directory)
-        with open(self.dir / "meta.json") as fh:
-            self.meta = json.load(fh)
-        with open(self.dir / "preprocess.json") as fh:
-            self.state = PreprocessState.from_dict(json.load(fh))
+        meta, preprocess, manifest = (self.dir / name for name in
+                                      ("meta.json", "preprocess.json", "splits.json"))
+        self.meta = _checked(read_json(meta), str(meta), WORKSPACE_META,
+                             required=("csv", "schema", "name"))
+        state = read_json(preprocess)
+        try:
+            self.state = PreprocessState.from_dict(state)
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{preprocess}: not a preprocessing state "
+                            f"({type(e).__name__}: {e})") from None
         schema = load_schema(_resolve(self.meta["schema"]))
         self.dataset = load_csv(_resolve(self.meta["csv"]), schema,
                                 name=self.meta["name"])
-        self.splits = load_manifest(self.dir / "splits.json")
+        cards = {j: card for j, (_, card) in self.state.cat_layout.items()}
+        if len(self.state.mean) != self.dataset.num_features or \
+                cards != {j: len(v) for j, v in self.dataset.cat_vocab.items()}:
+            raise DataError(f"{preprocess}: its layout does not match the features and "
+                            f"categorical vocabularies of {self.meta['csv']}")
+        self.splits = load_manifest(manifest)
+        for name in _field_types(SplitSpec, "label_fraction", "seed"):  # the five splits
+            if name not in self.splits:
+                raise DataError(f"{manifest}: split {name!r} is missing")
         rows = len(self.dataset)
         for name, idx in self.splits.items():  # -1 would pick the last row unnoticed
             if idx.size and not 0 <= idx.min() <= idx.max() < rows:
-                raise DataError(f"{self.dir / 'splits.json'}: split {name!r} holds a row "
-                                f"index outside [0, {rows})")
+                raise DataError(f"{manifest}: split {name!r} holds a row index outside "
+                                f"[0, {rows})")
 
 
 def cmd_prepare_data(args) -> int:
@@ -118,9 +138,8 @@ def cmd_prepare_data(args) -> int:
         if quantile is None:
             quantile = datamod.PRESETS[args.preset].get("quantile", False)
     else:
-        with open(args.split_spec) as fh:  # its seed is --seed
-            spec_fields = _checked(json.load(fh), args.split_spec,
-                                   _field_types(SplitSpec, "seed"))
+        spec_fields = _checked(read_json(args.split_spec), args.split_spec,
+                               _field_types(SplitSpec, "seed"))  # its seed is --seed
         spec = _config(SplitSpec, **spec_fields, seed=args.seed)
     splits = make_splits(dataset, spec)
     state = fit_preprocess(dataset, rows=splits["pretext_train"],
@@ -182,7 +201,7 @@ def _build_configs(args, ws: Workspace, algorithms: tuple):
 
 def _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed) -> dict:
     return {"algorithm": algorithm, "seed": seed,
-            "encoder": encoder.to_dict(), "loop": asdict(loop),
+            "encoder": asdict(encoder), "loop": asdict(loop),
             "qmatch": asdict(qm), "corruption": asdict(corr), "extra": asdict(extra)}
 
 
@@ -221,7 +240,7 @@ def _append_result(path, result: TrialResult):
         fh.write(result.to_json() + "\n")
 
 
-def cmd_eval(args, task: str) -> int:
+def cmd_eval(args) -> int:
     ws = Workspace(Path(args.data))
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
@@ -245,12 +264,12 @@ def cmd_eval(args, task: str) -> int:
     if not isinstance(algorithm, str):  # it names the result's row in a report
         raise CheckpointError(f"{ckpt_path}: metadata algorithm must be a string, "
                               f"got {algorithm!r}")
-    fn = linear_eval if task == "linear" else finetune
+    fn = linear_eval if args.task == "linear" else finetune
     result = fn(ckpt["params"], ws.dataset, ws.splits, ws.state, loop,
                 args.seed if args.seed is not None else 0,
                 algorithm=algorithm)
     _append_result(args.out, result)
-    print(f"{task} val_accuracy={result.val_accuracy:.2f} "
+    print(f"{args.task} val_accuracy={result.val_accuracy:.2f} "
           f"test_accuracy={result.test_accuracy:.2f}")
     return EXIT_OK
 
@@ -262,8 +281,7 @@ def cmd_grid(args) -> int:
         raise ConfigError("no algorithm given")
     seeds = args.seeds or [seed]  # --seed and a run config's seed are in `seed`
     if args.grid:
-        with open(args.grid) as fh:
-            grid = json.load(fh)
+        grid = read_json(args.grid)
         if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
             raise ConfigError(f"{args.grid}: a grid file is a JSON object of value lists")
     else:
@@ -412,12 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare-data", help="build split manifests and preprocessing state")
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--preset", choices=sorted(datamod.PRESETS), default=None)
-    p.add_argument("--split-spec", default=None, help="JSON file with SplitSpec fields")
+    split = p.add_mutually_exclusive_group(required=True)
+    split.add_argument("--preset", choices=sorted(datamod.PRESETS), default=None)
+    split.add_argument("--split-spec", default=None, help="JSON file with SplitSpec fields")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default=None)
     p.add_argument("--quantile", action=argparse.BooleanOptionalAction, default=None)
+    p.set_defaults(run=cmd_prepare_data)
 
     def train_flags(q):
         q.add_argument("--config", default=None, help="run-config JSON")
@@ -438,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="prepared-data directory")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--dry-run", action="store_true")
+    p.set_defaults(run=cmd_pretrain)
     train_flags(p)
 
     for task, name in (("linear", "linear-eval"), ("finetune", "finetune")):
@@ -450,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-epochs", type=int, default=None)
         p.add_argument("--patience", type=int, default=None)
         p.add_argument("--batch-size", type=int, default=None)
-        p.set_defaults(task=task)
+        p.set_defaults(run=cmd_eval, task=task)
 
     p = sub.add_parser("grid", help="hyperparameter grid search")
     p.add_argument("--data", required=True)
@@ -459,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_list_of(int), default=None,
                    help="comma-separated seed list")
     p.add_argument("--grid", default=None, help="JSON file: {param: [values]}")
+    p.set_defaults(run=cmd_grid)
     train_flags(p)
 
     p = sub.add_parser("sweep", help="sensitivity sweeps, emitted as plot-ready CSV")
@@ -471,11 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated axis values")
     p.add_argument("--teacher-values", type=_list_of(float), default=None,
                    help="teacher corruption values (corruption-heatmap)")
+    p.set_defaults(run=cmd_sweep)
     train_flags(p)
 
     p = sub.add_parser("report", help="aggregate results into a rank table")
     p.add_argument("results", nargs="+", help="JSONL result files")
     p.add_argument("--json", default=None, help="also write the table as JSON")
+    p.set_defaults(run=cmd_report)
 
     return parser
 
@@ -487,22 +511,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "prepare-data":
-            if bool(args.preset) == bool(args.split_spec):
-                raise ConfigError("give exactly one of --preset or --split-spec")
-            return cmd_prepare_data(args)
-        if args.command == "pretrain":
-            return cmd_pretrain(args)
-        if args.command in ("linear-eval", "finetune"):
-            return cmd_eval(args, args.task)
-        if args.command == "grid":
-            return cmd_grid(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "report":
-            return cmd_report(args)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError) as e:
+        return args.run(args)
+    except (ConfigError, DataError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingError, CheckpointError) as e:

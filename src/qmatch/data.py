@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import check_fields
+from .model import _has_json_type, check_fields
 
 
 class DataError(ValueError):
@@ -31,18 +31,35 @@ class ColumnSpec:
     type: str  # numeric | categorical | label
     categories: list[str] | None = None
 
+    def __post_init__(self):
+        """A column's rules, which also check the JSON types a schema file gives."""
+        if not isinstance(self.name, str):
+            raise DataError(f"column name {self.name!r} is not a string")
+        if self.type not in ("numeric", "categorical", "label"):
+            raise DataError(f"column {self.name!r}: unknown type {self.type!r}")
+        if not (self.categories is None or isinstance(self.categories, list)
+                and all(isinstance(v, str) for v in self.categories)):
+            raise DataError(f"column {self.name!r}: categories {self.categories!r} are not "
+                            f"a list of strings")
+
+
+def read_json(path):
+    """The JSON value in the file `path`; a file that is not UTF-8 JSON is a
+    DataError naming it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as e:  # json.JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: not a JSON file ({e})") from None
+
 
 def load_schema(path) -> list[ColumnSpec]:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     try:
         cols = [ColumnSpec(c["name"], c["type"], c.get("categories")) for c in raw["columns"]]
     except (TypeError, KeyError) as e:
         raise DataError(f"{path}: expected a \"columns\" list of objects, each with a "
                         f"\"name\" and a \"type\" ({type(e).__name__}: {e})") from None
-    for c in cols:
-        if c.type not in ("numeric", "categorical", "label"):
-            raise DataError(f"column {c.name!r}: unknown type {c.type!r}")
     if sum(1 for c in cols if c.type == "label") > 1:
         raise DataError("schema declares more than one label column")
     _check_unique_names(cols, path)
@@ -114,8 +131,6 @@ def _load_columns(path, schema: list[ColumnSpec]):
     labels by a converter that maps each stripped value to its vocabulary code.
     Raises (never ``DataError``) on any input whose result could differ from
     ``_load_cells``, which then gives the verdict."""
-    if any(c.type not in ("numeric", "categorical", "label") for c in schema):
-        raise ValueError("unknown column types")  # the cell loop words the error
     luts = {i: {} if c.categories is None else {v: k for k, v in enumerate(c.categories)}
             for i, c in enumerate(schema) if c.type != "numeric"}
     converters = {i: (lambda s, lut=lut: lut.setdefault(s.strip(), len(lut)))
@@ -262,6 +277,35 @@ class PreprocessState:
     score_tables: dict[int, np.ndarray] = field(default_factory=dict, init=False,
                                                 repr=False, compare=False)
 
+    def __post_init__(self):
+        """The rules of a fitted state, none of which reads a row or walks a
+        one-hot block: every feature has one layout entry, one mean and one var,
+        all finite with var >= 0; the layouts cover the columns [0, output_dim)
+        exactly once; a quantile state has a table per numeric feature, any
+        other none."""
+        check_fields(self, "an int >= 1", lambda n: _has_json_type(n, "int") and n >= 1, "count")
+        check_fields(self, "an int >= 0", lambda n: _has_json_type(n, "int") and n >= 0,
+                     "output_dim")
+        check_fields(self, "a bool", lambda q: _has_json_type(q, "bool"), "quantile")
+        check_fields(self, "finite and > 0",
+                     lambda e: _has_json_type(e, "float") and 0 < e < np.inf, "epsilon")
+        features = len(self.num_layout) + len(self.cat_layout)
+        if sorted([*self.num_layout, *self.cat_layout]) != list(range(features)):
+            raise DataError(f"the layouts must place each of features 0..{features - 1} once")
+        if self.mean.shape != (features,) or self.var.shape != (features,):
+            raise DataError(f"mean and var must hold one entry per feature ({features}), got "
+                            f"shapes {self.mean.shape} and {self.var.shape}")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.var).all()
+                and (self.var >= 0).all()):
+            raise DataError("mean and var must be finite, and var >= 0")
+        if not _tiles([(col, 1) for col in self.num_layout.values()]
+                      + [tuple(span) for span in self.cat_layout.values()], self.output_dim):
+            raise DataError(f"the layouts must cover the output columns [0, {self.output_dim}) "
+                            f"exactly once")
+        if set(self.quantile_tables) != (set(self.num_layout) if self.quantile else set()) \
+                or any(t.ndim != 1 for t in self.quantile_tables.values()):
+            raise DataError("a quantile state holds a table per numeric feature, any other none")
+
     def to_dict(self) -> dict:
         return {
             "mean": self.mean.tolist(),
@@ -277,17 +321,36 @@ class PreprocessState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessState":
+        """The state `to_dict` wrote; a missing key or a value of the wrong JSON
+        type raises KeyError, TypeError or ValueError (DataError and ConfigError
+        are ValueErrors)."""
+        def by_feature(key: str) -> dict:
+            if not isinstance(d[key], dict):
+                raise TypeError(f"{key} must be an object, got {d[key]!r}")
+            return {int(k): v for k, v in d[key].items()}
+
         return cls(
-            mean=np.asarray(d["mean"]),
-            var=np.asarray(d["var"]),
+            mean=np.asarray(d["mean"], dtype=np.float64),
+            var=np.asarray(d["var"], dtype=np.float64),
             count=d["count"],
-            cat_layout={int(k): tuple(v) for k, v in d["cat_layout"].items()},
-            num_layout={int(k): v for k, v in d["num_layout"].items()},
+            cat_layout={k: tuple(v) for k, v in by_feature("cat_layout").items()},
+            num_layout=by_feature("num_layout"),
             output_dim=d["output_dim"],
             quantile=d["quantile"],
-            quantile_tables={int(k): np.asarray(v) for k, v in d["quantile_tables"].items()},
+            quantile_tables={k: np.asarray(v, dtype=np.float64)
+                             for k, v in by_feature("quantile_tables").items()},
             epsilon=d["epsilon"],
         )
+
+
+def _tiles(spans: list[tuple], n: int) -> bool:
+    """Whether the (start, width) spans of ints cover [0, n) exactly once."""
+    end = 0
+    for start, width in sorted(spans):
+        if not (type(start) is type(width) is int and start == end and width >= 1):
+            return False
+        end += width
+    return end == n
 
 
 def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
@@ -517,8 +580,7 @@ def save_manifest(splits: dict[str, np.ndarray], path, metadata: dict | None = N
 def load_manifest(path) -> dict[str, np.ndarray]:
     """The splits of a manifest file; a split that is not a list of integers is a
     DataError naming the file and the split."""
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, dict):
         raise DataError(f"{path}: a manifest is a JSON object of splits")
     splits = {}

@@ -57,11 +57,15 @@ def _field_types(cls, *skip) -> dict[str, str]:
     return {f.name: f.type for f in fields(cls) if f.name not in skip}
 
 
-def _checked(obj, where: str, types: dict[str, str]) -> dict:
-    """`obj` if it is a JSON object of `types`' keys, each value of the JSON type
-    its annotation names; the rules for the values live in the config dataclasses."""
+def _checked(obj, where: str, types: dict[str, str], required=()) -> dict:
+    """`obj` if it is a JSON object of `types`' keys that holds every key of
+    `required`, each value of the JSON type its annotation names; the rules for
+    the values live in the config dataclasses."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{where}: missing key {key!r}")
     for key, value in obj.items():
         if key not in types:
             raise ConfigError(f"{where}: unknown key {key!r}; known: {', '.join(types)}")
@@ -108,18 +112,12 @@ class EncoderConfig:
     def embed_dim(self) -> int:
         return self.layer_widths[-1] // self.maxout_k
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["layer_widths"] = list(self.layer_widths)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         d = dict(d)
         # a retired field: files written before its removal carry it as null
         if "num_classes" in d and d["num_classes"] is None:
             del d["num_classes"]
-        d["layer_widths"] = tuple(d["layer_widths"])
         return cls(**d)
 
 
@@ -304,7 +302,7 @@ def _checkpoint_arrays(params: ModelParams, ema: EmaParams | None = None,
         arrays[f"buffers/{k}"] = np.ascontiguousarray(v)
     header: dict = {
         "format_version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
     }
     if ema is not None:
         header["ema_decay"] = ema.decay
@@ -460,7 +458,7 @@ def load_checkpoint(path, expected_config: EncoderConfig | None = None):
             config = EncoderConfig.from_dict(header["config"])
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: bad config in header: {e!r}") from None
-        if expected_config is not None and config.to_dict() != expected_config.to_dict():
+        if expected_config is not None and config != expected_config:
             raise CheckpointError(f"{path}: checkpoint config does not match expected config")
 
         entries = _checked_entries(path, header.get("arrays"), payload)

@@ -592,11 +592,12 @@ def run_cells(algorithm: str, task: str, dataset: TabularDataset, state: Preproc
 
 # -- grid search -------------------------------------------------------------------
 
-# grid key -> the config field it sets
+# grid key -> the config field it sets; among points of equal validation
+# accuracy, grid_search keeps the smallest value of the first key here that differs
 GRID_KEYS = {"learning_rate": "learning_rate", "pretext_learning_rate": "pretext_learning_rate",
-             "tau_student": "tau_student", "queue_size": "queue_capacity",
-             "corruption_probability": "p_student", "p_teacher": "p_teacher",
-             "tau": "tau", "num_prototypes": "num_prototypes"}
+             "queue_size": "queue_capacity", "tau_student": "tau_student", "tau": "tau",
+             "corruption_probability": "p_student", "num_prototypes": "num_prototypes",
+             "p_teacher": "p_teacher"}
 
 
 def _point_configs(point: dict, loop: TrainLoopConfig, qm: QMatchConfig | None,
@@ -622,16 +623,6 @@ def _point_configs(point: dict, loop: TrainLoopConfig, qm: QMatchConfig | None,
         raise ConfigError(f"grid point {point}: {e}") from None
 
 
-def _tie_break_key(point: dict):
-    return (point.get("learning_rate", 0.0),
-            point.get("pretext_learning_rate", 0.0),
-            point.get("queue_size", 0),
-            point.get("tau_student", 0.0),
-            point.get("tau", 0.0),
-            point.get("corruption_probability", 0.0),
-            tuple(sorted(point.items())))
-
-
 def grid_search(algorithm: str, grid: dict[str, list], task: str,
                 dataset: TabularDataset, splits: dict[str, np.ndarray],
                 state: PreprocessState, encoder_config: EncoderConfig,
@@ -640,10 +631,10 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
                 corruption: CorruptionConfig | None = None,
                 extra: baselines.BaselineConfig | None = None):
     """Evaluate the Cartesian product of `grid` at the first seed, select by
-    downstream validation accuracy (deterministic tie-breaking), then rerun the
-    winner at the other seeds.  Each point overrides only the settings it names;
-    the rest come from `loop`, `qm_config`, `corruption` and `extra`.  Every
-    point's configs are built, and so checked, before the first pretrain.
+    downstream validation accuracy (ties broken in `GRID_KEYS` order), then
+    rerun the winner at the other seeds.  Each point overrides only the settings
+    it names; the rest come from `loop`, `qm_config`, `corruption` and `extra`.
+    Every point's configs are built, and so checked, before the first pretrain.
 
     Returns (best_point, results_at_best, all_point_outcomes).
     """
@@ -665,7 +656,7 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
     if not valid:
         raise TrainingError("every grid point failed")
     best = min(valid, key=lambda i: (-outcomes[i]["result"].val_accuracy,
-                                     _tie_break_key(points[i])))
+                                     [points[i].get(k, 0) for k in GRID_KEYS]))
     rest = run_cells(algorithm, task, dataset, state, encoder_config, [cells[best]], seeds[1:])
     return points[best], [outcomes[best]["result"]] + rest[0], outcomes
 

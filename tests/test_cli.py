@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -557,6 +560,194 @@ def test_bad_split_index_is_config_error(prepared, tmp_path, capsys, index):
                  "--algorithm", "qmatch", "--dry-run"] + SMALL_TRAIN)
     assert code == EXIT_CONFIG
     assert f"{data / 'splits.json'}: split 'down_val'" in capsys.readouterr().err
+
+
+WORKSPACE_FILES = ("meta.json", "preprocess.json", "splits.json")
+
+
+def edited_workspace(prepared, directory, name, edit):
+    """A copy of the `prepared` workspace in `directory` whose file `name` holds
+    `edit` of its JSON value."""
+    directory.mkdir(exist_ok=True)
+    for other in WORKSPACE_FILES:
+        (directory / other).write_bytes((prepared / other).read_bytes())
+    (directory / name).write_text(json.dumps(edit(json.loads((prepared / name).read_text()))))
+    return directory
+
+
+def _without(key):
+    return lambda obj: {k: v for k, v in obj.items() if k != key}
+
+
+def _with(key, value):
+    return lambda obj: {**obj, key: value}
+
+
+def _first_var_negative(state):
+    return {**state, "var": [-1.0] + state["var"][1:]}
+
+
+def _first_categorical_dropped(state):
+    return {**state, "cat_layout": dict(list(state["cat_layout"].items())[1:])}
+
+
+def _last_categorical_widened(state):
+    *rest, (last, (start, card)) = state["cat_layout"].items()
+    return {**state, "cat_layout": {**dict(rest), last: [start, card + 1]},
+            "output_dim": state["output_dim"] + 1}
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("meta.json", _without("csv"), "missing key 'csv'"),
+    ("meta.json", _with("name", 5), "name must be str, got 5"),
+    ("meta.json", _with("preset", 3), "preset must be str | None"),
+    ("splits.json", _without("pretext_val"), "split 'pretext_val' is missing"),
+    ("splits.json", _without("test"), "split 'test' is missing"),
+    ("preprocess.json", lambda state: [state], "not a preprocessing state (TypeError"),
+    ("preprocess.json", _without("var"), "not a preprocessing state (KeyError: 'var')"),
+    ("preprocess.json", _with("output_dim", 99), "cover the output columns [0, 99)"),
+    ("preprocess.json", _first_var_negative, "var >= 0"),
+    ("preprocess.json", _with("mean", [0.0]), "one entry per feature"),
+    ("preprocess.json", _with("quantile", True), "a quantile state holds a table"),
+    ("preprocess.json", _first_categorical_dropped, "layouts must place each of features"),
+    ("preprocess.json", _last_categorical_widened, "categorical vocabularies"),
+], ids=["meta_without_csv", "meta_int_name", "meta_int_preset", "manifest_without_pretext_val",
+        "manifest_without_test", "preprocess_list", "preprocess_without_var",
+        "preprocess_output_dim_99", "preprocess_negative_var", "preprocess_one_mean",
+        "preprocess_quantile_without_tables",
+        "preprocess_categorical_dropped", "preprocess_card_off_vocabulary"])
+def test_bad_workspace_file_is_config_error_naming_it(prepared, checkpoint, tmp_path, capsys,
+                                                      name, edit, message):
+    data = edited_workspace(prepared, tmp_path / "data", name, edit)
+    out = tmp_path / "out"
+    for argv in (["pretrain", "--algorithm", "qmatch", "--dry-run"] + SMALL_TRAIN,
+                 ["pretrain", "--algorithm", "qmatch"] + SMALL_TRAIN,
+                 ["linear-eval", "--checkpoint", str(checkpoint)]):
+        assert main(argv + ["--data", str(data), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {data / name}: " in err and message in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", WORKSPACE_FILES)
+@pytest.mark.parametrize("content", [b'{"csv": ', b"\xff{}"], ids=["cut_json", "not_utf8"])
+def test_workspace_file_that_is_no_json_is_config_error_naming_it(prepared, tmp_path, capsys,
+                                                                  name, content):
+    data = edited_workspace(prepared, tmp_path / "data", name, lambda value: value)
+    (data / name).write_bytes(content)
+    assert main(["pretrain", "--data", str(data), "--out", str(tmp_path / "c.qmc"),
+                 "--algorithm", "qmatch", "--dry-run"] + SMALL_TRAIN) == EXIT_CONFIG
+    assert f"config error: {data / name}: not a JSON file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--data", "DATA", "--out", "c.qmc", "--dry-run", "--config", "BAD"],
+    ["grid", "--data", "DATA", "--out", "g", "--algorithm", "qmatch", "--grid", "BAD"],
+    ["prepare-data", "--csv", "CSV", "--schema", "BAD", "--preset", "adult1pct", "--out", "x"],
+    ["prepare-data", "--csv", "CSV", "--schema", "SCHEMA", "--split-spec", "BAD", "--out", "x"],
+], ids=["run_config", "grid", "schema", "split_spec"])
+def test_input_file_that_is_not_utf8_is_config_error_naming_it(corpus, prepared, tmp_path,
+                                                               capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    paths = {"BAD": bad, "DATA": prepared, "CSV": corpus / "fixture.csv",
+             "SCHEMA": corpus / "schema.json"}
+    assert main([str(paths.get(a, a)) for a in argv]) == EXIT_CONFIG
+    assert f"config error: {bad}: not a JSON file" in capsys.readouterr().err
+
+
+def test_meta_without_an_optional_key_still_loads(prepared, tmp_path, capsys):
+    """No command reads a workspace's preset, seed or quantile flag."""
+    for key in ("preset", "seed", "quantile"):
+        data = edited_workspace(prepared, tmp_path / key, "meta.json", _without(key))
+        assert main(["pretrain", "--data", str(data), "--out", str(tmp_path / "c.qmc"),
+                     "--algorithm", "qmatch", "--dry-run"] + SMALL_TRAIN) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def _json_kind(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4)
+
+
+def _paths(value, path=()):
+    """The path of every value inside a JSON value, its own (the empty path) first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, path + (key,))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def workspace_edits(draw, prepared):
+    """(file name, its edited JSON value): one key dropped, one value swapped for
+    a value of another JSON type, or one list emptied."""
+    name = draw(st.sampled_from(WORKSPACE_FILES))
+    value = json.loads((prepared / name).read_text())
+    paths = list(_paths(value))
+    lists = [p for p in paths if isinstance(_at(value, p), list)]
+    kind = draw(st.sampled_from(["drop", "swap"] + (["empty"] if lists else [])))
+    if kind == "drop":
+        path = draw(st.sampled_from([p for p in paths if p and isinstance(_at(value, p[:-1]),
+                                                                         dict)]))
+        del _at(value, path[:-1])[path[-1]]
+        return name, value
+    if kind == "empty":
+        path = draw(st.sampled_from(lists))
+        new = []
+    else:
+        path = draw(st.sampled_from(paths))
+        old = _at(value, path)
+        new = draw(JSON_TREES.filter(lambda v: _json_kind(v) != _json_kind(old)))
+    if not path:
+        return name, new
+    _at(value, path[:-1])[path[-1]] = new
+    return name, value
+
+
+DRY_RUN = ["pretrain", "--out", "unused.qmc", "--algorithm", "qmatch", "--dry-run"] + SMALL_TRAIN
+
+
+@pytest.fixture(scope="module")
+def dry_run_stdout(prepared):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(DRY_RUN + ["--data", str(prepared)]) == EXIT_OK
+    return stdout.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_workspace_file_edit_ends_in_the_same_run_or_exit_2_naming_it(
+        prepared, dry_run_stdout, tmp_path_factory, data):
+    name, value = data.draw(workspace_edits(prepared))
+    directory = tmp_path_factory.mktemp("edited")
+    edited_workspace(prepared, directory, name, lambda _: value)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(DRY_RUN + ["--data", str(directory)])
+    if code == EXIT_OK:
+        assert out.getvalue() == dry_run_stdout
+        return
+    assert code == EXIT_CONFIG
+    # an emptied pretext split passes the workspace; the pretrain batch rules refuse it
+    assert str(directory / name) in err.getvalue() or (
+        name == "splits.json" and
+        re.search(r"the 0 pretext_train rows|pretext_val holds no rows", err.getvalue()))
 
 
 @pytest.mark.parametrize("command", ["linear-eval", "finetune"])

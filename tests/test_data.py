@@ -119,6 +119,16 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="unknown type"):
             load_schema(p)
 
+    @pytest.mark.parametrize("column, message", [
+        (("b", "weird"), "column 'b': unknown type 'weird'"),
+        ((["b"], "numeric"), r"column name \['b'\] is not a string"),
+        (("b", "categorical", "xy"), "column 'b': categories 'xy' are not a list of strings"),
+        (("b", "label", [0, 1]), r"column 'b': categories \[0, 1\] are not a list"),
+    ], ids=["unknown_type", "list_name", "string_categories", "int_categories"])
+    def test_bad_column_refused_by_the_column_itself(self, column, message):
+        with pytest.raises(DataError, match=message):
+            ColumnSpec(*column)  # so no loader meets one
+
     def test_repeated_column_name_rejected(self, tmp_path):
         # each feature would read the last column of that name: 10,20,30 twice
         p = write_csv(tmp_path / "a.csv", "a,a\n1,10\n2,20\n3,30\n")

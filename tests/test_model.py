@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -44,7 +45,8 @@ class TestConfig:
 
     def test_roundtrip(self):
         cfg = small_config()
-        assert EncoderConfig.from_dict(cfg.to_dict()) == cfg
+        # through JSON, as a checkpoint header holds it: layer_widths comes back a list
+        assert EncoderConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestInit:

@@ -931,6 +931,31 @@ class TestGridSearch:
         assert seen == first
 
 
+    @pytest.mark.parametrize("algorithm, grid, tied, winner", [
+        ("dino", {"p_teacher": [0.3, 0.1], "num_prototypes": [8, 16]},
+         [{"p_teacher": 0.3, "num_prototypes": 8}, {"p_teacher": 0.1, "num_prototypes": 16}],
+         {"p_teacher": 0.3, "num_prototypes": 8}),
+        ("infonce", {"tau": [0.2, 0.1], "corruption_probability": [0.1, 0.5]},
+         [{"tau": 0.2, "corruption_probability": 0.1},
+          {"tau": 0.1, "corruption_probability": 0.5}],
+         {"tau": 0.1, "corruption_probability": 0.5}),
+    ], ids=["num_prototypes_before_p_teacher", "tau_before_corruption_probability"])
+    def test_ties_go_to_the_first_differing_key_in_grid_keys_order(
+            self, monkeypatch, algorithm, grid, tied, winner):
+        import qmatch.train as train_mod
+
+        def scored(algorithm, task, dataset, state, config, cells, seeds, failures=()):
+            return [[TrialResult(algorithm, "fixture", task, c.hyperparameters, seed,
+                                 60.0 if c.hyperparameters in tied else 50.0, 50.0, 0.0)
+                     for seed in seeds] for c in cells]
+
+        monkeypatch.setattr(train_mod, "run_cells", scored)
+        best, _, outcomes = grid_search(algorithm, grid, "linear", None, {}, None, None,
+                                        TrainLoopConfig(**SMALL_LOOP), seeds=[0])
+        assert sum(o["result"].val_accuracy == 60.0 for o in outcomes) == 2
+        assert best == winner
+
+
 class TestRunCells:
     @pytest.mark.parametrize("algorithm", PRETEXT_ALGORITHMS)
     def test_pretrain_reads_no_loop_field_left_out_of_the_pretext_key(self, setup,

@@ -51,6 +51,7 @@ from .train import (
     TrainLoopConfig,
     TrainingError,
     TrialResult,
+    _check_pretext_splits,
     _point_configs,
     aggregate,
     check_pretext_batch,
@@ -102,6 +103,7 @@ class Workspace:
         self.dir = Path(directory)
         meta, preprocess, manifest = (self.dir / name for name in
                                       ("meta.json", "preprocess.json", "splits.json"))
+        self.manifest = manifest
         self.meta = _checked(read_json(meta), str(meta), WORKSPACE_META,
                              required=("csv", "schema", "name"))
         state = read_json(preprocess)
@@ -113,10 +115,8 @@ class Workspace:
         schema = load_schema(_resolve(self.meta["schema"]))
         self.dataset = load_csv(_resolve(self.meta["csv"]), schema,
                                 name=self.meta["name"])
-        cards = {j: card for j, (_, card) in self.state.cat_layout.items()}
-        if len(self.state.mean) != self.dataset.num_features or \
-                cards != {j: len(v) for j, v in self.dataset.cat_vocab.items()}:
-            raise DataError(f"{preprocess}: its layout does not match the features and "
+        if self.state.cardinality != self.dataset.cardinalities():
+            raise DataError(f"{preprocess}: its cardinality does not match the features and "
                             f"categorical vocabularies of {self.meta['csv']}")
         self.splits = load_manifest(manifest)
         for name in _field_types(SplitSpec, "label_fraction", "seed"):  # the five splits
@@ -178,7 +178,9 @@ def _overlay(cls, section: dict, **flags):
 
 
 def _build_configs(args, ws: Workspace, algorithms: tuple):
-    """The run's algorithm (one of `algorithms`, or None), configs and seed."""
+    """The run's algorithm (one of `algorithms`, or None), configs and seed.  Every
+    algorithm but supervised pretrains, so it needs rows in both pretext splits;
+    the refusal names the manifest, which may leave them empty for supervised use."""
     cfg = load_run_config(args.config) if args.config else {}
     encoder = _overlay(EncoderConfig, cfg.get("encoder", {}),
                        input_dim=ws.state.output_dim, layer_widths=args.widths)
@@ -196,6 +198,8 @@ def _build_configs(args, ws: Workspace, algorithms: tuple):
         raise ConfigError(f"unknown algorithm {algorithm!r}, expected one of "
                           f"{', '.join(algorithms)}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if algorithm != "supervised":
+        _check_pretext_splits(ws.splits, f"{ws.manifest}: ")
     return algorithm, encoder, loop, qm, corr, extra, seed
 
 

@@ -60,8 +60,10 @@ def load_schema(path) -> list[ColumnSpec]:
     except (TypeError, KeyError) as e:
         raise DataError(f"{path}: expected a \"columns\" list of objects, each with a "
                         f"\"name\" and a \"type\" ({type(e).__name__}: {e})") from None
+    except DataError as e:  # a column's own rule
+        raise DataError(f"{path}: {e}") from None
     if sum(1 for c in cols if c.type == "label") > 1:
-        raise DataError("schema declares more than one label column")
+        raise DataError(f"{path}: schema declares more than one label column")
     _check_unique_names(cols, path)
     return cols
 
@@ -104,6 +106,11 @@ class TabularDataset:
 
     def cardinality(self, feature_index: int) -> int:
         return len(self.cat_vocab[feature_index])
+
+    def cardinalities(self) -> list[int | None]:
+        """Per feature: None for a numeric one, its vocabulary size for a categorical one."""
+        return [self.cardinality(j) if j in self.cat_vocab else None
+                for j in range(self.num_features)]
 
 
 def load_csv(path, schema: list[ColumnSpec], name: str = "") -> TabularDataset:
@@ -267,53 +274,57 @@ class PreprocessState:
     mean: np.ndarray          # per raw feature (categoricals unused)
     var: np.ndarray
     count: int
-    cat_layout: dict[int, tuple[int, int]]  # feature -> (output start, cardinality)
-    num_layout: dict[int, int]              # feature -> output column
-    output_dim: int
+    cardinality: list[int | None]  # per raw feature: None if numeric, else its category count
     quantile: bool = False
     quantile_tables: dict[int, np.ndarray] = field(default_factory=dict)
     epsilon: float = 1e-6
     # normal score of every rank 0..n, keyed by n; derived from quantile_tables, never saved
     score_tables: dict[int, np.ndarray] = field(default_factory=dict, init=False,
                                                 repr=False, compare=False)
+    # derived from cardinality, never saved: the feature of each output column,
+    # and the first output column of each feature
+    feature_of_column: np.ndarray = field(init=False, repr=False, compare=False)
+    start_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """The rules of a fitted state, none of which reads a row or walks a
-        one-hot block: every feature has one layout entry, one mean and one var,
-        all finite with var >= 0; the layouts cover the columns [0, output_dim)
-        exactly once; a quantile state has a table per numeric feature, any
-        other none."""
+        """The rules of a fitted state, none of which reads a row: every feature
+        has one cardinality (null or an int >= 1), one mean and one var, all
+        finite with var >= 0; a quantile state has a table per numeric feature,
+        any other none.  Then the one-hot layout is derived from cardinality."""
         check_fields(self, "an int >= 1", lambda n: _has_json_type(n, "int") and n >= 1, "count")
-        check_fields(self, "an int >= 0", lambda n: _has_json_type(n, "int") and n >= 0,
-                     "output_dim")
         check_fields(self, "a bool", lambda q: _has_json_type(q, "bool"), "quantile")
         check_fields(self, "finite and > 0",
                      lambda e: _has_json_type(e, "float") and 0 < e < np.inf, "epsilon")
-        features = len(self.num_layout) + len(self.cat_layout)
-        if sorted([*self.num_layout, *self.cat_layout]) != list(range(features)):
-            raise DataError(f"the layouts must place each of features 0..{features - 1} once")
+        if not isinstance(self.cardinality, list):
+            raise DataError(f"cardinality must be a list, got {self.cardinality!r}")
+        for card in self.cardinality:
+            if not (card is None or _has_json_type(card, "int") and card >= 1):
+                raise DataError(f"cardinality entries must be null or an int >= 1, got {card!r}")
+        features = len(self.cardinality)
         if self.mean.shape != (features,) or self.var.shape != (features,):
             raise DataError(f"mean and var must hold one entry per feature ({features}), got "
                             f"shapes {self.mean.shape} and {self.var.shape}")
         if not (np.isfinite(self.mean).all() and np.isfinite(self.var).all()
                 and (self.var >= 0).all()):
             raise DataError("mean and var must be finite, and var >= 0")
-        if not _tiles([(col, 1) for col in self.num_layout.values()]
-                      + [tuple(span) for span in self.cat_layout.values()], self.output_dim):
-            raise DataError(f"the layouts must cover the output columns [0, {self.output_dim}) "
-                            f"exactly once")
-        if set(self.quantile_tables) != (set(self.num_layout) if self.quantile else set()) \
+        numeric = {j for j, card in enumerate(self.cardinality) if card is None}
+        if set(self.quantile_tables) != (numeric if self.quantile else set()) \
                 or any(t.ndim != 1 for t in self.quantile_tables.values()):
             raise DataError("a quantile state holds a table per numeric feature, any other none")
+        widths = np.array([card or 1 for card in self.cardinality], dtype=np.intp)
+        self.feature_of_column = np.repeat(np.arange(features), widths)
+        self.start_column = np.cumsum(widths) - widths
+
+    @property
+    def output_dim(self) -> int:
+        return len(self.feature_of_column)
 
     def to_dict(self) -> dict:
         return {
             "mean": self.mean.tolist(),
             "var": self.var.tolist(),
             "count": self.count,
-            "cat_layout": {str(k): list(v) for k, v in self.cat_layout.items()},
-            "num_layout": {str(k): v for k, v in self.num_layout.items()},
-            "output_dim": self.output_dim,
+            "cardinality": list(self.cardinality),
             "quantile": self.quantile,
             "quantile_tables": {str(k): v.tolist() for k, v in self.quantile_tables.items()},
             "epsilon": self.epsilon,
@@ -324,39 +335,24 @@ class PreprocessState:
         """The state `to_dict` wrote; a missing key or a value of the wrong JSON
         type raises KeyError, TypeError or ValueError (DataError and ConfigError
         are ValueErrors)."""
-        def by_feature(key: str) -> dict:
-            if not isinstance(d[key], dict):
-                raise TypeError(f"{key} must be an object, got {d[key]!r}")
-            return {int(k): v for k, v in d[key].items()}
-
+        if not isinstance(d["quantile_tables"], dict):
+            raise TypeError(f"quantile_tables must be an object, got {d['quantile_tables']!r}")
         return cls(
             mean=np.asarray(d["mean"], dtype=np.float64),
             var=np.asarray(d["var"], dtype=np.float64),
             count=d["count"],
-            cat_layout={k: tuple(v) for k, v in by_feature("cat_layout").items()},
-            num_layout=by_feature("num_layout"),
-            output_dim=d["output_dim"],
+            cardinality=d["cardinality"],
             quantile=d["quantile"],
-            quantile_tables={k: np.asarray(v, dtype=np.float64)
-                             for k, v in by_feature("quantile_tables").items()},
+            quantile_tables={int(k): np.asarray(v, dtype=np.float64)
+                             for k, v in d["quantile_tables"].items()},
             epsilon=d["epsilon"],
         )
-
-
-def _tiles(spans: list[tuple], n: int) -> bool:
-    """Whether the (start, width) spans of ints cover [0, n) exactly once."""
-    end = 0
-    for start, width in sorted(spans):
-        if not (type(start) is type(width) is int and start == end and width >= 1):
-            return False
-        end += width
-    return end == n
 
 
 def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
                    quantile: bool = False, epsilon: float = 1e-6) -> PreprocessState:
     """Accumulate running normalization statistics over the fitting rows and
-    freeze the one-hot layout.
+    freeze each feature's cardinality, from which the one-hot layout follows.
 
     Statistics are accumulated with a streaming (Welford) update, so after a
     full pass they equal the full-dataset statistics up to rounding.  An empty
@@ -366,21 +362,12 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
     if len(x) == 0:
         raise DataError("cannot fit preprocessing on 0 rows")
     f = dataset.num_features
-    cat_layout: dict[int, tuple[int, int]] = {}
-    num_layout: dict[int, int] = {}
-    out = 0
-    for j in range(f):
-        if j in dataset.cat_vocab:
-            card = dataset.cardinality(j)
-            cat_layout[j] = (out, card)
-            out += card
-        else:
-            num_layout[j] = out
-            out += 1
+    cardinality = dataset.cardinalities()
+    numeric = [j for j, card in enumerate(cardinality) if card is None]
 
     quantile_tables: dict[int, np.ndarray] = {}
     if quantile:
-        for j in num_layout:
+        for j in numeric:
             quantile_tables[j] = np.sort(x[:, j])
 
     # streaming mean/variance over the (optionally quantile-transformed) numerics
@@ -390,7 +377,7 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
     values = x.copy()
     score_tables: dict[int, np.ndarray] = {}
     if quantile:
-        for j in num_layout:
+        for j in numeric:
             values[:, j] = _normal_scores(values[:, j], quantile_tables[j], score_tables)
     for i in range(len(values)):
         count += 1
@@ -399,10 +386,9 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
         m2 += delta * (values[i] - mean)
     var = m2 / count
 
-    state = PreprocessState(mean=mean, var=var, count=count,
-                            cat_layout=cat_layout, num_layout=num_layout,
-                            output_dim=out, quantile=quantile,
-                            quantile_tables=quantile_tables, epsilon=epsilon)
+    state = PreprocessState(mean=mean, var=var, count=count, cardinality=cardinality,
+                            quantile=quantile, quantile_tables=quantile_tables,
+                            epsilon=epsilon)
     state.score_tables.update(score_tables)
     return state
 
@@ -427,30 +413,26 @@ def apply_preprocess(state: PreprocessState, batch: np.ndarray) -> np.ndarray:
     if batch.ndim != 2 or batch.shape[1] != len(state.mean):
         raise DataError(f"batch shape {batch.shape} does not match fitted schema")
     out = np.zeros((len(batch), state.output_dim))
-    for j, col in state.num_layout.items():
-        v = batch[:, j]
-        if state.quantile:
-            v = _normal_scores(v, state.quantile_tables[j], state.score_tables)
-        if state.var[j] < state.epsilon ** 2:
-            out[:, col] = 0.0  # constant column
+    for j, (card, col) in enumerate(zip(state.cardinality, state.start_column)):
+        if card is None:
+            v = batch[:, j]
+            if state.quantile:
+                v = _normal_scores(v, state.quantile_tables[j], state.score_tables)
+            if state.var[j] < state.epsilon ** 2:
+                out[:, col] = 0.0  # constant column
+            else:
+                out[:, col] = (v - state.mean[j]) / np.sqrt(state.var[j] + state.epsilon)
         else:
-            out[:, col] = (v - state.mean[j]) / np.sqrt(state.var[j] + state.epsilon)
-    for j, (start, card) in state.cat_layout.items():
-        codes = batch[:, j].astype(int)
-        if np.any(codes < 0) or np.any(codes >= card):
-            raise DataError(f"categorical feature {j} has codes outside [0, {card})")
-        out[np.arange(len(batch)), start + codes] = 1.0
+            codes = batch[:, j].astype(int)
+            if np.any(codes < 0) or np.any(codes >= card):
+                raise DataError(f"categorical feature {j} has codes outside [0, {card})")
+            out[np.arange(len(batch)), col + codes] = 1.0
     return out
 
 
 def expand_mask(state: PreprocessState, mask: np.ndarray) -> np.ndarray:
     """Broadcast a raw-feature corruption mask to model-input columns."""
-    out = np.zeros((len(mask), state.output_dim))
-    for j, col in state.num_layout.items():
-        out[:, col] = mask[:, j]
-    for j, (start, card) in state.cat_layout.items():
-        out[:, start:start + card] = mask[:, j:j + 1]
-    return out
+    return mask.take(state.feature_of_column, axis=1).astype(np.float64)
 
 
 # -- splits ------------------------------------------------------------------------

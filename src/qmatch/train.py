@@ -280,17 +280,24 @@ def _early_stopped(max_epochs: int, patience: int, mode: str, run_epoch, live_ar
 
 def check_pretext_batch(algorithm: str, loop: TrainLoopConfig, qm: QMatchConfig,
                         splits: dict[str, np.ndarray]):
-    """Full batches only, so a larger batch would leave the encoder untrained;
-    a qmatch batch is pushed into the queue whole, so it must fit in it; and early
-    stopping needs a validation loss, so pretext_val must hold a row."""
+    """Both pretext splits hold rows; full batches only, so a larger batch would
+    leave the encoder untrained; and a qmatch batch is pushed into the queue whole,
+    so it must fit in it."""
+    _check_pretext_splits(splits)
     if loop.batch_size > len(splits["pretext_train"]):
         raise ConfigError(f"batch_size {loop.batch_size} exceeds the "
                           f"{len(splits['pretext_train'])} pretext_train rows")
-    if not len(splits["pretext_val"]):
-        raise ConfigError("pretext_val holds no rows, so no epoch has a validation loss")
     if algorithm == "qmatch" and loop.batch_size > qm.queue_capacity:
         raise ConfigError(f"batch_size {loop.batch_size} exceeds the queue_capacity "
                           f"{qm.queue_capacity} of the qmatch queue")
+
+
+def _check_pretext_splits(splits: dict[str, np.ndarray], where: str = ""):
+    """A pretext run trains on pretext_train and early-stops on its loss over
+    pretext_val, so each must hold a row.  A refusal's message begins with `where`."""
+    for name, lacking in (("pretext_train", "training batch"), ("pretext_val", "validation loss")):
+        if not len(splits[name]):
+            raise ConfigError(f"{where}{name} holds no rows, so no epoch has a {lacking}")
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator | None,

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import math
-import re
 import warnings
 
 import numpy as np
@@ -169,7 +168,14 @@ class TestPrepareData:
         ({"columns": 5}, "expected a \"columns\" list"),
         ({"columns": [{"name": "a", "type": "numeric"}, {"name": "b"}]},
          "expected a \"columns\" list"),
-    ], ids=["repeated_name", "columns_not_a_list", "column_without_type"])
+        ({"columns": [{"name": ["a"], "type": "numeric"}, {"name": "b", "type": "numeric"}]},
+         "column name ['a'] is not a string"),
+        ({"columns": [{"name": "a", "type": "text"}, {"name": "b", "type": "numeric"}]},
+         "column 'a': unknown type 'text'"),
+        ({"columns": [{"name": "a", "type": "label"}, {"name": "b", "type": "label"}]},
+         "schema declares more than one label column"),
+    ], ids=["repeated_name", "columns_not_a_list", "column_without_type", "list_name",
+            "unknown_type", "two_labels"])
     def test_bad_schema_is_config_error(self, corpus, tmp_path, capsys, schema, message):
         (tmp_path / "t.csv").write_text("a,a\n1,10\n2,20\n3,30\n")
         (tmp_path / "schema.json").write_text(json.dumps(schema))
@@ -258,7 +264,8 @@ class TestPretrain:
         code = main([command[0], "--data", str(tmp_path / "x"), "--out", str(out),
                      "--algorithm", "qmatch"] + command[1:] + SMALL_TRAIN)
         assert code == EXIT_CONFIG
-        assert "pretext_val holds no rows" in capsys.readouterr().err
+        assert (f"config error: {tmp_path / 'x' / 'splits.json'}: pretext_val holds no rows"
+                in capsys.readouterr().err)
         assert calls == [] and not out.exists()
 
     def test_no_algorithm_is_config_error(self, prepared, tmp_path):
@@ -587,14 +594,25 @@ def _first_var_negative(state):
     return {**state, "var": [-1.0] + state["var"][1:]}
 
 
-def _first_categorical_dropped(state):
-    return {**state, "cat_layout": dict(list(state["cat_layout"].items())[1:])}
+def _last_cardinality_dropped(state):
+    return {**state, "cardinality": state["cardinality"][:-1]}
+
+
+def _last_cardinality(value):
+    return lambda state: {**state, "cardinality": state["cardinality"][:-1] + [value]}
+
+
+def _older_format(state):
+    """The state as preprocess.json held it before `cardinality` replaced the layout."""
+    cards = state["cardinality"]
+    starts = [sum(card or 1 for card in cards[:j]) for j in range(len(cards))]
+    return {**_without("cardinality")(state), "output_dim": sum(card or 1 for card in cards),
+            "num_layout": {str(j): starts[j] for j, card in enumerate(cards) if card is None},
+            "cat_layout": {str(j): [starts[j], card] for j, card in enumerate(cards) if card}}
 
 
 def _last_categorical_widened(state):
-    *rest, (last, (start, card)) = state["cat_layout"].items()
-    return {**state, "cat_layout": {**dict(rest), last: [start, card + 1]},
-            "output_dim": state["output_dim"] + 1}
+    return _last_cardinality(state["cardinality"][-1] + 1)(state)
 
 
 @pytest.mark.parametrize("name, edit, message", [
@@ -605,17 +623,21 @@ def _last_categorical_widened(state):
     ("splits.json", _without("test"), "split 'test' is missing"),
     ("preprocess.json", lambda state: [state], "not a preprocessing state (TypeError"),
     ("preprocess.json", _without("var"), "not a preprocessing state (KeyError: 'var')"),
-    ("preprocess.json", _with("output_dim", 99), "cover the output columns [0, 99)"),
+    ("preprocess.json", _last_cardinality_dropped, "one entry per feature"),
+    ("preprocess.json", _last_cardinality(0), "null or an int >= 1, got 0"),
+    ("preprocess.json", _last_cardinality("2"), "null or an int >= 1, got '2'"),
+    ("preprocess.json", _last_cardinality(2.0), "null or an int >= 1, got 2.0"),
     ("preprocess.json", _first_var_negative, "var >= 0"),
     ("preprocess.json", _with("mean", [0.0]), "one entry per feature"),
     ("preprocess.json", _with("quantile", True), "a quantile state holds a table"),
-    ("preprocess.json", _first_categorical_dropped, "layouts must place each of features"),
     ("preprocess.json", _last_categorical_widened, "categorical vocabularies"),
+    ("preprocess.json", _older_format, "not a preprocessing state (KeyError: 'cardinality')"),
 ], ids=["meta_without_csv", "meta_int_name", "meta_int_preset", "manifest_without_pretext_val",
         "manifest_without_test", "preprocess_list", "preprocess_without_var",
-        "preprocess_output_dim_99", "preprocess_negative_var", "preprocess_one_mean",
-        "preprocess_quantile_without_tables",
-        "preprocess_categorical_dropped", "preprocess_card_off_vocabulary"])
+        "preprocess_categorical_dropped", "preprocess_cardinality_0",
+        "preprocess_cardinality_string", "preprocess_cardinality_float",
+        "preprocess_negative_var", "preprocess_one_mean", "preprocess_quantile_without_tables",
+        "preprocess_card_off_vocabulary", "preprocess_of_an_older_workspace"])
 def test_bad_workspace_file_is_config_error_naming_it(prepared, checkpoint, tmp_path, capsys,
                                                       name, edit, message):
     data = edited_workspace(prepared, tmp_path / "data", name, edit)
@@ -654,6 +676,19 @@ def test_input_file_that_is_not_utf8_is_config_error_naming_it(corpus, prepared,
              "SCHEMA": corpus / "schema.json"}
     assert main([str(paths.get(a, a)) for a in argv]) == EXIT_CONFIG
     assert f"config error: {bad}: not a JSON file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["pretrain", "--dry-run"], ["grid"]], ids=" ".join)
+def test_emptied_pretext_train_is_config_error_naming_the_manifest(prepared, tmp_path, capsys,
+                                                                   command):
+    data = edited_workspace(prepared, tmp_path / "data", "splits.json",
+                            _with("pretext_train", []))
+    out = tmp_path / "out"
+    assert main([command[0], "--data", str(data), "--out", str(out), "--algorithm", "infonce"]
+                + command[1:] + SMALL_TRAIN) == EXIT_CONFIG
+    assert (f"config error: {data / 'splits.json'}: pretext_train holds no rows"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_meta_without_an_optional_key_still_loads(prepared, tmp_path, capsys):
@@ -744,10 +779,7 @@ def test_any_workspace_file_edit_ends_in_the_same_run_or_exit_2_naming_it(
         assert out.getvalue() == dry_run_stdout
         return
     assert code == EXIT_CONFIG
-    # an emptied pretext split passes the workspace; the pretrain batch rules refuse it
-    assert str(directory / name) in err.getvalue() or (
-        name == "splits.json" and
-        re.search(r"the 0 pretext_train rows|pretext_val holds no rows", err.getvalue()))
+    assert str(directory / name) in err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["linear-eval", "finetune"])

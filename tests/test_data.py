@@ -1,4 +1,5 @@
 import json
+import re
 from statistics import NormalDist
 
 import numpy as np
@@ -253,7 +254,8 @@ class TestPreprocess:
         ds = make_fixture_dataset(n=300, seed=1)
         state = fit_preprocess(ds)
         out = apply_preprocess(state, ds.features)
-        numeric_cols = sorted(state.num_layout.values())
+        numeric_cols = [col for card, col in zip(state.cardinality, state.start_column)
+                        if card is None]
         np.testing.assert_allclose(out[:, numeric_cols].mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(out[:, numeric_cols].std(axis=0), 1.0, atol=1e-3)
 
@@ -261,7 +263,9 @@ class TestPreprocess:
         ds = make_fixture_dataset(n=200, seed=2)
         state = fit_preprocess(ds)
         out = apply_preprocess(state, ds.features)
-        for j, (start, card) in state.cat_layout.items():
+        for card, start in zip(state.cardinality, state.start_column):
+            if card is None:
+                continue
             block = out[:, start:start + card]
             np.testing.assert_array_equal(block.sum(axis=1), 1.0)
             assert set(np.unique(block)) <= {0.0, 1.0}
@@ -359,9 +363,39 @@ class TestPreprocess:
         wide = expand_mask(state, mask)
         assert wide.shape == (2, state.output_dim)
         assert wide[0].sum() == 1.0
-        start, card = state.cat_layout[6]
+        start, card = state.start_column[6], state.cardinality[6]
         np.testing.assert_array_equal(wide[1, start:start + card], 1.0)
         assert wide[1].sum() == card
+
+    def test_cardinality_is_one_entry_per_feature(self):
+        ds = make_fixture_dataset(n=10)
+        state = fit_preprocess(ds)
+        assert state.cardinality == ds.cardinalities() == [None] * 6 + [
+            ds.cardinality(6), ds.cardinality(7)]
+        np.testing.assert_array_equal(state.start_column,
+                                      [0, 1, 2, 3, 4, 5, 6, 6 + ds.cardinality(6)])
+        np.testing.assert_array_equal(
+            state.feature_of_column, np.repeat(np.arange(8), [1] * 6 + state.cardinality[6:]))
+        assert "output_dim" not in state.to_dict()
+
+    @pytest.mark.parametrize("cardinality, message", [
+        ([None, 3], "one entry per feature (2)"),
+        ([None, 3, 2, None], "one entry per feature (4)"),
+        ([None, 3, 0], "null or an int >= 1, got 0"),
+        ([None, 3, -1], "null or an int >= 1, got -1"),
+        ([None, "3", 2], "null or an int >= 1, got '3'"),
+        ([None, 3.0, 2], "null or an int >= 1, got 3.0"),
+        ([None, True, 2], "null or an int >= 1, got True"),
+        ((None, 3, 2), "must be a list"),
+        ({"0": None}, "must be a list"),
+    ], ids=["short", "long", "zero", "negative", "string", "float", "bool", "tuple", "object"])
+    def test_bad_cardinality_is_refused(self, cardinality, message):
+        state = fit_preprocess(TabularDataset(np.array([[1.0, 0, 1], [2.0, 2, 0]]),
+                                              {1: ["a", "b", "c"], 2: ["x", "y"]}, None))
+        good = state.to_dict()
+        assert good["cardinality"] == [None, 3, 2]
+        with pytest.raises(DataError, match=re.escape(message)):
+            qmatch.data.PreprocessState.from_dict({**good, "cardinality": cardinality})
 
 
 class TestSplits:

@@ -46,12 +46,14 @@ from .model import (
 from .train import (
     ALGORITHMS,
     DEFAULT_GRIDS,
+    DOWNSTREAM_SPLITS,
     PRETEXT_ALGORITHMS,
+    PRETEXT_SPLITS,
     Cell,
     TrainLoopConfig,
     TrainingError,
     TrialResult,
-    _check_pretext_splits,
+    _check_splits,
     _point_configs,
     aggregate,
     check_pretext_batch,
@@ -177,10 +179,12 @@ def _overlay(cls, section: dict, **flags):
     return _config(cls, **{**section, **{k: v for k, v in flags.items() if v is not None}})
 
 
-def _build_configs(args, ws: Workspace, algorithms: tuple):
+def _build_configs(args, ws: Workspace, algorithms: tuple, downstream: bool = True):
     """The run's algorithm (one of `algorithms`, or None), configs and seed.  Every
-    algorithm but supervised pretrains, so it needs rows in both pretext splits;
-    the refusal names the manifest, which may leave them empty for supervised use."""
+    algorithm but supervised pretrains, so it needs rows in both pretext splits,
+    and a `downstream` command needs rows in the three downstream splits; the
+    refusal names the manifest, which may leave a split empty for a run that
+    does not read it."""
     cfg = load_run_config(args.config) if args.config else {}
     encoder = _overlay(EncoderConfig, cfg.get("encoder", {}),
                        input_dim=ws.state.output_dim, layer_widths=args.widths)
@@ -198,8 +202,9 @@ def _build_configs(args, ws: Workspace, algorithms: tuple):
         raise ConfigError(f"unknown algorithm {algorithm!r}, expected one of "
                           f"{', '.join(algorithms)}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if algorithm != "supervised":
-        _check_pretext_splits(ws.splits, f"{ws.manifest}: ")
+    splits = (PRETEXT_SPLITS if algorithm != "supervised" else ()) + \
+        (DOWNSTREAM_SPLITS if downstream else ())
+    _check_splits(ws.splits, splits, f"{ws.manifest}: ")
     return algorithm, encoder, loop, qm, corr, extra, seed
 
 
@@ -211,8 +216,8 @@ def _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed) -> di
 
 def cmd_pretrain(args) -> int:
     ws = Workspace(Path(args.data))
-    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws,
-                                                                     PRETEXT_ALGORITHMS)
+    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(
+        args, ws, PRETEXT_ALGORITHMS, downstream=False)
     if algorithm is None:
         raise ConfigError("no algorithm given (flag --algorithm or config file)")
     check_pretext_batch(algorithm, loop, qm, ws.splits)
@@ -246,6 +251,7 @@ def _append_result(path, result: TrialResult):
 
 def cmd_eval(args) -> int:
     ws = Workspace(Path(args.data))
+    _check_splits(ws.splits, DOWNSTREAM_SPLITS, f"{ws.manifest}: ")
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
@@ -289,7 +295,7 @@ def cmd_grid(args) -> int:
         if not isinstance(grid, dict) or not all(isinstance(v, list) for v in grid.values()):
             raise ConfigError(f"{args.grid}: a grid file is a JSON object of value lists")
     else:
-        grid = {**DEFAULT_GRIDS["common"], **DEFAULT_GRIDS[algorithm]}
+        grid = DEFAULT_GRIDS[algorithm]
     best_point, results, outcomes = grid_search(
         algorithm, grid, args.task, ws.dataset, ws.splits, ws.state,
         encoder, loop, seeds, qm_config=qm, corruption=corr, extra=extra)

@@ -269,6 +269,15 @@ def save_csv(dataset: TabularDataset, path, label_name: str = "label"):
 
 # -- preprocessing ---------------------------------------------------------------
 
+_INV_NORM = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
+
+
+def _rank_scores(n: int) -> np.ndarray:
+    """The normal score of each rank 0..n a value can take among n fitted values."""
+    p = np.clip(np.arange(n + 1) / (n + 1), 1e-6, 1 - 1e-6)
+    return _INV_NORM(p).astype(np.float64)
+
+
 @dataclass
 class PreprocessState:
     mean: np.ndarray          # per raw feature (categoricals unused)
@@ -278,19 +287,19 @@ class PreprocessState:
     quantile: bool = False
     quantile_tables: dict[int, np.ndarray] = field(default_factory=dict)
     epsilon: float = 1e-6
-    # normal score of every rank 0..n, keyed by n; derived from quantile_tables, never saved
-    score_tables: dict[int, np.ndarray] = field(default_factory=dict, init=False,
-                                                repr=False, compare=False)
-    # derived from cardinality, never saved: the feature of each output column,
-    # and the first output column of each feature
+    # derived, never saved: from count, the normal score of each rank 0..count a
+    # value takes in a quantile table (None when quantile is off); from
+    # cardinality, the feature of each output column and each feature's first one
+    scores: np.ndarray | None = field(init=False, repr=False, compare=False)
     feature_of_column: np.ndarray = field(init=False, repr=False, compare=False)
     start_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """The rules of a fitted state, none of which reads a row: every feature
         has one cardinality (null or an int >= 1), one mean and one var, all
-        finite with var >= 0; a quantile state has a table per numeric feature,
-        any other none.  Then the one-hot layout is derived from cardinality."""
+        finite with var >= 0; a quantile state has a table of `count` values per
+        numeric feature, any other none.  Then the rank scores are derived from
+        `count`, and the one-hot layout from cardinality."""
         check_fields(self, "an int >= 1", lambda n: _has_json_type(n, "int") and n >= 1, "count")
         check_fields(self, "a bool", lambda q: _has_json_type(q, "bool"), "quantile")
         check_fields(self, "finite and > 0",
@@ -309,8 +318,10 @@ class PreprocessState:
             raise DataError("mean and var must be finite, and var >= 0")
         numeric = {j for j, card in enumerate(self.cardinality) if card is None}
         if set(self.quantile_tables) != (numeric if self.quantile else set()) \
-                or any(t.ndim != 1 for t in self.quantile_tables.values()):
-            raise DataError("a quantile state holds a table per numeric feature, any other none")
+                or any(t.shape != (self.count,) for t in self.quantile_tables.values()):
+            raise DataError(f"a quantile state holds a table of count ({self.count}) values "
+                            f"per numeric feature, any other none")
+        self.scores = _rank_scores(self.count) if self.quantile else None
         widths = np.array([card or 1 for card in self.cardinality], dtype=np.intp)
         self.feature_of_column = np.repeat(np.arange(features), widths)
         self.start_column = np.cumsum(widths) - widths
@@ -375,10 +386,10 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
     m2 = np.zeros(f)
     count = 0
     values = x.copy()
-    score_tables: dict[int, np.ndarray] = {}
     if quantile:
+        scores = _rank_scores(len(x))
         for j in numeric:
-            values[:, j] = _normal_scores(values[:, j], quantile_tables[j], score_tables)
+            values[:, j] = scores[np.searchsorted(quantile_tables[j], values[:, j], side="right")]
     for i in range(len(values)):
         count += 1
         delta = values[i] - mean
@@ -386,26 +397,9 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
         m2 += delta * (values[i] - mean)
     var = m2 / count
 
-    state = PreprocessState(mean=mean, var=var, count=count, cardinality=cardinality,
-                            quantile=quantile, quantile_tables=quantile_tables,
-                            epsilon=epsilon)
-    state.score_tables.update(score_tables)
-    return state
-
-
-_INV_NORM = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
-
-
-def _normal_scores(values: np.ndarray, table: np.ndarray,
-                   score_tables: dict[int, np.ndarray]) -> np.ndarray:
-    """Normal score of each value's rank among the n fitted values.  The rank is
-    an integer in [0, n], so the n + 1 scores are computed once per n and
-    looked up."""
-    n = len(table)
-    if n not in score_tables:
-        p = np.clip(np.arange(n + 1) / (n + 1), 1e-6, 1 - 1e-6)
-        score_tables[n] = _INV_NORM(p).astype(np.float64)
-    return score_tables[n][np.searchsorted(table, values, side="right")]
+    return PreprocessState(mean=mean, var=var, count=count, cardinality=cardinality,
+                           quantile=quantile, quantile_tables=quantile_tables,
+                           epsilon=epsilon)
 
 
 def apply_preprocess(state: PreprocessState, batch: np.ndarray) -> np.ndarray:
@@ -417,7 +411,7 @@ def apply_preprocess(state: PreprocessState, batch: np.ndarray) -> np.ndarray:
         if card is None:
             v = batch[:, j]
             if state.quantile:
-                v = _normal_scores(v, state.quantile_tables[j], state.score_tables)
+                v = state.scores[np.searchsorted(state.quantile_tables[j], v, side="right")]
             if state.var[j] < state.epsilon ** 2:
                 out[:, col] = 0.0  # constant column
             else:

@@ -41,20 +41,19 @@ class QMatchConfig:
 
 
 class EmbeddingQueue:
-    """Fixed-capacity FIFO of L2-normalized embeddings, backed by a ring buffer."""
+    """Fixed-capacity FIFO of L2-normalized embeddings, backed by a ring buffer.
 
-    def __init__(self, capacity: int, dim: int, storage: np.ndarray | None = None,
-                 cursor: int = 0):
-        if capacity < 1:
-            raise ValueError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.dim = dim
-        if storage is None:
-            storage = np.zeros((capacity, dim))
-        if storage.shape != (capacity, dim):
-            raise ValueError(f"storage shape {storage.shape} != ({capacity}, {dim})")
+    `storage` holds one row per slot, so `capacity` and `dim` are its shape.  The
+    cursor, the next write position (the oldest row once warm), starts at 0.
+    """
+
+    def __init__(self, storage: np.ndarray):
+        if storage.ndim != 2 or len(storage) < 1:
+            raise ValueError(f"queue storage must be 2-D with at least one row, "
+                             f"got shape {storage.shape}")
         self.storage = storage
-        self.cursor = cursor  # next write position == oldest row once warm
+        self.capacity, self.dim = storage.shape
+        self.cursor = 0
 
     def push(self, batch: np.ndarray):
         """Overwrite the oldest rows with the batch, preserving FIFO order."""
@@ -89,7 +88,7 @@ def queue_init(capacity: int, dim: int, rng: np.random.Generator) -> EmbeddingQu
     """Queue pre-filled with random unit vectors so the loss is defined at step 0."""
     rows = rng.normal(size=(capacity, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    return EmbeddingQueue(capacity, dim, storage=rows)
+    return EmbeddingQueue(rows)
 
 
 def qmatch_loss(z_student: Tensor, z_teacher, queue: EmbeddingQueue,

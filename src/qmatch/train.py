@@ -119,23 +119,18 @@ class TrialResult:
 
 
 # Hyperparameter spaces mirroring the experiment protocol.
+# Each algorithm's grid names only the keys it reads: supervised never pretrains.
+_SUPERVISED_GRID = {"learning_rate": [1e-5, 1e-4, 1e-3, 1e-2]}
+_PRETEXT_GRID = {**_SUPERVISED_GRID, "pretext_learning_rate": [1e-5, 1e-4, 1e-3],
+                 "corruption_probability": [0.3, 0.4, 0.5]}
 DEFAULT_GRIDS: dict[str, dict[str, list]] = {
-    "common": {
-        "learning_rate": [1e-5, 1e-4, 1e-3, 1e-2],
-        "pretext_learning_rate": [1e-5, 1e-4, 1e-3],
-    },
-    "qmatch": {
-        "corruption_probability": [0.3, 0.4, 0.5],
-        "tau_student": [0.05, 0.1, 0.2],
-        "queue_size": [2 ** 9, 2 ** 11],
-    },
-    "infonce": {"corruption_probability": [0.3, 0.4, 0.5],
-                "tau": [0.04, 0.10, 0.15, 0.20, 0.30]},
-    "vime": {"corruption_probability": [0.3, 0.4, 0.5]},
-    "tabnet": {"corruption_probability": [0.3, 0.4, 0.5]},
-    "mse_align": {"corruption_probability": [0.3, 0.4, 0.5]},
-    "dino": {"corruption_probability": [0.3, 0.4, 0.5]},
-    "supervised": {},
+    "qmatch": {**_PRETEXT_GRID, "tau_student": [0.05, 0.1, 0.2], "queue_size": [2 ** 9, 2 ** 11]},
+    "infonce": {**_PRETEXT_GRID, "tau": [0.04, 0.10, 0.15, 0.20, 0.30]},
+    "vime": _PRETEXT_GRID,
+    "tabnet": _PRETEXT_GRID,
+    "mse_align": _PRETEXT_GRID,
+    "dino": _PRETEXT_GRID,
+    "supervised": _SUPERVISED_GRID,
 }
 
 
@@ -283,7 +278,7 @@ def check_pretext_batch(algorithm: str, loop: TrainLoopConfig, qm: QMatchConfig,
     """Both pretext splits hold rows; full batches only, so a larger batch would
     leave the encoder untrained; and a qmatch batch is pushed into the queue whole,
     so it must fit in it."""
-    _check_pretext_splits(splits)
+    _check_splits(splits, PRETEXT_SPLITS)
     if loop.batch_size > len(splits["pretext_train"]):
         raise ConfigError(f"batch_size {loop.batch_size} exceeds the "
                           f"{len(splits['pretext_train'])} pretext_train rows")
@@ -292,12 +287,22 @@ def check_pretext_batch(algorithm: str, loop: TrainLoopConfig, qm: QMatchConfig,
                           f"{qm.queue_capacity} of the qmatch queue")
 
 
-def _check_pretext_splits(splits: dict[str, np.ndarray], where: str = ""):
-    """A pretext run trains on pretext_train and early-stops on its loss over
-    pretext_val, so each must hold a row.  A refusal's message begins with `where`."""
-    for name, lacking in (("pretext_train", "training batch"), ("pretext_val", "validation loss")):
+# split -> what a run that reads it lacks when it holds no rows
+SPLIT_USES = {"pretext_train": "no epoch has a training batch",
+              "pretext_val": "no epoch has a validation loss",
+              "down_train": "the classifier has no training batch",
+              "down_val": "no epoch has a validation accuracy",
+              "test": "there is no test accuracy"}
+PRETEXT_SPLITS = ("pretext_train", "pretext_val")
+DOWNSTREAM_SPLITS = ("down_train", "down_val", "test")
+
+
+def _check_splits(splits: dict[str, np.ndarray], names: tuple, where: str = ""):
+    """Each of the `names` splits, which a run reads, holds a row.  A refusal's
+    message begins with `where`."""
+    for name in names:
         if not len(splits[name]):
-            raise ConfigError(f"{where}{name} holds no rows, so no epoch has a {lacking}")
+            raise ConfigError(f"{where}{name} holds no rows, so {SPLIT_USES[name]}")
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator | None,
@@ -485,6 +490,7 @@ def _downstream(params: ModelParams, dataset: TabularDataset,
     """Train a fresh affine classifier with early stopping on validation
     accuracy: on embeddings of the encoder computed once when `frozen`,
     otherwise through a copy of the encoder that trains with it."""
+    _check_splits(splits, DOWNSTREAM_SPLITS)
     start = time.monotonic()
     task = "linear" if frozen else "finetune"
     rng = np.random.default_rng(seed)
@@ -568,8 +574,9 @@ def run_cells(algorithm: str, task: str, dataset: TabularDataset, state: Preproc
     becomes the result of the cells it stops."""
     downstream = finetune if task == "finetune" or algorithm == "supervised" else linear_eval
     groups: dict[tuple, list[tuple[int, Cell]]] = {}
-    for i, cell in enumerate(cells):
-        if algorithm != "supervised":  # every cell's pretrain is checked before the first
+    for i, cell in enumerate(cells):  # every cell is checked before the first pretrain
+        _check_splits(cell.splits, DOWNSTREAM_SPLITS)
+        if algorithm != "supervised":
             check_pretext_batch(algorithm, cell.loop, cell.qm, cell.splits)
         key = () if algorithm == "supervised" else cell.pretext_key()
         groups.setdefault(key, []).append((i, cell))
@@ -672,9 +679,14 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
 
 def aggregate(results: list[TrialResult]) -> dict:
     """Mean +/- sample std per (algorithm, dataset), per-dataset rank by mean,
-    and average rank per algorithm."""
+    and average rank per algorithm.  Linear and fine-tune accuracies are not
+    averaged together, so the results must share one task."""
     if not results:
         raise ValueError("no results to aggregate")
+    tasks = sorted({r.task for r in results})
+    if len(tasks) > 1:
+        raise ConfigError(f"the results mix the tasks {' and '.join(tasks)}; "
+                          f"report each task's results on their own")
     cells: dict[tuple[str, str], list[float]] = {}
     for r in results:
         cells.setdefault((r.algorithm, r.dataset), []).append(r.test_accuracy)

@@ -615,6 +615,13 @@ def _last_categorical_widened(state):
     return _last_cardinality(state["cardinality"][-1] + 1)(state)
 
 
+def _quantile_tables_one_short(state):
+    """Quantile on, with a table one value shorter than `count` per numeric feature."""
+    return {**state, "quantile": True,
+            "quantile_tables": {str(j): [0.0] * (state["count"] - 1)
+                                for j, card in enumerate(state["cardinality"]) if card is None}}
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("meta.json", _without("csv"), "missing key 'csv'"),
     ("meta.json", _with("name", 5), "name must be str, got 5"),
@@ -632,12 +639,14 @@ def _last_categorical_widened(state):
     ("preprocess.json", _with("quantile", True), "a quantile state holds a table"),
     ("preprocess.json", _last_categorical_widened, "categorical vocabularies"),
     ("preprocess.json", _older_format, "not a preprocessing state (KeyError: 'cardinality')"),
+    ("preprocess.json", _quantile_tables_one_short, "a table of count (192) values"),
 ], ids=["meta_without_csv", "meta_int_name", "meta_int_preset", "manifest_without_pretext_val",
         "manifest_without_test", "preprocess_list", "preprocess_without_var",
         "preprocess_categorical_dropped", "preprocess_cardinality_0",
         "preprocess_cardinality_string", "preprocess_cardinality_float",
         "preprocess_negative_var", "preprocess_one_mean", "preprocess_quantile_without_tables",
-        "preprocess_card_off_vocabulary", "preprocess_of_an_older_workspace"])
+        "preprocess_card_off_vocabulary", "preprocess_of_an_older_workspace",
+        "preprocess_quantile_table_short"])
 def test_bad_workspace_file_is_config_error_naming_it(prepared, checkpoint, tmp_path, capsys,
                                                       name, edit, message):
     data = edited_workspace(prepared, tmp_path / "data", name, edit)
@@ -689,6 +698,38 @@ def test_emptied_pretext_train_is_config_error_naming_the_manifest(prepared, tmp
     assert (f"config error: {data / 'splits.json'}: pretext_train holds no rows"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["down_train", "down_val", "test"])
+@pytest.mark.parametrize("command", [
+    ["linear-eval"], ["finetune"], ["grid", "--algorithm", "qmatch"],
+    ["grid", "--algorithm", "supervised"], ["sweep", "--kind", "queue-size", "--values", "64"],
+], ids=" ".join)
+def test_emptied_downstream_split_is_config_error_naming_the_manifest(
+        prepared, checkpoint, tmp_path, monkeypatch, capsys, split, command):
+    data = edited_workspace(prepared, tmp_path / "data", "splits.json", _with(split, []))
+    pretrains = spy_on_pretrain(monkeypatch)
+    inits = spy_on_pretrain(monkeypatch, "init_params")
+    downstreams = spy_on_pretrain(monkeypatch, "_downstream")
+    flags = ["--checkpoint", str(checkpoint)] if command[0] in ("linear-eval", "finetune") \
+        else SMALL_TRAIN
+    out = tmp_path / "out"
+    assert main(command + ["--data", str(data), "--out", str(out)] + flags) == EXIT_CONFIG
+    assert (f"config error: {data / 'splits.json'}: {split} holds no rows"
+            in capsys.readouterr().err)
+    assert pretrains == inits == downstreams == [] and not out.exists()
+
+
+def test_workspace_without_test_rows_pretrains_but_scores_nothing(corpus, tmp_path, capsys):
+    spec = {**json.loads((corpus / "spec.json").read_text()), "test": 0}
+    assert prepare_spec(corpus, tmp_path, spec) == EXIT_OK
+    data, ckpt = tmp_path / "x", tmp_path / "c.qmc"
+    assert main(["pretrain", "--data", str(data), "--out", str(ckpt),
+                 "--algorithm", "qmatch"] + SMALL_TRAIN) == EXIT_OK
+    assert main(["linear-eval", "--data", str(data), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "r.jsonl")]) == EXIT_CONFIG
+    assert (f"config error: {data / 'splits.json'}: test holds no rows"
+            in capsys.readouterr().err)
 
 
 def test_meta_without_an_optional_key_still_loads(prepared, tmp_path, capsys):
@@ -943,6 +984,31 @@ class TestGrid:
         # init_params reads the encoder config and the seed, none of a point
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("algorithm, keys, size", [
+        ("supervised", ["learning_rate"], 4),
+        ("vime", ["corruption_probability", "learning_rate", "pretext_learning_rate"], 36),
+        ("qmatch", ["corruption_probability", "learning_rate", "pretext_learning_rate",
+                    "queue_size", "tau_student"], 216),
+    ])
+    def test_default_grid_sets_only_keys_the_algorithm_reads(self, prepared, tmp_path,
+                                                             monkeypatch, algorithm, keys, size):
+        import qmatch.train as train_mod
+        seen = []
+
+        def scored(algorithm, task, dataset, state, config, cells, seeds, failures=()):
+            seen.append([c.hyperparameters for c in cells])
+            return [[TrialResult(algorithm, "fixture", task, c.hyperparameters, seed,
+                                 50.0, 50.0, 0.0) for seed in seeds] for c in cells]
+
+        monkeypatch.setattr(train_mod, "run_cells", scored)
+        out = tmp_path / "g"
+        assert main(["grid", "--data", str(prepared), "--out", str(out),
+                     "--algorithm", algorithm, "--seeds", "0"] + SMALL_TRAIN) == EXIT_OK
+        points = seen[0]
+        assert len(points) == size and all(sorted(p) == keys for p in points)
+        assert len({json.dumps(p, sort_keys=True) for p in points}) == size
+        assert sorted(json.loads((out / "grid.json").read_text())["best_point"]) == keys
+
     def test_diverging_point_ends_in_its_error_without_warnings(self, prepared, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"pretext_learning_rate": [1e-3, 1e300]}))
@@ -1179,6 +1245,19 @@ class TestReport:
         assert payload["ranks"]["qmatch|mnist1pct"] == 2
         table = capsys.readouterr().out
         assert table.splitlines()[1].strip().startswith("qmatch")
+
+    @pytest.mark.parametrize("files", [1, 2], ids=["one_file", "two_files"])
+    def test_mixed_tasks_are_refused_naming_both(self, tmp_path, capsys, files):
+        paths = [tmp_path / f"{i}.jsonl" for i in range(2)]
+        for path, task, acc in zip(paths, ("linear", "finetune"), (40.0, 46.67)):
+            path.write_text(TrialResult("qmatch", "adult1pct", task, {}, 0, acc, acc, 0.0)
+                            .to_json() + "\n")
+        if files == 1:
+            paths[0].write_text(paths[0].read_text() + paths[1].read_text())
+        assert main(["report"] + [str(p) for p in paths[:files]]) == EXIT_CONFIG
+        assert "the results mix the tasks finetune and linear" in capsys.readouterr().err
+        for path in paths[1:]:  # one task's results alone still make a table
+            assert main(["report", str(path)]) == EXIT_OK
 
     def test_empty_results_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"

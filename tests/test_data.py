@@ -324,7 +324,7 @@ class TestPreprocess:
         # ties, the fitted min and max, between them, below and above the fitted range
         probe = np.array([2.0, 5.0, 0.5, 7.0, 1.5, 4.0, 0.4999, -1e9, 5.0001, 1e9, np.inf])
         for values in (x[:, 0], probe):
-            got = qmatch.data._normal_scores(values, table, state.score_tables)
+            got = state.scores[np.searchsorted(table, values, side="right")]
             assert got.dtype == np.float64
             assert got.tobytes() == per_cell(values, table).tobytes()
         scaled = (per_cell(probe, table) - state.mean[0]) / np.sqrt(state.var[0] + 1e-6)
@@ -396,6 +396,19 @@ class TestPreprocess:
         assert good["cardinality"] == [None, 3, 2]
         with pytest.raises(DataError, match=re.escape(message)):
             qmatch.data.PreprocessState.from_dict({**good, "cardinality": cardinality})
+
+
+    @pytest.mark.parametrize("edit", [lambda t: t[:-1], lambda t: t + [9.0]],
+                             ids=["one_short", "one_long"])
+    def test_quantile_table_of_other_than_count_values_is_refused(self, edit):
+        x = np.array([[3.0, 0], [1.0, 1], [2.0, 0], [5.0, 1]])
+        state = fit_preprocess(TabularDataset(x, {1: ["a", "b"]}, None), quantile=True)
+        good = state.to_dict()
+        assert len(good["quantile_tables"]["0"]) == good["count"] == 4
+        assert len(state.scores) == 5 and "scores" not in good
+        with pytest.raises(DataError, match=re.escape("a table of count (4) values")):
+            qmatch.data.PreprocessState.from_dict(
+                {**good, "quantile_tables": {"0": edit(good["quantile_tables"]["0"])}})
 
 
 class TestSplits:

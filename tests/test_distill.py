@@ -43,6 +43,18 @@ class TestQueueInit:
         with pytest.raises(ValueError):
             queue_init(0, 8, rng)
 
+    def test_capacity_and_dim_follow_storage_shape(self, rng):
+        storage = unit_rows(rng, 6, 3)
+        q = EmbeddingQueue(storage)
+        assert (q.capacity, q.dim, q.cursor) == (6, 3, 0) and q.storage is storage
+        q = queue_init(5, 2, rng)
+        assert (q.capacity, q.dim) == q.storage.shape == (5, 2)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3,), (2, 3, 1)], ids=str)
+    def test_storage_without_rows_of_a_2d_array_is_refused(self, shape):
+        with pytest.raises(ValueError, match="2-D with at least one row"):
+            EmbeddingQueue(np.zeros(shape))
+
 
 class TestQueuePush:
     def test_full_replacement_when_batch_equals_capacity(self, rng):

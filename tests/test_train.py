@@ -849,6 +849,16 @@ class TestDownstream:
         with pytest.raises(TrainingError, match="absent"):
             fn(params, broken, splits, state, TrainLoopConfig(**SMALL_LOOP), seed=0)
 
+    @pytest.mark.parametrize("split", ["down_train", "down_val", "test"])
+    @pytest.mark.parametrize("fn", [linear_eval, finetune], ids=lambda fn: fn.__name__)
+    def test_empty_downstream_split_is_config_error(self, setup, monkeypatch, fn, split):
+        ds, splits, state, config = setup
+        params = init_params(config, seed=1)
+        monkeypatch.setattr(qmatch.train, "apply_preprocess", None)  # scoring would call it
+        with pytest.raises(ConfigError, match=f"{split} holds no rows"):
+            fn(params, ds, {**splits, split: splits[split][:0]}, state,
+               TrainLoopConfig(**SMALL_LOOP), seed=0)
+
     def test_supervised_baseline(self, setup):
         ds, splits, state, config = setup
         [[res]] = run_cells("supervised", "linear", ds, state, config, [_cell(splits)], [0])

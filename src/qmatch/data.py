@@ -288,7 +288,7 @@ class PreprocessState:
     quantile_tables: dict[int, np.ndarray] = field(default_factory=dict)
     epsilon: float = 1e-6
     # derived, never saved: from count, the normal score of each rank 0..count a
-    # value takes in a quantile table (None when quantile is off); from
+    # value takes in a quantile table (None when there is no table); from
     # cardinality, the feature of each output column and each feature's first one
     scores: np.ndarray | None = field(init=False, repr=False, compare=False)
     feature_of_column: np.ndarray = field(init=False, repr=False, compare=False)
@@ -321,7 +321,7 @@ class PreprocessState:
                 or any(t.shape != (self.count,) for t in self.quantile_tables.values()):
             raise DataError(f"a quantile state holds a table of count ({self.count}) values "
                             f"per numeric feature, any other none")
-        self.scores = _rank_scores(self.count) if self.quantile else None
+        self.scores = _rank_scores(self.count) if self.quantile_tables else None
         widths = np.array([card or 1 for card in self.cardinality], dtype=np.intp)
         self.feature_of_column = np.repeat(np.arange(features), widths)
         self.start_column = np.cumsum(widths) - widths
@@ -386,7 +386,7 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
     m2 = np.zeros(f)
     count = 0
     values = x.copy()
-    if quantile:
+    if quantile_tables:
         scores = _rank_scores(len(x))
         for j in numeric:
             values[:, j] = scores[np.searchsorted(quantile_tables[j], values[:, j], side="right")]

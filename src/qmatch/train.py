@@ -679,17 +679,21 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
 
 def aggregate(results: list[TrialResult]) -> dict:
     """Mean +/- sample std per (algorithm, dataset), per-dataset rank by mean,
-    and average rank per algorithm.  Linear and fine-tune accuracies are not
-    averaged together, so the results must share one task."""
+    and average rank per algorithm.  A cell never averages a linear and a
+    fine-tune accuracy together; different cells may hold different tasks
+    (a supervised row is always fine-tuned beside linear-evaluated rows)."""
     if not results:
         raise ValueError("no results to aggregate")
-    tasks = sorted({r.task for r in results})
-    if len(tasks) > 1:
-        raise ConfigError(f"the results mix the tasks {' and '.join(tasks)}; "
-                          f"report each task's results on their own")
     cells: dict[tuple[str, str], list[float]] = {}
+    tasks: dict[tuple[str, str], str] = {}
     for r in results:
-        cells.setdefault((r.algorithm, r.dataset), []).append(r.test_accuracy)
+        key = (r.algorithm, r.dataset)
+        task = tasks.setdefault(key, r.task)
+        if task != r.task:
+            raise ConfigError(f"the {r.algorithm} results on {r.dataset} mix the "
+                              f"tasks {' and '.join(sorted((task, r.task)))}; "
+                              f"report each task's results on their own")
+        cells.setdefault(key, []).append(r.test_accuracy)
     stats = {}
     for key, vals in cells.items():
         arr = np.asarray(vals)

@@ -1255,9 +1255,31 @@ class TestReport:
         if files == 1:
             paths[0].write_text(paths[0].read_text() + paths[1].read_text())
         assert main(["report"] + [str(p) for p in paths[:files]]) == EXIT_CONFIG
-        assert "the results mix the tasks finetune and linear" in capsys.readouterr().err
+        assert ("the qmatch results on adult1pct mix the tasks finetune and linear"
+                in capsys.readouterr().err)
         for path in paths[1:]:  # one task's results alone still make a table
             assert main(["report", str(path)]) == EXIT_OK
+
+    def test_supervised_grid_beside_linear_eval_makes_one_table(self, prepared, checkpoint,
+                                                               tmp_path, capsys):
+        # supervised always fine-tunes, even under --task linear, so a linear
+        # table's supervised row comes from results tagged finetune
+        linear = tmp_path / "qmatch_linear.jsonl"
+        assert main(["linear-eval", "--checkpoint", str(checkpoint), "--data", str(prepared),
+                     "--out", str(linear), "--max-epochs", "5", "--patience", "2"]) == EXIT_OK
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"learning_rate": [0.01]}))
+        out = tmp_path / "supervised"
+        assert main(["grid", "--data", str(prepared), "--out", str(out), "--algorithm",
+                     "supervised", "--task", "linear", "--seeds", "0", "--grid", str(grid)]
+                    + SMALL_TRAIN) == EXIT_OK
+        supervised = out / "results.jsonl"
+        assert [TrialResult.from_json(l).task
+                for l in supervised.read_text().splitlines()] == ["finetune"]
+        capsys.readouterr()
+        json_out = tmp_path / "report.json"
+        assert main(["report", str(linear), str(supervised), "--json", str(json_out)]) == EXIT_OK
+        assert sorted(json.loads(json_out.read_text())["avg_rank"]) == ["qmatch", "supervised"]
 
     def test_empty_results_rejected(self, tmp_path):
         p = tmp_path / "empty.jsonl"

@@ -330,7 +330,7 @@ class TestPreprocess:
         scaled = (per_cell(probe, table) - state.mean[0]) / np.sqrt(state.var[0] + 1e-6)
         out = apply_preprocess(state, probe[:, None])[:, 0]
         assert out.tobytes() == (scaled if state.var[0] >= 1e-12 else np.zeros_like(scaled)).tobytes()
-        assert "score_tables" not in state.to_dict()
+        assert "scores" not in state.to_dict()
 
     def test_state_round_trip(self):
         ds = make_fixture_dataset(n=80)
@@ -409,6 +409,14 @@ class TestPreprocess:
         with pytest.raises(DataError, match=re.escape("a table of count (4) values")):
             qmatch.data.PreprocessState.from_dict(
                 {**good, "quantile_tables": {"0": edit(good["quantile_tables"]["0"])}})
+
+    def test_quantile_state_without_numeric_features_derives_no_scores(self):
+        state = fit_preprocess(TabularDataset(np.array([[0.0], [1.0]]), {0: ["a", "b"]}, None),
+                               quantile=True)
+        assert state.quantile_tables == {} and state.scores is None
+        # no table reads count, so a large one costs nothing to load
+        loaded = qmatch.data.PreprocessState.from_dict({**state.to_dict(), "count": 10**6})
+        assert loaded.scores is None
 
 
 class TestSplits:

@@ -20,10 +20,13 @@ from .tensor import (
     EPS_LOG,
     Tensor,
     backward,
-    cross_entropy_rows,
     l2_normalize_rows,
+    queue_cross_entropy_rows,
     softmax_rows,
 )
+
+# Unused here, but bench/layers.py traces it as an attribute of this module.
+from .tensor import cross_entropy_rows  # noqa: F401
 
 
 @dataclass
@@ -79,8 +82,10 @@ class EmbeddingQueue:
         return self.storage.copy()
 
     def mean_pairwise_cosine(self) -> float:
-        sims = self.storage @ self.storage.T
         m = self.capacity
+        if m < 2:
+            raise ValueError(f"a pairwise mean needs two rows, the queue holds {m}")
+        sims = self.storage @ self.storage.T
         return float((sims.sum() - np.trace(sims)) / (m * (m - 1)))
 
 
@@ -95,17 +100,16 @@ def qmatch_loss(z_student: Tensor, z_teacher, queue: EmbeddingQueue,
                 config: QMatchConfig) -> Tensor:
     """Mean cross-entropy H(p_teacher, p_student) over the batch.
 
-    Inputs must already be L2-normalized; the teacher side is detached so
-    gradients flow only through z_student.
+    Inputs must already be L2-normalized; gradients flow only through z_student.
+    One op forms both softmaxes over the queue and the loss: a step holds at
+    most two batch x queue arrays, and the backward forms the teacher's again.
     """
-    z_t = z_teacher.detach() if isinstance(z_teacher, Tensor) else Tensor(z_teacher)
     if z_student.shape[1] != queue.dim:
         raise ValueError(f"embedding dim {z_student.shape[1]} != queue dim {queue.dim}")
-    q_t = Tensor(queue.storage.T.copy())  # detached history: no gradient into Q
-    # into the logits' buffers: matmul's backward reads its operands, not its product
-    p_s = softmax_rows(z_student @ q_t, temperature=config.tau_student, in_place=True)
-    p_t = softmax_rows(z_t @ q_t, temperature=config.tau_teacher, in_place=True)
-    return cross_entropy_rows(p_t, p_s)
+    # a contiguous copy: a product with the transposed view has other bits
+    q_t = Tensor(queue.storage.T.copy())
+    return queue_cross_entropy_rows(z_student, Tensor(z_teacher), q_t,
+                                    config.tau_student, config.tau_teacher)
 
 
 def teacher_entropy(z_teacher: np.ndarray, queue: EmbeddingQueue,

@@ -460,6 +460,9 @@ def load_checkpoint(path, expected_config: EncoderConfig | None = None):
             raise CheckpointError(f"{path}: bad config in header: {e!r}") from None
         if expected_config is not None and config != expected_config:
             raise CheckpointError(f"{path}: checkpoint config does not match expected config")
+        decay = header.get("ema_decay", 0.9)
+        if not (_has_json_type(decay, "float") and 0 <= decay < 1):  # QMatchConfig.tau_ema's rule
+            raise CheckpointError(f"{path}: ema_decay must be a number in [0, 1), got {decay!r}")
 
         entries = _checked_entries(path, header.get("arrays"), payload)
         _check_layout(path, config, {name: shape for name, shape, _, _ in entries})
@@ -477,8 +480,7 @@ def load_checkpoint(path, expected_config: EncoderConfig | None = None):
     ema = None
     if any(k.startswith("ema/") for k in arrays):
         # frozen, like the teacher pretrain keeps: its forwards record no graph
-        ema = EmaParams(build("ema/", "ema_buffers/", False),
-                        decay=header.get("ema_decay", 0.9))
+        ema = EmaParams(build("ema/", "ema_buffers/", False), decay=decay)
     optimizer_state = {k[len("optimizer/"):]: v
                        for k, v in arrays.items() if k.startswith("optimizer/")}
     return {

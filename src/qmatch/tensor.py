@@ -8,10 +8,10 @@ node's edges as soon as its own gradient is passed on, so activations are
 freed during the pass and a tensor can be reused in a fresh forward pass;
 it can also hand each leaf to a callback as soon as the leaf's gradient is
 complete, so an optimizer can update the leaf and drop that gradient at once.
-A binary op (the four elementwise ones, matmul and the two losses) computes
-only the gradients its operands take: the gradient of an operand with
-requires_grad=False is never formed.  Inside :func:`no_grad` nothing is
-recorded.
+A binary op (the four elementwise ones, matmul and BCE) computes only the
+gradients its operands take: the gradient of an operand with
+requires_grad=False is never formed.  The cross-entropy ops pass no gradient
+to their target side.  Inside :func:`no_grad` nothing is recorded.
 """
 
 from __future__ import annotations
@@ -329,6 +329,18 @@ def l2_normalize_rows(z: Tensor) -> Tensor:
     return _make(out_data, (z,), bwd)
 
 
+def _softmax_rows_into(x: np.ndarray, temperature: float, out=None) -> np.ndarray:
+    """Row softmax of x/temperature with max-subtraction for stability, in `out`
+    (a new array when None)."""
+    if temperature <= 0:
+        raise ParameterError(f"temperature must be positive, got {temperature}")
+    probs = np.divide(x, temperature, out=out)
+    np.subtract(probs, probs.max(axis=1, keepdims=True), out=probs)
+    np.exp(probs, out=probs)
+    np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs)
+    return probs
+
+
 def softmax_rows(logits: Tensor, temperature: float = 1.0,
                  in_place: bool = False) -> Tensor:
     """Row softmax of logits/temperature with max-subtraction for stability.
@@ -337,12 +349,8 @@ def softmax_rows(logits: Tensor, temperature: float = 1.0,
     With `in_place`, the forward allocates none: the probabilities are written
     into the logits' buffer; the caller guarantees that nothing reads the logits'
     value afterwards (the backward of softmax reads only the probabilities)."""
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be positive, got {temperature}")
-    probs = np.divide(logits.data, temperature, out=logits.data if in_place else None)
-    np.subtract(probs, probs.max(axis=1, keepdims=True), out=probs)
-    np.exp(probs, out=probs)
-    np.divide(probs, probs.sum(axis=1, keepdims=True), out=probs)
+    probs = _softmax_rows_into(logits.data, temperature,
+                               out=logits.data if in_place else None)
 
     def bwd(g):
         # probs * (g - sum(g * probs)) / temperature
@@ -357,36 +365,80 @@ def softmax_rows(logits: Tensor, temperature: float = 1.0,
 
 def cross_entropy_rows(target: Tensor, pred: Tensor) -> Tensor:
     """Mean over rows of -sum_j target[j] * log(pred[j] + EPS_LOG); both
-    inputs are expected row-stochastic.
+    inputs are expected row-stochastic, and the target takes no gradient.
 
-    The log table is kept for the backward only when the target takes a
-    gradient; otherwise the forward's product overwrites it and it is dropped.
-    The backward forms pred + EPS_LOG a block of rows at a time, so the pred
-    gradient is the only full-size array it allocates for pred."""
+    The forward writes the product into its log table and drops it.  The
+    backward forms pred + EPS_LOG a block of rows at a time, so the pred
+    gradient is the only full-size array it allocates."""
     if target.shape != pred.shape:
         raise ShapeError(f"cross-entropy shapes disagree: {target.shape} vs {pred.shape}")
+    if records(target):
+        raise ValueError("cross_entropy_rows passes no gradient to its target; detach it")
     b = target.shape[0]
     logp = pred.data + EPS_LOG
     np.log(logp, out=logp)
-    if records(target):
-        value = -(target.data * logp).sum() / b
-    else:
-        same = np.result_type(target.data, logp) == logp.dtype
-        value = -np.multiply(target.data, logp, out=logp if same else None).sum() / b
-        logp = None
+    same = np.result_type(target.data, logp) == logp.dtype
+    value = -np.multiply(target.data, logp, out=logp if same else None).sum() / b
 
     def bwd(g):
-        if pred.requires_grad:
-            # -(g/b) * target / (pred + EPS_LOG)
-            gp = -(g / b) * target.data
-            rows = max(1, UPDATE_BLOCK // max(1, gp[:1].size))
-            for start in range(0, b, rows):
-                block = gp[start:start + rows]
-                np.divide(block, pred.data[start:start + rows] + EPS_LOG, out=block)
-            _accumulate(pred, gp)
-        if target.requires_grad:
-            _accumulate(target, -(g / b) * logp)
-    return _make(np.asarray(value), (target, pred), bwd)
+        # -(g/b) * target / (pred + EPS_LOG)
+        gp = -(g / b) * target.data
+        rows = _block_rows(gp)
+        for start in range(0, b, rows):
+            block = gp[start:start + rows]
+            np.divide(block, pred.data[start:start + rows] + EPS_LOG, out=block)
+        _accumulate(pred, gp)
+    return _make(np.asarray(value), (pred,), bwd)
+
+
+def _block_rows(a: np.ndarray) -> int:
+    """Rows of `a` that make a block of at most UPDATE_BLOCK elements (at least one)."""
+    return max(1, UPDATE_BLOCK // max(1, a[:1].size))
+
+
+def queue_cross_entropy_rows(z_s: Tensor, z_t: Tensor, q: Tensor,
+                             tau_s: float, tau_t: float) -> Tensor:
+    """cross_entropy_rows(softmax_rows(z_t @ q, tau_t), softmax_rows(z_s @ q, tau_s))
+    as one op, to the bit, with a gradient into z_s only (z_t and q are read as
+    constants).
+
+    The forward allocates the two products, each softmax written into its own;
+    the student probabilities are kept for the backward, and log(p_s + EPS_LOG)
+    is formed a block of rows at a time and multiplied into the teacher rows,
+    which the value then sums.  The backward forms the teacher rows again, the
+    only full-size array it allocates, turns them into the probabilities'
+    gradient block by block, and writes the student softmax's backward into the
+    probabilities' buffer."""
+    if not (z_s.ndim == z_t.ndim == q.ndim == 2
+            and z_s.shape[0] == z_t.shape[0] and z_s.shape[1] == z_t.shape[1] == q.shape[0]):
+        raise ShapeError(f"queue cross-entropy expects (B, D), (B, D) and (D, Q), got "
+                         f"{z_s.shape}, {z_t.shape} and {q.shape}")
+    b = z_s.shape[0]
+    p_s = _softmax_rows_into(z_s.data @ q.data, tau_s)
+    t = z_t.data @ q.data
+    _softmax_rows_into(t, tau_t, out=t)
+    rows = _block_rows(t)
+    logp = np.empty((min(rows, b), t.shape[1]), p_s.dtype)  # one block, reused
+    for start in range(0, b, rows):
+        block = t[start:start + rows]
+        log_block = np.add(p_s[start:start + rows], EPS_LOG, out=logp[:len(block)])
+        np.multiply(block, np.log(log_block, out=log_block), out=block)
+    value = -t.sum() / b
+
+    def bwd(g):
+        # -(g/b) * p_t / (p_s + EPS_LOG), then the student softmax's backward
+        gp = z_t.data @ q.data
+        _softmax_rows_into(gp, tau_t, out=gp)
+        np.multiply(gp, -(g / b), out=gp)
+        for start in range(0, b, rows):
+            g_block, p_block = gp[start:start + rows], p_s[start:start + rows]
+            np.divide(g_block, p_block + EPS_LOG, out=g_block)
+            inner = (g_block * p_block).sum(axis=1, keepdims=True)
+            np.subtract(g_block, inner, out=g_block)
+            np.multiply(p_block, g_block, out=p_block)
+            np.divide(p_block, tau_s, out=p_block)
+        _accumulate(z_s, p_s @ q.data.T)
+    return _make(np.asarray(value), (z_s,), bwd)
 
 
 def info_nce_rows(sims: Tensor, positives: np.ndarray, tau: float) -> Tensor:

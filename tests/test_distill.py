@@ -39,6 +39,11 @@ class TestQueueInit:
         q = queue_init(512, 128, rng)
         assert abs(q.mean_pairwise_cosine()) < 0.05
 
+    def test_pairwise_cosine_needs_two_rows(self, rng):
+        with pytest.raises(ValueError, match="pairwise mean needs two rows"):
+            queue_init(1, 4, rng).mean_pairwise_cosine()
+        assert queue_init(2, 4, rng).mean_pairwise_cosine() <= 1.0
+
     def test_capacity_validation(self, rng):
         with pytest.raises(ValueError):
             queue_init(0, 8, rng)
@@ -151,6 +156,21 @@ class TestQMatchLoss:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * b * capacity * np.dtype(np.float64).itemsize
+        assert z_s.grad.shape == (b, d)
+
+    def test_loss_peaks_below_two_and_a_half_batch_by_queue_arrays(self, rng):
+        # the two products, then the teacher's formed again beside the student's
+        b, d, capacity = 512, 128, 2048
+        q = queue_init(capacity, d, rng)
+        z_s = Tensor(unit_rows(rng, b, d), requires_grad=True)
+        z_t = unit_rows(rng, b, d)
+        tracemalloc.start()
+        try:
+            backward(qmatch_loss(z_s, z_t, q, QMatchConfig(queue_capacity=capacity)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * b * capacity * np.dtype(np.float64).itemsize
         assert z_s.grad.shape == (b, d)
 
     def test_dim_mismatch(self, rng):

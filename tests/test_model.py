@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tracemalloc
 from dataclasses import asdict
 
@@ -330,6 +331,13 @@ BAD_HEADERS = {
     "range_past_payload": _set("offset", 10 ** 9),
     "overlapping_arrays": lambda h: h["arrays"][1].update(offset=h["arrays"][0]["offset"] + 8),
     "metadata_not_an_object": lambda h: h.update(metadata=["seed"]),
+    # ema_decay follows QMatchConfig.tau_ema's rule: a number in [0, 1)
+    "ema_decay_a_string": lambda h: h.update(ema_decay="x"),
+    "ema_decay_negative": lambda h: h.update(ema_decay=-3.0),
+    "ema_decay_one": lambda h: h.update(ema_decay=1.0),
+    "ema_decay_null": lambda h: h.update(ema_decay=None),
+    "ema_decay_true": lambda h: h.update(ema_decay=True),
+    "ema_decay_nan": lambda h: h.update(ema_decay=float("nan")),
     # well-formed entries that do not fit the config: the same bytes, read as
     # the wrong shape, would otherwise reach the encoder
     "weight_shape_swapped": lambda h: _entry(h, "params/layer0.weight")["shape"].reverse(),
@@ -391,6 +399,15 @@ class TestCheckpoint:
         save_checkpoint(path, init_params(small_config(), seed=19))
         rewrite_header(path, edit)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_bad_ema_decay_names_the_file(self, tmp_path):
+        path = tmp_path / "decay.ckpt"
+        params = init_params(small_config(), seed=19)
+        save_checkpoint(path, params, ema=EmaParams(params.copy(), decay=0.0))
+        assert load_checkpoint(path)["ema"].decay == 0.0
+        rewrite_header(path, lambda h: h.update(ema_decay=-3.0))
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: ema_decay")):
             load_checkpoint(path)
 
     def test_header_with_retired_null_num_classes_loads(self, tmp_path):

@@ -32,6 +32,7 @@ from qmatch.tensor import (
     maxout_rows,
     mul,
     no_grad,
+    queue_cross_entropy_rows,
     relu,
     softmax_rows,
     sub,
@@ -547,42 +548,37 @@ class TestKernelsMatchTextbook:
         run_backward(out, g)
         assert same_bits(x.grad, ref_grad)
 
-    def test_cross_entropy_rows(self):
-        self.check_cross_entropy_rows(5, 7, target_grad=True)
-
-    @pytest.mark.parametrize("b, d, target_grad, pred_dtype", [
-        (5, 7, False, np.float64), (300, 257, False, np.float64),
-        (300, 257, True, np.float64), (5, 7, False, np.float32),
-    ], ids=["frozen", "frozen_row_blocks", "row_blocks",  # blocks of 127, 127, 46 rows
-            "frozen_narrower_pred"])  # the f64 product cannot go into the f32 log table
-    def test_cross_entropy_rows_frozen_target_and_row_blocks(self, b, d, target_grad,
-                                                             pred_dtype):
-        self.check_cross_entropy_rows(b, d, target_grad, pred_dtype)
-
-    @staticmethod
-    def check_cross_entropy_rows(b, d, target_grad, pred_dtype=np.float64):
+    @pytest.mark.parametrize("b, d, pred_dtype", [
+        (5, 7, np.float64), (300, 257, np.float64), (5, 7, np.float32),
+    ], ids=["small", "row_blocks",  # blocks of 127, 127, 46 rows
+            "narrower_pred"])  # the f64 product cannot go into the f32 log table
+    def test_cross_entropy_rows(self, b, d, pred_dtype):
         rng = np.random.default_rng(22)
-        target = Tensor(rng.dirichlet(np.ones(d), size=b), requires_grad=target_grad)
+        target = Tensor(rng.dirichlet(np.ones(d), size=b))
         pred = Tensor(rng.dirichlet(np.ones(d), size=b), requires_grad=True, dtype=pred_dtype)
         g = np.asarray(0.37)
-        logp = np.log(pred.data + EPS_LOG)
-        ref_loss = np.asarray(-(target.data * logp).sum() / b)
+        ref_loss = np.asarray(-(target.data * np.log(pred.data + EPS_LOG)).sum() / b)
         ref_pred_grad = (-(g / b) * target.data / (pred.data + EPS_LOG)).astype(pred_dtype)
-        ref_target_grad = -(g / b) * logp
 
         out = cross_entropy_rows(target, pred)
         assert same_bits(out.data, ref_loss)
         run_backward(out, g)
         assert same_bits(pred.grad, ref_pred_grad)
-        if target_grad:
-            assert same_bits(target.grad, ref_target_grad)
-        else:
-            assert target.grad is None
+        assert target.grad is None
 
-    @pytest.mark.parametrize("target_grad", [False, True], ids=["frozen", "trained"])
-    def test_cross_entropy_keeps_log_table_only_for_target_gradient(self, target_grad):
+    def test_cross_entropy_refuses_a_target_that_takes_a_gradient(self):
         rng = np.random.default_rng(27)
-        target = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=target_grad)
+        target = Tensor(rng.dirichlet(np.ones(6), size=4), requires_grad=True)
+        pred = Tensor(rng.dirichlet(np.ones(6), size=4), requires_grad=True)
+        with pytest.raises(ValueError, match="no gradient to its target"):
+            cross_entropy_rows(target, pred)
+        with no_grad():  # nothing is recorded, so no gradient could reach it
+            value = cross_entropy_rows(target, pred).data
+        assert same_bits(value, cross_entropy_rows(target.detach(), pred).data)
+
+    def test_cross_entropy_keeps_no_log_table(self):
+        rng = np.random.default_rng(27)
+        target = Tensor(rng.dirichlet(np.ones(256), size=512))
         pred = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
         tracemalloc.start()
         try:
@@ -591,7 +587,7 @@ class TestKernelsMatchTextbook:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        assert round(kept / pred.data.nbytes) == int(target_grad)
+        assert kept < 0.1 * pred.data.nbytes
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_batch_norm_train(self, order):
@@ -677,6 +673,56 @@ def test_info_nce_rows_rejects_bad_shapes():
         info_nce_rows(Tensor(sims), positives[:5], 0.1)
 
 
+def queue_inputs(b: int, q: int, requires_grad=(True, False, False), seed: int = 60):
+    """Unit student and teacher rows and a unit queue, transposed, as
+    qmatch_loss hands them to queue_cross_entropy_rows."""
+    arrays = [rand(shape, seed + i) for i, shape in enumerate(((b, 8), (b, 8), (q, 8)))]
+    for a in arrays:
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+    arrays[2] = arrays[2].T.copy()
+    return [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires_grad)]
+
+
+class TestQueueCrossEntropy:
+    @pytest.mark.parametrize("b, q", [(37, 2048), (3, UPDATE_BLOCK + 1), (37, 1)],
+                             ids=["ragged_last_block", "one_row_per_block", "one_slot"])
+    def test_equals_composition(self, b, q):
+        z_s, z_t, queue = queue_inputs(b, q)
+        ref = cross_entropy_rows(softmax_rows(z_t @ queue, 0.04), softmax_rows(z_s @ queue, 0.1))
+        backward(ref)
+        ref_grad, z_s.grad = z_s.grad, None
+
+        out = queue_cross_entropy_rows(z_s, z_t, queue, 0.1, 0.04)
+        assert float(out.data).hex() == float(ref.data).hex()
+        backward(out)
+        assert same_bits(z_s.grad, ref_grad)
+
+    def test_gradient_reaches_only_the_student(self):
+        z_s, z_t, queue = queue_inputs(5, 16, requires_grad=(True, True, True))
+        backward(queue_cross_entropy_rows(z_s, z_t, queue, 0.1, 0.04))
+        assert z_s.grad.shape == (5, 8) and np.any(z_s.grad)
+        assert z_t.grad is None and queue.grad is None
+
+    def test_value_under_no_grad(self):
+        inputs = queue_inputs(37, 64)
+        with no_grad():
+            quiet = queue_cross_entropy_rows(*inputs, 0.1, 0.04)
+        assert not quiet.requires_grad and quiet._backward is None
+        assert same_bits(quiet.data, queue_cross_entropy_rows(*inputs, 0.1, 0.04).data)
+
+    @pytest.mark.parametrize("shapes", [((4, 8), (3, 8), (8, 5)), ((4, 8), (4, 7), (8, 5)),
+                                        ((4, 8), (4, 8), (7, 5)), ((4, 8), (4, 8), (8,))],
+                             ids=["rows", "teacher_dim", "queue_dim", "queue_1d"])
+    def test_rejects_bad_shapes(self, shapes):
+        with pytest.raises(ShapeError, match="queue cross-entropy"):
+            queue_cross_entropy_rows(*(Tensor(np.ones(s)) for s in shapes), 0.1, 0.04)
+
+    @pytest.mark.parametrize("taus", [(0.0, 0.04), (0.1, -1.0)])
+    def test_rejects_non_positive_temperature(self, taus):
+        with pytest.raises(ParameterError):
+            queue_cross_entropy_rows(*queue_inputs(2, 3), *taus)
+
+
 def traced_peak(fn) -> int:
     """Peak bytes that numpy allocates while fn() runs, beyond what was live before."""
     tracemalloc.start()
@@ -689,7 +735,8 @@ def traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("kernel, forward_arrays, backward_arrays", [
     ("softmax_rows", 1, 1), ("softmax_rows_in_place", 0, 1),
-    ("cross_entropy_rows", 2, 2), ("cross_entropy_rows_frozen_target", 1, 1),
+    ("cross_entropy_rows", 1, 1),
+    ("queue_cross_entropy_rows", 2, 1),  # the backward forms the teacher rows again
     ("batch_norm_train", 2, 2), ("batch_norm_train_in_place", 1, 2),
     ("info_nce_rows", 1, 0),  # the backward writes into the forward's exp table
     ("batch_norm_eval", 1, 2), ("batch_norm_eval_unrecorded", 0, None),
@@ -700,8 +747,11 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
     rng = np.random.default_rng(47)
     x = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
     gamma, beta = Tensor(rand(256, 48), requires_grad=True), Tensor(rand(256, 49))
-    target = Tensor(rng.dirichlet(np.ones(256), size=512), requires_grad=True)
+    target = Tensor(rng.dirichlet(np.ones(256), size=512))
     stats = rand(256, 50), rand(256, 54) ** 2
+    # products of x's size: (512, 16) @ (16, 256)
+    z_s, z_t, q = (Tensor(rand(shape, seed), requires_grad=True)
+                   for shape, seed in (((512, 16), 55), ((512, 16), 56), ((16, 256), 57)))
     if kernel == "info_nce_rows":  # the bounds count arrays of the sims' size
         sims, positives = info_nce_inputs(256)
         x = Tensor(sims, requires_grad=True)
@@ -709,7 +759,7 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
         "softmax_rows": lambda: softmax_rows(x, 0.1),
         "softmax_rows_in_place": lambda: softmax_rows(x, 0.1, in_place=True),
         "cross_entropy_rows": lambda: cross_entropy_rows(target, x),
-        "cross_entropy_rows_frozen_target": lambda: cross_entropy_rows(Tensor(x.data), x),
+        "queue_cross_entropy_rows": lambda: queue_cross_entropy_rows(z_s, z_t, q, 0.1, 0.04),
         "batch_norm_train": lambda: batch_norm_train(x, gamma, beta)[0],
         "batch_norm_train_in_place": lambda: batch_norm_train(x, gamma, beta, in_place=True)[0],
         "info_nce_rows": lambda: info_nce_rows(x, positives, 0.1),
@@ -717,7 +767,7 @@ def test_kernel_allocates_at_most(kernel, forward_arrays, backward_arrays):
         "batch_norm_eval_unrecorded": lambda: batch_norm_eval(
             Tensor(x.data), Tensor(gamma.data), beta, *stats),
     }
-    g = np.ones(()) if kernel.startswith(("cross_entropy", "info_nce")) \
+    g = np.ones(()) if kernel.startswith(("cross_entropy", "queue_cross", "info_nce")) \
         else rand((512, 256), 51)
     out = []
     assert traced_peak(lambda: out.append(ops[kernel]())) < (forward_arrays + 0.5) * x.data.nbytes

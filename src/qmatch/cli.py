@@ -61,6 +61,7 @@ from .train import (
     format_rank,
     grid_search,
     linear_eval,
+    mean_std,
     pretrain,
     run_cells,
 )
@@ -70,13 +71,28 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 # run-config section -> its config dataclass and the fields a run config cannot set
-RUN_CONFIG_SECTIONS = {"encoder": (EncoderConfig, "input_dim", "bn_eps"),
+RUN_CONFIG_SECTIONS = {"encoder": (EncoderConfig, "input_dim"),
                        "loop": (TrainLoopConfig,), "qmatch": (QMatchConfig,),
                        "corruption": (CorruptionConfig,), "extra": (BaselineConfig,)}
 
 
 def data_root() -> Path:
     return Path(os.environ.get("QMATCH_DATA_DIR", "."))
+
+
+def _output_path(path: str, directory: bool = False) -> Path:
+    """An output path checked before any work starts: a file's may not be a
+    directory, a directory's may not be anything else, and neither may lie
+    under a file."""
+    out = Path(path)
+    if not directory and out.is_dir():
+        raise ConfigError(f"{out}: is a directory, not a file")
+    if directory and out.exists() and not out.is_dir():
+        raise ConfigError(f"{out}: exists and is not a directory")
+    for parent in out.parents:
+        if parent.exists() and not parent.is_dir():
+            raise ConfigError(f"{out}: {parent} is not a directory")
+    return out
 
 
 def _resolve(path: str) -> Path:
@@ -215,6 +231,7 @@ def _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed) -> di
 
 
 def cmd_pretrain(args) -> int:
+    out = _output_path(args.out)
     ws = Workspace(Path(args.data))
     algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(
         args, ws, PRETEXT_ALGORITHMS, downstream=False)
@@ -227,7 +244,6 @@ def cmd_pretrain(args) -> int:
         return EXIT_OK
     result = pretrain(algorithm, ws.dataset, ws.splits, ws.state, encoder, loop, seed,
                       qm_config=qm, corruption=corr, extra=extra)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     metadata = {"algorithm": algorithm, "seed": seed, "best_epoch": result.best_epoch,
                 "preprocess_ref": str(Path(args.data) / "preprocess.json"),
@@ -250,6 +266,7 @@ def _append_result(path, result: TrialResult):
 
 
 def cmd_eval(args) -> int:
+    out = _output_path(args.out)
     ws = Workspace(Path(args.data))
     _check_splits(ws.splits, DOWNSTREAM_SPLITS, f"{ws.manifest}: ")
     ckpt_path = Path(args.checkpoint)
@@ -267,24 +284,28 @@ def cmd_eval(args) -> int:
                     batch_size=args.batch_size,
                     max_epochs=max(budget, TrainLoopConfig.max_epochs))
     ckpt = load_checkpoint(ckpt_path)
-    if ckpt["config"].input_dim != ws.state.output_dim:
-        raise CheckpointError(f"{ckpt_path}: the encoder takes {ckpt['config'].input_dim} "
+    # only the params train: the EMA teacher and the queue go before training starts
+    config, metadata, params = ckpt["config"], ckpt["metadata"], ckpt["params"]
+    del ckpt
+    if config.input_dim != ws.state.output_dim:
+        raise CheckpointError(f"{ckpt_path}: the encoder takes {config.input_dim} "
                               f"input columns, the prepared data has {ws.state.output_dim}")
-    algorithm = ckpt["metadata"].get("algorithm", "unknown")
+    algorithm = metadata.get("algorithm", "unknown")
     if not isinstance(algorithm, str):  # it names the result's row in a report
         raise CheckpointError(f"{ckpt_path}: metadata algorithm must be a string, "
                               f"got {algorithm!r}")
     fn = linear_eval if args.task == "linear" else finetune
-    result = fn(ckpt["params"], ws.dataset, ws.splits, ws.state, loop,
+    result = fn(params, ws.dataset, ws.splits, ws.state, loop,
                 args.seed if args.seed is not None else 0,
                 algorithm=algorithm)
-    _append_result(args.out, result)
+    _append_result(out, result)
     print(f"{args.task} val_accuracy={result.val_accuracy:.2f} "
           f"test_accuracy={result.test_accuracy:.2f}")
     return EXIT_OK
 
 
 def cmd_grid(args) -> int:
+    out = _output_path(args.out, directory=True)
     ws = Workspace(Path(args.data))
     algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws, ALGORITHMS)
     if algorithm is None:
@@ -299,7 +320,6 @@ def cmd_grid(args) -> int:
     best_point, results, outcomes = grid_search(
         algorithm, grid, args.task, ws.dataset, ws.splits, ws.state,
         encoder, loop, seeds, qm_config=qm, corruption=corr, extra=extra)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for r in results:
         _append_result(out / "results.jsonl", r)
@@ -310,9 +330,9 @@ def cmd_grid(args) -> int:
                           for o in outcomes]}
     with open(out / "grid.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
-    accs = [r.test_accuracy for r in results]
+    mean, std = mean_std([r.test_accuracy for r in results])
     print(f"best_point={json.dumps(best_point, sort_keys=True)} "
-          f"test_accuracy={np.mean(accs):.2f}+/-{np.std(accs, ddof=1) if len(accs) > 1 else 0.0:.2f}")
+          f"test_accuracy={mean:.2f}+/-{std:.2f}")
     return EXIT_OK
 
 
@@ -320,6 +340,7 @@ SWEEP_KINDS = ("corruption-heatmap", "queue-size", "label-fraction", "pretext-si
 
 
 def cmd_sweep(args) -> int:
+    out = _output_path(args.out)
     ws = Workspace(Path(args.data))
     algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws, ALGORITHMS)
     algorithm = algorithm or "qmatch"
@@ -358,12 +379,11 @@ def cmd_sweep(args) -> int:
     for c, results in zip(cells, run_cells(algorithm, args.task, ws.dataset, ws.state,
                                            encoder, cells, seeds)):
         accs = [r.test_accuracy for r in results]
-        std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
+        mean, std = mean_std(accs)
         rows += [{**c.hyperparameters, "seed": s, "accuracy": a,
-                  "mean_accuracy": float(np.mean(accs)), "std_accuracy": std}
+                  "mean_accuracy": mean, "std_accuracy": std}
                  for s, a in zip(seeds, accs)]
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     columns = sorted({k for row in rows for k in row})
     with open(out, "w", newline="") as fh:
@@ -395,6 +415,8 @@ def _read_results(path: str) -> list[TrialResult]:
 
 
 def cmd_report(args) -> int:
+    if args.json:
+        _output_path(args.json)
     results = [r for path in args.results for r in _read_results(path)]
     if not results:
         raise ConfigError("no result lines found")

@@ -271,6 +271,10 @@ def save_csv(dataset: TabularDataset, path, label_name: str = "label"):
 
 _INV_NORM = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
+# standardization: a numeric feature with var below EPSILON ** 2 maps to 0, any
+# other to (v - mean) / sqrt(var + EPSILON)
+EPSILON = 1e-6
+
 
 def _rank_scores(n: int) -> np.ndarray:
     """The normal score of each rank 0..n a value can take among n fitted values."""
@@ -284,9 +288,7 @@ class PreprocessState:
     var: np.ndarray
     count: int
     cardinality: list[int | None]  # per raw feature: None if numeric, else its category count
-    quantile: bool = False
     quantile_tables: dict[int, np.ndarray] = field(default_factory=dict)
-    epsilon: float = 1e-6
     # derived, never saved: from count, the normal score of each rank 0..count a
     # value takes in a quantile table (None when there is no table); from
     # cardinality, the feature of each output column and each feature's first one
@@ -297,13 +299,10 @@ class PreprocessState:
     def __post_init__(self):
         """The rules of a fitted state, none of which reads a row: every feature
         has one cardinality (null or an int >= 1), one mean and one var, all
-        finite with var >= 0; a quantile state has a table of `count` values per
-        numeric feature, any other none.  Then the rank scores are derived from
-        `count`, and the one-hot layout from cardinality."""
+        finite with var >= 0; there is a table of `count` values for every
+        numeric feature, or none.  Then the rank scores are derived from `count`,
+        and the one-hot layout from cardinality."""
         check_fields(self, "an int >= 1", lambda n: _has_json_type(n, "int") and n >= 1, "count")
-        check_fields(self, "a bool", lambda q: _has_json_type(q, "bool"), "quantile")
-        check_fields(self, "finite and > 0",
-                     lambda e: _has_json_type(e, "float") and 0 < e < np.inf, "epsilon")
         if not isinstance(self.cardinality, list):
             raise DataError(f"cardinality must be a list, got {self.cardinality!r}")
         for card in self.cardinality:
@@ -317,10 +316,10 @@ class PreprocessState:
                 and (self.var >= 0).all()):
             raise DataError("mean and var must be finite, and var >= 0")
         numeric = {j for j, card in enumerate(self.cardinality) if card is None}
-        if set(self.quantile_tables) != (numeric if self.quantile else set()) \
+        if set(self.quantile_tables) not in (numeric, set()) \
                 or any(t.shape != (self.count,) for t in self.quantile_tables.values()):
-            raise DataError(f"a quantile state holds a table of count ({self.count}) values "
-                            f"per numeric feature, any other none")
+            raise DataError(f"a state holds a table of count ({self.count}) values for every "
+                            f"numeric feature, or none")
         self.scores = _rank_scores(self.count) if self.quantile_tables else None
         widths = np.array([card or 1 for card in self.cardinality], dtype=np.intp)
         self.feature_of_column = np.repeat(np.arange(features), widths)
@@ -336,16 +335,15 @@ class PreprocessState:
             "var": self.var.tolist(),
             "count": self.count,
             "cardinality": list(self.cardinality),
-            "quantile": self.quantile,
             "quantile_tables": {str(k): v.tolist() for k, v in self.quantile_tables.items()},
-            "epsilon": self.epsilon,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PreprocessState":
         """The state `to_dict` wrote; a missing key or a value of the wrong JSON
         type raises KeyError, TypeError or ValueError (DataError and ConfigError
-        are ValueErrors)."""
+        are ValueErrors).  The `quantile` and `epsilon` keys of older files are
+        not read: the tables say the one, EPSILON is the other."""
         if not isinstance(d["quantile_tables"], dict):
             raise TypeError(f"quantile_tables must be an object, got {d['quantile_tables']!r}")
         return cls(
@@ -353,15 +351,13 @@ class PreprocessState:
             var=np.asarray(d["var"], dtype=np.float64),
             count=d["count"],
             cardinality=d["cardinality"],
-            quantile=d["quantile"],
             quantile_tables={int(k): np.asarray(v, dtype=np.float64)
                              for k, v in d["quantile_tables"].items()},
-            epsilon=d["epsilon"],
         )
 
 
 def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
-                   quantile: bool = False, epsilon: float = 1e-6) -> PreprocessState:
+                   quantile: bool = False) -> PreprocessState:
     """Accumulate running normalization statistics over the fitting rows and
     freeze each feature's cardinality, from which the one-hot layout follows.
 
@@ -398,8 +394,7 @@ def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
     var = m2 / count
 
     return PreprocessState(mean=mean, var=var, count=count, cardinality=cardinality,
-                           quantile=quantile, quantile_tables=quantile_tables,
-                           epsilon=epsilon)
+                           quantile_tables=quantile_tables)
 
 
 def apply_preprocess(state: PreprocessState, batch: np.ndarray) -> np.ndarray:
@@ -410,12 +405,12 @@ def apply_preprocess(state: PreprocessState, batch: np.ndarray) -> np.ndarray:
     for j, (card, col) in enumerate(zip(state.cardinality, state.start_column)):
         if card is None:
             v = batch[:, j]
-            if state.quantile:
+            if state.quantile_tables:
                 v = state.scores[np.searchsorted(state.quantile_tables[j], v, side="right")]
-            if state.var[j] < state.epsilon ** 2:
+            if state.var[j] < EPSILON ** 2:
                 out[:, col] = 0.0  # constant column
             else:
-                out[:, col] = (v - state.mean[j]) / np.sqrt(state.var[j] + state.epsilon)
+                out[:, col] = (v - state.mean[j]) / np.sqrt(state.var[j] + EPSILON)
         else:
             codes = batch[:, j].astype(int)
             if np.any(codes < 0) or np.any(codes >= card):

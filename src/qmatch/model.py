@@ -95,7 +95,6 @@ class EncoderConfig:
     maxout_k: int = 4
     projector_dim: int = 128
     batchnorm_momentum: float = 0.1
-    bn_eps: float = 1e-5
     mlp_projector: bool = False  # optional 512-128 two-layer head, off by default
 
     def __post_init__(self):
@@ -112,12 +111,17 @@ class EncoderConfig:
     def embed_dim(self) -> int:
         return self.layer_widths[-1] // self.maxout_k
 
+    # retired field -> the one value every file written before its removal holds
+    RETIRED_FIELDS = {"num_classes": None, "bn_eps": 1e-05}
+
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
+        """The config `asdict` wrote, now or before a field retired: a retired
+        field is dropped when it holds its one value, and refused otherwise."""
         d = dict(d)
-        # a retired field: files written before its removal carry it as null
-        if "num_classes" in d and d["num_classes"] is None:
-            del d["num_classes"]
+        for name, value in cls.RETIRED_FIELDS.items():
+            if name in d and d.pop(name) != value:
+                raise ConfigError(f"{name} is retired, and only {value!r} can be read")
         return cls(**d)
 
 
@@ -150,7 +154,7 @@ class ModelParams:
 @dataclass
 class EmaParams:
     params: ModelParams
-    decay: float = 0.9
+    decay: float
 
 
 def param_shapes(config: EncoderConfig) -> tuple[dict[str, tuple], dict[str, tuple]]:
@@ -222,7 +226,7 @@ def encoder_forward(params: ModelParams, x: Tensor, mode: str = "train") -> Tens
             # batch norm works in the biased product's buffer: neither add's nor
             # matmul's backward reads it
             if mode == "train":
-                h, mu, var = batch_norm_train(h, gamma, beta, eps=cfg.bn_eps, in_place=True)
+                h, mu, var = batch_norm_train(h, gamma, beta, in_place=True)
                 m = cfg.batchnorm_momentum
                 params.buffers[f"layer{i}.running_mean"][...] = (
                     (1 - m) * params.buffers[f"layer{i}.running_mean"] + m * mu)
@@ -231,8 +235,7 @@ def encoder_forward(params: ModelParams, x: Tensor, mode: str = "train") -> Tens
             else:
                 h = batch_norm_eval(h, gamma, beta,
                                     params.buffers[f"layer{i}.running_mean"],
-                                    params.buffers[f"layer{i}.running_var"],
-                                    eps=cfg.bn_eps)
+                                    params.buffers[f"layer{i}.running_var"])
             # into batch norm's output: its backward reads xhat and its operands, not its output
             h = relu(h, in_place=True)
     return maxout_rows(h, cfg.maxout_k)
@@ -291,7 +294,6 @@ def _array_entries(arrays: dict[str, np.ndarray]):
 
 
 def _checkpoint_arrays(params: ModelParams, ema: EmaParams | None = None,
-                       optimizer_state: dict[str, np.ndarray] | None = None,
                        queue_storage: np.ndarray | None = None) -> tuple[dict, dict]:
     """The header (without metadata) and the named arrays of a checkpoint; each
     array is the caller's own buffer unless that is not contiguous."""
@@ -310,9 +312,6 @@ def _checkpoint_arrays(params: ModelParams, ema: EmaParams | None = None,
             arrays[f"ema/{k}"] = np.ascontiguousarray(t.data)
         for k, v in ema.params.buffers.items():
             arrays[f"ema_buffers/{k}"] = np.ascontiguousarray(v)
-    if optimizer_state:
-        for k, v in optimizer_state.items():
-            arrays[f"optimizer/{k}"] = np.ascontiguousarray(v)
     if queue_storage is not None:
         arrays["queue/storage"] = np.ascontiguousarray(queue_storage)
     return header, arrays
@@ -335,12 +334,11 @@ def _write_container(fh, header: dict, arrays: dict[str, np.ndarray]):
 
 
 def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
-                    optimizer_state: dict[str, np.ndarray] | None = None,
                     metadata: dict | None = None,
                     queue_storage: np.ndarray | None = None):
     """Write a checkpoint to `path` atomically: into a temporary file next to
     it, which then replaces `path`, so a failed write leaves `path` as it was."""
-    header, arrays = _checkpoint_arrays(params, ema, optimizer_state, queue_storage)
+    header, arrays = _checkpoint_arrays(params, ema, queue_storage)
     header["metadata"] = metadata or {}
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path),
@@ -450,8 +448,8 @@ def _read_container_into(fh, arrays: dict[str, np.ndarray]) -> dict:
 
 
 def load_checkpoint(path, expected_config: EncoderConfig | None = None):
-    """Returns a dict with params, ema (or None), optimizer_state, metadata,
-    and queue_storage (or None).  Any malformed file raises CheckpointError."""
+    """Returns a dict with params, ema (or None), metadata, queue_storage (or
+    None) and config.  Any malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
         header, base, payload = _read_header(fh, path)
         try:
@@ -460,12 +458,14 @@ def load_checkpoint(path, expected_config: EncoderConfig | None = None):
             raise CheckpointError(f"{path}: bad config in header: {e!r}") from None
         if expected_config is not None and config != expected_config:
             raise CheckpointError(f"{path}: checkpoint config does not match expected config")
-        decay = header.get("ema_decay", 0.9)
-        if not (_has_json_type(decay, "float") and 0 <= decay < 1):  # QMatchConfig.tau_ema's rule
+        decay = header.get("ema_decay")  # QMatchConfig.tau_ema's rule, when present
+        if "ema_decay" in header and not (_has_json_type(decay, "float") and 0 <= decay < 1):
             raise CheckpointError(f"{path}: ema_decay must be a number in [0, 1), got {decay!r}")
 
         entries = _checked_entries(path, header.get("arrays"), payload)
         _check_layout(path, config, {name: shape for name, shape, _, _ in entries})
+        if decay is None and any(name.startswith("ema/") for name, _, _, _ in entries):
+            raise CheckpointError(f"{path}: ema/ arrays without an ema_decay")
         arrays = {name: np.empty(shape, dtype=dtype) for name, shape, dtype, _ in entries}
         _read_arrays(fh, path, base, entries, arrays)
 
@@ -481,12 +481,9 @@ def load_checkpoint(path, expected_config: EncoderConfig | None = None):
     if any(k.startswith("ema/") for k in arrays):
         # frozen, like the teacher pretrain keeps: its forwards record no graph
         ema = EmaParams(build("ema/", "ema_buffers/", False), decay=decay)
-    optimizer_state = {k[len("optimizer/"):]: v
-                       for k, v in arrays.items() if k.startswith("optimizer/")}
     return {
         "params": params,
         "ema": ema,
-        "optimizer_state": optimizer_state,
         "metadata": header.get("metadata", {}),
         "queue_storage": arrays.get("queue/storage"),
         "config": config,

@@ -42,13 +42,11 @@ class ParameterError(ValueError):
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        elif arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None

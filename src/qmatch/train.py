@@ -145,13 +145,11 @@ class AdamW:
     out-of-place formulas, so results are bit-identical to them.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         # np.zeros, unlike zeros_like, leaves large moments to pages the kernel zeroes
@@ -476,10 +474,14 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _embed_all(params: ModelParams, x: np.ndarray, batch_size: int = 2048) -> np.ndarray:
+# rows per eval forward of _embed_all
+EMBED_BATCH = 2048
+
+
+def _embed_all(params: ModelParams, x: np.ndarray) -> np.ndarray:
     with no_grad():
-        outs = [encoder_forward(params, Tensor(x[i:i + batch_size]), mode="eval").data
-                for i in range(0, len(x), batch_size)]
+        outs = [encoder_forward(params, Tensor(x[i:i + EMBED_BATCH]), mode="eval").data
+                for i in range(0, len(x), EMBED_BATCH)]
     return np.concatenate(outs, axis=0)
 
 
@@ -677,6 +679,12 @@ def grid_search(algorithm: str, grid: dict[str, list], task: str,
 
 # -- aggregation --------------------------------------------------------------------
 
+def mean_std(values) -> tuple[float, float]:
+    """The mean of `values` and their sample standard deviation (0.0 for one value)."""
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.mean()), (float(arr.std(ddof=1)) if len(arr) > 1 else 0.0)
+
+
 def aggregate(results: list[TrialResult]) -> dict:
     """Mean +/- sample std per (algorithm, dataset), per-dataset rank by mean,
     and average rank per algorithm.  A cell never averages a linear and a
@@ -696,10 +704,8 @@ def aggregate(results: list[TrialResult]) -> dict:
         cells.setdefault(key, []).append(r.test_accuracy)
     stats = {}
     for key, vals in cells.items():
-        arr = np.asarray(vals)
-        stats[key] = {"mean": float(arr.mean()),
-                      "std": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
-                      "n": len(arr)}
+        mean, std = mean_std(vals)
+        stats[key] = {"mean": mean, "std": std, "n": len(vals)}
     datasets = sorted({d for _, d in cells})
     algorithms = sorted({a for a, _ in cells})
     ranks: dict[tuple[str, str], int] = {}

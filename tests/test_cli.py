@@ -4,6 +4,8 @@ import io
 import json
 import math
 import warnings
+import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -126,7 +128,8 @@ class TestPrepareData:
                      "--out", str(out)] + flags)
         assert code == EXIT_OK
         assert json.loads((out / "meta.json").read_text())["quantile"] is quantile
-        assert json.loads((out / "preprocess.json").read_text())["quantile"] is quantile
+        tables = json.loads((out / "preprocess.json").read_text())["quantile_tables"]
+        assert bool(tables) is quantile
         assert len(load_manifest(out / "splits.json")["pretext_train"]) == 190
 
     @pytest.mark.parametrize("spec", [
@@ -267,6 +270,24 @@ class TestPretrain:
         assert (f"config error: {tmp_path / 'x' / 'splits.json'}: pretext_val holds no rows"
                 in capsys.readouterr().err)
         assert calls == [] and not out.exists()
+
+    def test_a_resolved_config_is_a_run_config_that_resolves_to_itself(self, prepared,
+                                                                      tmp_path, capsys):
+        """Every field of every RUN_CONFIG_SECTIONS dataclass but the encoder's
+        input_dim, which the workspace sets, can be set from a run config: a field
+        that no input reaches is a constant."""
+        argv = ["pretrain", "--data", str(prepared), "--out", str(tmp_path / "c.qmc"),
+                "--dry-run"]
+        assert main(argv + ["--algorithm", "qmatch"] + SMALL_TRAIN) == EXIT_OK
+        resolved = json.loads(capsys.readouterr().out)
+        for name, (cls, *_) in qmatch.cli.RUN_CONFIG_SECTIONS.items():
+            assert set(resolved[name]) == {f.name for f in fields(cls)}
+        run_config = {**resolved, "encoder": {k: v for k, v in resolved["encoder"].items()
+                                              if k != "input_dim"}}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(run_config))
+        assert main(argv + ["--config", str(cfg)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == resolved
 
     def test_no_algorithm_is_config_error(self, prepared, tmp_path):
         code = main(["pretrain", "--data", str(prepared),
@@ -515,6 +536,33 @@ class TestEval:
         r = TrialResult.from_json(out.read_text().splitlines()[0])
         assert r.task == "finetune"
 
+    @pytest.mark.parametrize("task", ["linear-eval", "finetune"])
+    def test_only_the_params_outlive_the_load(self, prepared, checkpoint, tmp_path,
+                                              monkeypatch, task):
+        """The EMA teacher and the queue the checkpoint holds are freed before the
+        classifier trains."""
+        loaded = []
+
+        def load(*args, **kwargs):
+            ckpt = load_checkpoint(*args, **kwargs)
+            loaded.extend([weakref.ref(ckpt["ema"]), weakref.ref(ckpt["queue_storage"])])
+            return ckpt
+
+        alive = []
+        name = "linear_eval" if task == "linear-eval" else "finetune"
+        real = getattr(qmatch.cli, name)
+
+        def downstream(params, *args, **kwargs):
+            alive.extend(ref() is not None for ref in loaded)
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(qmatch.cli, "load_checkpoint", load)
+        monkeypatch.setattr(qmatch.cli, name, downstream)
+        assert main([task, "--checkpoint", str(checkpoint), "--data", str(prepared),
+                     "--out", str(tmp_path / "r.jsonl"), "--max-epochs", "2",
+                     "--patience", "1"]) == EXIT_OK
+        assert len(loaded) == 2 and alive == [False, False]
+
     def test_missing_checkpoint(self, prepared, tmp_path):
         code = main(["linear-eval", "--checkpoint", str(tmp_path / "nope.qmc"),
                      "--data", str(prepared), "--out", str(tmp_path / "r.jsonl")])
@@ -615,11 +663,19 @@ def _last_categorical_widened(state):
     return _last_cardinality(state["cardinality"][-1] + 1)(state)
 
 
+def _quantile_tables(state, length, features=None):
+    """A table of `length` zeros for each of the first `features` numeric features
+    (for all of them by default)."""
+    numeric = [j for j, card in enumerate(state["cardinality"]) if card is None]
+    return {**state, "quantile_tables": {str(j): [0.0] * length for j in numeric[:features]}}
+
+
 def _quantile_tables_one_short(state):
-    """Quantile on, with a table one value shorter than `count` per numeric feature."""
-    return {**state, "quantile": True,
-            "quantile_tables": {str(j): [0.0] * (state["count"] - 1)
-                                for j, card in enumerate(state["cardinality"]) if card is None}}
+    return _quantile_tables(state, state["count"] - 1)
+
+
+def _quantile_table_for_one_feature(state):
+    return _quantile_tables(state, state["count"], 1)
 
 
 @pytest.mark.parametrize("name, edit, message", [
@@ -636,17 +692,17 @@ def _quantile_tables_one_short(state):
     ("preprocess.json", _last_cardinality(2.0), "null or an int >= 1, got 2.0"),
     ("preprocess.json", _first_var_negative, "var >= 0"),
     ("preprocess.json", _with("mean", [0.0]), "one entry per feature"),
-    ("preprocess.json", _with("quantile", True), "a quantile state holds a table"),
     ("preprocess.json", _last_categorical_widened, "categorical vocabularies"),
     ("preprocess.json", _older_format, "not a preprocessing state (KeyError: 'cardinality')"),
     ("preprocess.json", _quantile_tables_one_short, "a table of count (192) values"),
+    ("preprocess.json", _quantile_table_for_one_feature, "for every numeric feature, or none"),
 ], ids=["meta_without_csv", "meta_int_name", "meta_int_preset", "manifest_without_pretext_val",
         "manifest_without_test", "preprocess_list", "preprocess_without_var",
         "preprocess_categorical_dropped", "preprocess_cardinality_0",
         "preprocess_cardinality_string", "preprocess_cardinality_float",
-        "preprocess_negative_var", "preprocess_one_mean", "preprocess_quantile_without_tables",
+        "preprocess_negative_var", "preprocess_one_mean",
         "preprocess_card_off_vocabulary", "preprocess_of_an_older_workspace",
-        "preprocess_quantile_table_short"])
+        "preprocess_quantile_table_short", "preprocess_quantile_table_for_one_feature"])
 def test_bad_workspace_file_is_config_error_naming_it(prepared, checkpoint, tmp_path, capsys,
                                                       name, edit, message):
     data = edited_workspace(prepared, tmp_path / "data", name, edit)
@@ -718,6 +774,49 @@ def test_emptied_downstream_split_is_config_error_naming_the_manifest(
     assert (f"config error: {data / 'splits.json'}: {split} holds no rows"
             in capsys.readouterr().err)
     assert pretrains == inits == downstreams == [] and not out.exists()
+
+
+@pytest.mark.parametrize("argv, target, flag", [
+    (["pretrain", "--algorithm", "qmatch"] + SMALL_TRAIN, "dir", "--out"),
+    (["pretrain", "--algorithm", "qmatch", "--dry-run"] + SMALL_TRAIN, "dir", "--out"),
+    (["linear-eval", "--checkpoint", "CKPT"], "dir", "--out"),
+    (["finetune", "--checkpoint", "CKPT"], "dir", "--out"),
+    (["sweep", "--kind", "queue-size", "--values", "64"] + SMALL_TRAIN, "dir", "--out"),
+    (["grid", "--algorithm", "qmatch", "--grid", "GRID"] + SMALL_TRAIN, "file", "--out"),
+    (["report", "RESULTS"], "dir", "--json"),
+    (["pretrain", "--algorithm", "qmatch"] + SMALL_TRAIN, "under_file", "--out"),
+    (["grid", "--algorithm", "qmatch", "--grid", "GRID"] + SMALL_TRAIN, "under_file", "--out"),
+], ids=["pretrain", "pretrain_dry_run", "linear_eval", "finetune", "sweep", "grid", "report",
+        "pretrain_under_a_file", "grid_under_a_file"])
+def test_output_target_of_the_wrong_kind_is_refused_before_any_training(
+        prepared, checkpoint, tmp_path, monkeypatch, capsys, argv, target, flag):
+    """A file output that is a directory, a directory output that is a file, or
+    either under a file, is a config error naming it before anything trains."""
+    grid, results = tmp_path / "grid.json", tmp_path / "results.jsonl"
+    grid.write_text(json.dumps({"learning_rate": [0.01]}))
+    results.write_text(TrialResult("qmatch", "fixture", "linear", {}, 0, 50.0, 50.0, 0.0)
+                       .to_json() + "\n")
+    taken = out = tmp_path / "taken"
+    if target == "dir":
+        taken.mkdir()
+    else:
+        taken.write_text("keep")
+    if target == "under_file":
+        out = taken / "out"
+    pretrains, downstreams = spy_on_pretrain(monkeypatch), spy_on_pretrain(monkeypatch,
+                                                                            "_downstream")
+    monkeypatch.setattr(qmatch.cli, "pretrain", lambda *a, **k: pretrains.append((a, k)))
+    paths = {"CKPT": checkpoint, "GRID": grid, "RESULTS": results}
+    argv = [str(paths.get(a, a)) for a in argv] + [flag, str(out)]
+    if argv[0] != "report":
+        argv += ["--data", str(prepared)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {out}: " in capsys.readouterr().err
+    assert pretrains == downstreams == []
+    if target == "dir":
+        assert list(taken.iterdir()) == []
+    else:
+        assert taken.read_text() == "keep"
 
 
 def test_workspace_without_test_rows_pretrains_but_scores_nothing(corpus, tmp_path, capsys):

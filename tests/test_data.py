@@ -26,6 +26,7 @@ from qmatch.data import (
     save_manifest,
 )
 from tests.conftest import make_fixture_dataset
+from tests.test_tensor import same_bits
 
 SCHEMA = [
     ColumnSpec("age", "numeric"),
@@ -339,6 +340,18 @@ class TestPreprocess:
         clone = PreprocessState.from_dict(json.loads(json.dumps(state.to_dict())))
         np.testing.assert_array_equal(
             apply_preprocess(clone, ds.features), apply_preprocess(state, ds.features))
+
+    @pytest.mark.parametrize("quantile", [False, True])
+    def test_state_of_an_older_file_loads_equal(self, quantile):
+        """preprocess.json once also held `quantile` and `epsilon`, which every
+        file held at the values the tables and EPSILON now give."""
+        ds = make_fixture_dataset(n=80)
+        state = fit_preprocess(ds, quantile=quantile)
+        older = {**state.to_dict(), "quantile": quantile, "epsilon": 1e-06}
+        clone = qmatch.data.PreprocessState.from_dict(json.loads(json.dumps(older)))
+        assert clone.to_dict() == state.to_dict()
+        assert same_bits(apply_preprocess(clone, ds.features),
+                         apply_preprocess(state, ds.features))
 
     def test_bad_batch_shape(self):
         ds = make_fixture_dataset(n=30)

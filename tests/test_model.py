@@ -167,8 +167,7 @@ class TestForward:
         monkeypatch.setattr(qmatch.model, "relu", lambda a, in_place: relu(a))
         # and batch norm out of its input's buffer
         monkeypatch.setattr(qmatch.model, "batch_norm_train",
-                            lambda h, gamma, beta, eps, in_place: batch_norm_train(
-                                h, gamma, beta, eps=eps))
+                            lambda h, gamma, beta, in_place: batch_norm_train(h, gamma, beta))
         want, want_params = run()
         assert same_bits(got, want)
         for k, t in want_params.tensors.items():
@@ -348,6 +347,24 @@ BAD_HEADERS = {
 }
 
 
+def _assert_loads_as_written_now(tmp_path, edit):
+    """A checkpoint whose header `edit` makes as an older one wrote it loads to the
+    same config, params and EMA as the file written now."""
+    path, old = tmp_path / "n.ckpt", tmp_path / "old.ckpt"
+    params = init_params(small_config(), seed=26)
+    save_checkpoint(path, params, ema=EmaParams(params.copy(), decay=0.9))
+    old.write_bytes(path.read_bytes())
+    rewrite_header(old, edit)
+    now, before = load_checkpoint(path), load_checkpoint(old)
+    assert before["config"] == now["config"]
+    for got, want in ((before["params"], now["params"]),
+                      (before["ema"].params, now["ema"].params)):
+        for k, t in want.tensors.items():
+            np.testing.assert_array_equal(got.tensors[k].data, t.data)
+        for k, v in want.buffers.items():
+            np.testing.assert_array_equal(got.buffers[k], v)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact_and_idempotent(self, tmp_path, rng):
         params = init_params(small_config(), seed=15)
@@ -383,15 +400,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_optimizer_state_and_queue(self, tmp_path, rng):
+    def test_queue_storage_round_trips(self, tmp_path, rng):
         params = init_params(small_config(), seed=18)
         queue = rng.normal(size=(8, 3))
         path = tmp_path / "e.ckpt"
-        save_checkpoint(path, params, optimizer_state={"m/x": np.ones(3)},
-                        queue_storage=queue)
+        save_checkpoint(path, params, queue_storage=queue)
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded["queue_storage"], queue)
-        np.testing.assert_array_equal(loaded["optimizer_state"]["m/x"], np.ones(3))
 
     @pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
     def test_bad_header_raises_checkpoint_error(self, tmp_path, edit):
@@ -412,19 +427,28 @@ class TestCheckpoint:
 
     def test_header_with_retired_null_num_classes_loads(self, tmp_path):
         # every file written before num_classes left the config carries it as null
-        path, old = tmp_path / "n.ckpt", tmp_path / "old.ckpt"
-        params = init_params(small_config(), seed=26)
-        save_checkpoint(path, params, ema=EmaParams(params.copy()))
-        old.write_bytes(path.read_bytes())
-        rewrite_header(old, lambda h: h["config"].update(num_classes=None))
-        now, before = load_checkpoint(path), load_checkpoint(old)
-        assert before["config"] == now["config"]
-        for got, want in ((before["params"], now["params"]),
-                          (before["ema"].params, now["ema"].params)):
-            for k, t in want.tensors.items():
-                np.testing.assert_array_equal(got.tensors[k].data, t.data)
-            for k, v in want.buffers.items():
-                np.testing.assert_array_equal(got.buffers[k], v)
+        _assert_loads_as_written_now(tmp_path, lambda h: h["config"].update(num_classes=None))
+
+    def test_header_with_retired_bn_eps_loads_at_its_one_value(self, tmp_path):
+        # every file written before bn_eps left the config carries 1e-05
+        _assert_loads_as_written_now(tmp_path, lambda h: h["config"].update(bn_eps=1e-05))
+
+    @pytest.mark.parametrize("value", [0.001, None, "1e-05"])
+    def test_header_with_retired_bn_eps_of_another_value_is_refused(self, tmp_path, value):
+        path = tmp_path / "eps.ckpt"
+        save_checkpoint(path, init_params(small_config(), seed=27))
+        rewrite_header(path, lambda h: h["config"].update(bn_eps=value))
+        with pytest.raises(CheckpointError, match="bn_eps is retired"):
+            load_checkpoint(path)
+
+    def test_ema_arrays_without_an_ema_decay_are_refused(self, tmp_path):
+        path = tmp_path / "nodecay.ckpt"
+        params = init_params(small_config(), seed=28)
+        save_checkpoint(path, params, ema=EmaParams(params.copy(), decay=0.9))
+        rewrite_header(path, lambda h: h.pop("ema_decay"))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{path}: ema/ arrays without an ema_decay")):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("cut", [1, 8, 100])
     def test_truncated_inside_array(self, tmp_path, cut):
@@ -446,15 +470,14 @@ class TestCheckpoint:
     def test_dtypes_round_trip_and_others_refused(self, tmp_path):
         params = init_params(small_config(), seed=22)
         path = tmp_path / "f.ckpt"
-        state = {"f32": np.arange(3, dtype=np.float32), "i64": np.arange(4, dtype=np.int64),
-                 "big": np.arange(2.0).astype(">f8"), "empty": np.zeros((0, 3))}
-        save_checkpoint(path, params, optimizer_state=state)
-        loaded = load_checkpoint(path)["optimizer_state"]
-        for k, v in state.items():
-            assert loaded[k].dtype == v.dtype.newbyteorder("<") and loaded[k].shape == v.shape
-            np.testing.assert_array_equal(loaded[k], v)
+        for v in (np.arange(3, dtype=np.float32), np.arange(4, dtype=np.int64),
+                  np.arange(2.0).astype(">f8"), np.zeros((0, 3))):
+            save_checkpoint(path, params, queue_storage=v)
+            loaded = load_checkpoint(path)["queue_storage"]
+            assert loaded.dtype == v.dtype.newbyteorder("<") and loaded.shape == v.shape
+            np.testing.assert_array_equal(loaded, v)
         with pytest.raises(CheckpointError, match="float16"):
-            save_checkpoint(path, params, optimizer_state={"h": np.zeros(2, np.float16)})
+            save_checkpoint(path, params, queue_storage=np.zeros(2, np.float16))
 
     @pytest.mark.parametrize("extra", [{}, {"mlp_projector": True}],
                              ids=["plain", "mlp_projector"])
@@ -464,7 +487,7 @@ class TestCheckpoint:
         assert [(k, t.shape) for k, t in params.tensors.items()] == list(tensor_shapes.items())
         assert [(k, v.shape) for k, v in params.buffers.items()] == list(buffer_shapes.items())
         path = tmp_path / "k.ckpt"
-        save_checkpoint(path, params, ema=EmaParams(params.copy()))
+        save_checkpoint(path, params, ema=EmaParams(params.copy(), decay=0.9))
         loaded = load_checkpoint(path)
         for got in (loaded["params"], loaded["ema"].params):
             assert list(got.tensors) == list(params.tensors)
@@ -477,13 +500,10 @@ class TestCheckpoint:
         and init_params' draws (mlp projector included) stay put."""
         params = init_params(small_config(mlp_projector=True), seed=31)
         ema = EmaParams(params.copy(requires_grad=False), decay=0.5)
-        state = {"step_count": np.asarray([2.0]), "big": np.arange(3.0).astype(">f8"),
-                 "i64": np.arange(4, dtype=np.int64), "f32": np.ones((2, 2), np.float32)}
         path = tmp_path / "pinned.ckpt"
-        save_checkpoint(path, params, ema=ema, optimizer_state=state, metadata={"seed": 31},
-                        queue_storage=np.eye(4, 3))
+        save_checkpoint(path, params, ema=ema, metadata={"seed": 31}, queue_storage=np.eye(4, 3))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "01e2a6072a980bf405440735b0afe5a528be77381920841fe4aa649fde390b35")
+            "ce59a895ed7ac27495799d5da8804803bf198648781fe9ad9d4f91fa6674da39")
 
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "keep.ckpt"
@@ -531,7 +551,7 @@ class TestCheckpoint:
     def test_loaded_ema_is_frozen(self, tmp_path, rng):
         params = init_params(small_config(), seed=35)
         path = tmp_path / "ema.ckpt"
-        save_checkpoint(path, params, ema=EmaParams(params.copy(requires_grad=False)))
+        save_checkpoint(path, params, ema=EmaParams(params.copy(requires_grad=False), decay=0.9))
         loaded = load_checkpoint(path)
         assert all(t.requires_grad for t in loaded["params"].tensors.values())
         teacher = loaded["ema"].params
@@ -542,7 +562,7 @@ class TestCheckpoint:
 
     def test_save_writes_arrays_without_a_copy(self, tmp_path):
         params = init_params(small_config(input_dim=64, layer_widths=(256, 256)), seed=25)
-        ema = EmaParams(params.copy())
+        ema = EmaParams(params.copy(), decay=0.9)
         largest = max(t.data.nbytes for t in params.tensors.values())
         tracemalloc.start()
         try:
@@ -555,7 +575,7 @@ class TestCheckpoint:
     def test_arrays_read_without_an_extra_copy(self, tmp_path):
         params = init_params(small_config(input_dim=64, layer_widths=(256, 256)), seed=23)
         path = tmp_path / "big.ckpt"
-        save_checkpoint(path, params, ema=EmaParams(params.copy()))
+        save_checkpoint(path, params, ema=EmaParams(params.copy(), decay=0.9))
         payload = 2 * sum(t.data.nbytes for t in params.tensors.values()) + 2 * sum(
             v.nbytes for v in params.buffers.values())
         tracemalloc.start()

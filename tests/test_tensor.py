@@ -555,7 +555,7 @@ class TestKernelsMatchTextbook:
     def test_cross_entropy_rows(self, b, d, pred_dtype):
         rng = np.random.default_rng(22)
         target = Tensor(rng.dirichlet(np.ones(d), size=b))
-        pred = Tensor(rng.dirichlet(np.ones(d), size=b), requires_grad=True, dtype=pred_dtype)
+        pred = Tensor(rng.dirichlet(np.ones(d), size=b).astype(pred_dtype), requires_grad=True)
         g = np.asarray(0.37)
         ref_loss = np.asarray(-(target.data * np.log(pred.data + EPS_LOG)).sum() / b)
         ref_pred_grad = (-(g / b) * target.data / (pred.data + EPS_LOG)).astype(pred_dtype)
@@ -830,7 +830,7 @@ class TestNoUnusedGradients:
 
 
 def test_float32_selectable():
-    t = Tensor([1.0, 2.0], dtype=np.float32)
+    t = Tensor(np.array([1.0, 2.0], dtype=np.float32))
     assert t.data.dtype == np.float32
 
 

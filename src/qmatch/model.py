@@ -122,7 +122,7 @@ class EncoderConfig:
         for name, value in cls.RETIRED_FIELDS.items():
             if name in d and d.pop(name) != value:
                 raise ConfigError(f"{name} is retired, and only {value!r} can be read")
-        return cls(**d)
+        return cls(**_checked(d, "config", _field_types(cls)))
 
 
 class ModelParams:
@@ -268,28 +268,21 @@ def ema_update(ema: EmaParams, student: ModelParams):
 # -- checkpoint container ------------------------------------------------------
 #
 # Layout: 8-byte magic, 8-byte little-endian header length, UTF-8 JSON header,
-# then the named arrays as raw little-endian values in header order.  The reader
-# checks every header entry before it reads any array, and reads each array
-# straight into a preallocated buffer: a new one, or a live array the caller
-# gives, as pretrain does to restore its best epoch.
+# then the named arrays back to back as raw little-endian values in header order,
+# filling the rest of the file.  A header entry holds an array's name, shape and
+# dtype, which fix where it lies.  The reader checks every header entry before it
+# reads any array, then reads the payload front to back, each array straight into
+# a preallocated buffer: a new one, or a live array the caller gives, as pretrain
+# does to restore its best epoch.
 
 def _array_entries(arrays: dict[str, np.ndarray]):
     entries = []
-    offset = 0
-    for name in arrays:
-        arr = arrays[name]
+    for name, arr in arrays.items():
         dtype = arr.dtype.newbyteorder("<")  # the bytes are written little-endian
         if CHECKPOINT_DTYPES.get(dtype.name) != dtype:
             raise CheckpointError(f"cannot save {name}: dtype {arr.dtype} is not one of "
                                   f"{sorted(CHECKPOINT_DTYPES)}")
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": dtype.name,
-            "offset": offset,
-            "nbytes": arr.nbytes,
-        })
-        offset += arr.nbytes
+        entries.append({"name": name, "shape": list(arr.shape), "dtype": dtype.name})
     return entries
 
 
@@ -354,43 +347,41 @@ def save_checkpoint(path, params: ModelParams, ema: EmaParams | None = None,
         raise
 
 
-def _checked_entries(path, entries, payload: int) -> list[tuple[str, tuple, np.dtype, int]]:
-    """(name, shape, dtype, offset) per array entry, after checking that every
-    entry is well formed and its byte range lies inside the payload without
-    overlapping another."""
+def _checked_entries(path, entries, payload: int) -> list[tuple[str, tuple, np.dtype]]:
+    """(name, shape, dtype) per array entry, after checking that every entry is
+    well formed and that the arrays, back to back in entry order, fill the
+    `payload` bytes exactly."""
     if not isinstance(entries, list):
         raise CheckpointError(f"{path}: header 'arrays' is not a list")
-    checked, spans, names = [], [], set()
+    checked, names, end = [], set(), 0
     for e in entries:
         name = e.get("name") if isinstance(e, dict) else None
         if not isinstance(name, str) or name in names:
             raise CheckpointError(f"{path}: array entry without a unique name: {e!r}")
         names.add(name)
-        shape, dtype = e.get("shape"), CHECKPOINT_DTYPES.get(e.get("dtype"))
-        offset, nbytes = e.get("offset"), e.get("nbytes")
+        shape, dtype = e.get("shape"), e.get("dtype")
+        dtype = CHECKPOINT_DTYPES.get(dtype) if isinstance(dtype, str) else None
         if dtype is None:
             raise CheckpointError(f"{path}: array {name}: dtype {e.get('dtype')!r} not allowed")
         if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
             raise CheckpointError(f"{path}: array {name}: bad shape {shape!r}")
-        if type(offset) is not int or type(nbytes) is not int or offset < 0:
-            raise CheckpointError(f"{path}: array {name}: bad offset or nbytes")
-        if nbytes != math.prod(shape) * dtype.itemsize:
-            raise CheckpointError(f"{path}: array {name}: {nbytes} bytes do not hold "
-                                  f"shape {shape} of {dtype.name}")
-        if offset + nbytes > payload:
+        end += math.prod(shape) * dtype.itemsize
+        if end > payload:
             raise CheckpointError(f"{path}: truncated array {name}")
-        checked.append((name, tuple(shape), dtype, offset))
-        spans.append((offset, offset + nbytes, name))
-    spans.sort()
-    for (_, end, _), (start, _, name) in zip(spans, spans[1:]):
-        if start < end:
-            raise CheckpointError(f"{path}: array {name} overlaps the array before it")
+        checked.append((name, tuple(shape), dtype))
+    if end != payload:
+        raise CheckpointError(f"{path}: {payload - end} bytes after the last array")
     return checked
 
 
 def _check_layout(path, config: EncoderConfig, shapes: dict[str, tuple]):
     """The params/ and buffers/ arrays (and ema/ and ema_buffers/, if any are
-    present) must be exactly the tensors and buffers the config defines."""
+    present) must be exactly the tensors and buffers the config defines, and
+    queue/storage is the one array outside those groups."""
+    stray = sorted(k for k in shapes if k != "queue/storage"
+                   and not k.startswith(("params/", "buffers/", "ema/", "ema_buffers/")))
+    if stray:
+        raise CheckpointError(f"{path}: arrays outside the checkpoint's groups: {stray}")
     tensor_shapes, buffer_shapes = param_shapes(config)
     groups = [("params/", tensor_shapes), ("buffers/", buffer_shapes)]
     if any(k.startswith(("ema/", "ema_buffers/")) for k in shapes):
@@ -404,10 +395,10 @@ def _check_layout(path, config: EncoderConfig, shapes: dict[str, tuple]):
                                   f"config: {wrong}")
 
 
-def _read_header(fh, path) -> tuple[dict, int, int]:
+def _read_header(fh, path) -> tuple[dict, int]:
     """The header of the container in the binary file `fh`, read from its start
-    and checked as far as it can be without the arrays, and the offset and size
-    of the payload."""
+    and checked as far as it can be without the arrays, and the size of the
+    payload, which `fh` is left at the start of."""
     fh.seek(0)
     size = os.fstat(fh.fileno()).st_size
     if fh.read(8) != CHECKPOINT_MAGIC:
@@ -421,17 +412,15 @@ def _read_header(fh, path) -> tuple[dict, int, int]:
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
     if not isinstance(header, dict) or not isinstance(header.get("metadata", {}), dict):
         raise CheckpointError(f"{path}: corrupt header: it or its metadata is not an object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {header.get('format_version')} != {CHECKPOINT_VERSION}")
-    return header, 16 + hlen, size - 16 - hlen
+    version = header.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # JSON true is no version
+        raise CheckpointError(f"{path}: format version {version!r} != {CHECKPOINT_VERSION}")
+    return header, size - 16 - hlen
 
 
-def _read_arrays(fh, path, base: int, entries, arrays: dict[str, np.ndarray]):
-    """Read each checked entry straight into the array of its name."""
-    for name, _, _, offset in entries:
-        arr = arrays[name]
-        fh.seek(base + offset)
+def _read_arrays(fh, path, arrays: dict[str, np.ndarray]):
+    """Read the payload, from where `fh` stands, straight into `arrays` in order."""
+    for name, arr in arrays.items():
         if fh.readinto(arr) != arr.nbytes:
             raise CheckpointError(f"{path}: truncated array {name}")
 
@@ -439,11 +428,11 @@ def _read_arrays(fh, path, base: int, entries, arrays: dict[str, np.ndarray]):
 def _read_container_into(fh, arrays: dict[str, np.ndarray]) -> dict:
     """Read the container in `fh` into `arrays`, which must be its arrays by
     name, shape and dtype, in its order; returns the header."""
-    header, base, payload = _read_header(fh, fh.name)
+    header, payload = _read_header(fh, fh.name)
     entries = _checked_entries(fh.name, header.get("arrays"), payload)
-    if [e[:3] for e in entries] != [(k, a.shape, a.dtype) for k, a in arrays.items()]:
+    if entries != [(k, a.shape, a.dtype) for k, a in arrays.items()]:
         raise CheckpointError(f"{fh.name}: arrays do not match the ones to read into")
-    _read_arrays(fh, fh.name, base, entries, arrays)
+    _read_arrays(fh, fh.name, arrays)
     return header
 
 
@@ -451,7 +440,7 @@ def load_checkpoint(path, expected_config: EncoderConfig | None = None):
     """Returns a dict with params, ema (or None), metadata, queue_storage (or
     None) and config.  Any malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
-        header, base, payload = _read_header(fh, path)
+        header, payload = _read_header(fh, path)
         try:
             config = EncoderConfig.from_dict(header["config"])
         except (KeyError, TypeError, ValueError) as e:
@@ -463,11 +452,11 @@ def load_checkpoint(path, expected_config: EncoderConfig | None = None):
             raise CheckpointError(f"{path}: ema_decay must be a number in [0, 1), got {decay!r}")
 
         entries = _checked_entries(path, header.get("arrays"), payload)
-        _check_layout(path, config, {name: shape for name, shape, _, _ in entries})
-        if decay is None and any(name.startswith("ema/") for name, _, _, _ in entries):
+        _check_layout(path, config, {name: shape for name, shape, _ in entries})
+        if decay is None and any(name.startswith("ema/") for name, _, _ in entries):
             raise CheckpointError(f"{path}: ema/ arrays without an ema_decay")
-        arrays = {name: np.empty(shape, dtype=dtype) for name, shape, dtype, _ in entries}
-        _read_arrays(fh, path, base, entries, arrays)
+        arrays = {name: np.empty(shape, dtype=dtype) for name, shape, dtype in entries}
+        _read_arrays(fh, path, arrays)
 
     def build(prefix_t, prefix_b, requires_grad):
         tensors = {k[len(prefix_t):]: Tensor(v, requires_grad=requires_grad)

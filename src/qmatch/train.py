@@ -37,6 +37,7 @@ from .model import (
     _checked,
     _checkpoint_arrays,
     _field_types,
+    _has_json_type,
     _read_container_into,
     _write_container,
     check_fields,
@@ -625,6 +626,9 @@ def _point_configs(point: dict, loop: TrainLoopConfig, qm: QMatchConfig | None,
         raise ConfigError(f"unknown grid keys {unknown}; known: {sorted(GRID_KEYS)}")
 
     values = {GRID_KEYS[k]: v for k, v in point.items()}
+    configs = (loop, qm or QMatchConfig(), corr or CorruptionConfig(),
+               extra or baselines.BaselineConfig())
+    types = {f: t for c in configs for f, t in _field_types(type(c)).items()}
     try:
         if "queue_capacity" in values:  # a grid file may write 512.0, but not 64.7 or true
             q = values["queue_capacity"]
@@ -632,9 +636,12 @@ def _point_configs(point: dict, loop: TrainLoopConfig, qm: QMatchConfig | None,
                     or not float(q).is_integer():
                 raise ValueError(f"queue_size must be a whole number, got {q!r}")
             values["queue_capacity"] = int(q)
+        for key, value in point.items():  # as in a run config: its field's JSON type
+            field = GRID_KEYS[key]
+            if not _has_json_type(values[field], types[field]):
+                raise ValueError(f"{key} must be {types[field]}, got {value!r}")
         return tuple(replace(c, **{f: v for f, v in values.items() if hasattr(c, f)})
-                     for c in (loop, qm or QMatchConfig(), corr or CorruptionConfig(),
-                               extra or baselines.BaselineConfig()))
+                     for c in configs)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"grid point {point}: {e}") from None
 

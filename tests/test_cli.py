@@ -589,6 +589,18 @@ def test_bad_checkpoint_is_runtime_error(prepared, checkpoint, tmp_path, capsys,
     assert "runtime error" in capsys.readouterr().err
 
 @pytest.mark.parametrize("command", ["linear-eval", "finetune"])
+def test_checkpoint_with_a_float_maxout_is_runtime_error(prepared, checkpoint, tmp_path,
+                                                         capsys, command):
+    bad = tmp_path / "bad.qmc"
+    bad.write_bytes(checkpoint.read_bytes())
+    rewrite_header(bad, lambda h: h["config"].update(maxout_k=4.0))
+    code = main([command, "--checkpoint", str(bad), "--data", str(prepared),
+                 "--out", str(tmp_path / "r.jsonl")])
+    assert code == 3
+    assert f"{bad}: bad config in header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["linear-eval", "finetune"])
 def test_checkpoint_for_another_table_width_is_runtime_error(prepared, tmp_path, capsys,
                                                              command):
     state = PreprocessState.from_dict(json.loads((prepared / "preprocess.json").read_text()))
@@ -1023,7 +1035,7 @@ class TestGrid:
         {"queue_size": [64, 0]}, {"corruption_probability": [0.3, 1.5]},
         {"learning_rate": [0.01, -1.0]}, {"lerning_rate": [0.01]},
         {"queue_size": [64, 64.7]}, {"queue_size": [True]}, {"queue_size": ["64"]},
-        {"learning_rate": []},
+        {"learning_rate": []}, {"learning_rate": [True]}, {"num_prototypes": [8.0]},
     ], ids=json.dumps)
     def test_bad_grid_is_config_error_before_any_pretrain(self, prepared, tmp_path,
                                                           monkeypatch, capsys, grid):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 from dataclasses import asdict
@@ -312,7 +313,20 @@ def _entry(header, name):
     return next(e for e in header["arrays"] if e["name"] == name)
 
 
-# header edits that each make a checkpoint unreadable
+def _shrink_queue(header):
+    _entry(header, "queue/storage")["shape"][0] -= 1
+
+
+def save_like_a_qmatch_run(path, seed=19):
+    """A checkpoint holding what `qmatch pretrain` writes: params, EMA, queue
+    and metadata."""
+    params = init_params(small_config(), seed=seed)
+    save_checkpoint(path, params, ema=EmaParams(params.copy(requires_grad=False), decay=0.9),
+                    metadata={"algorithm": "qmatch", "seed": seed, "queue_cursor": 3},
+                    queue_storage=np.eye(8, 3))
+
+
+# header edits that each make a checkpoint holding EMA arrays and a queue unreadable
 BAD_HEADERS = {
     "config_missing": lambda h: h.pop("config"),
     "config_unknown_key": lambda h: h["config"].update(colour="red"),
@@ -325,10 +339,13 @@ BAD_HEADERS = {
     "arrays_not_a_list": lambda h: h.update(arrays={"params/layer0.weight": 0}),
     "entry_not_an_object": lambda h: h["arrays"].append(3),
     "duplicate_name": lambda h: h["arrays"].append(dict(h["arrays"][0])),
-    "negative_offset": _set("offset", -16),
-    "offset_not_an_integer": _set("offset", 0.5),
-    "range_past_payload": _set("offset", 10 ** 9),
-    "overlapping_arrays": lambda h: h["arrays"][1].update(offset=h["arrays"][0]["offset"] + 8),
+    "dtype_a_list": _set("dtype", ["float64"]),
+    "dtype_an_object": _set("dtype", {"float64": 1}),
+    # the arrays lie back to back and fill the payload exactly
+    "bytes_after_the_last_array": lambda h: h["arrays"].pop(),
+    "queue_shape_shrunk": _shrink_queue,
+    "queue_renamed": lambda h: _entry(h, "queue/storage").update(name="queue/other"),
+    "format_version_true": lambda h: h.update(format_version=True),
     "metadata_not_an_object": lambda h: h.update(metadata=["seed"]),
     # ema_decay follows QMatchConfig.tau_ema's rule: a number in [0, 1)
     "ema_decay_a_string": lambda h: h.update(ema_decay="x"),
@@ -344,6 +361,13 @@ BAD_HEADERS = {
         name="params/layer0.offset"),
     "config_adds_classifier": lambda h: h["config"].update(num_classes=3),
     "config_adds_mlp_projector": lambda h: h["config"].update(mlp_projector=True),
+    # each config value has the JSON type of its field, as in a run config
+    "config_maxout_a_float": lambda h: h["config"].update(maxout_k=4.0),
+    "config_mlp_projector_null": lambda h: h["config"].update(mlp_projector=None),
+    "config_mlp_projector_zero": lambda h: h["config"].update(mlp_projector=0),
+    "config_mlp_projector_a_list": lambda h: h["config"].update(mlp_projector=[]),
+    "config_mlp_projector_an_object": lambda h: h["config"].update(mlp_projector={}),
+    "config_width_infinite": lambda h: h["config"]["layer_widths"].__setitem__(0, math.inf),
 }
 
 
@@ -411,7 +435,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
     def test_bad_header_raises_checkpoint_error(self, tmp_path, edit):
         path = tmp_path / "h.ckpt"
-        save_checkpoint(path, init_params(small_config(), seed=19))
+        save_like_a_qmatch_run(path)
         rewrite_header(path, edit)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
@@ -424,6 +448,51 @@ class TestCheckpoint:
         rewrite_header(path, lambda h: h.update(ema_decay=-3.0))
         with pytest.raises(CheckpointError, match=re.escape(f"{path}: ema_decay")):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [None, True, 0, -1, 1.5, 2.0, "x", [], {}, 1e20, [1],
+                                       math.inf], ids=json.dumps)
+    def test_every_header_value_edit_is_refused_or_keeps_the_config(self, tmp_path, value):
+        """Each header value, at every depth, set to `value`: the file is refused
+        or loads the config it was written with."""
+        path, edited = tmp_path / "q.ckpt", tmp_path / "e.ckpt"
+        save_like_a_qmatch_run(path)
+        want = json.dumps(asdict(load_checkpoint(path)["config"]))
+        hlen = int.from_bytes(path.read_bytes()[8:16], "little")
+
+        def keys_of(node, keys=()):
+            children = (node.items() if isinstance(node, dict)
+                        else enumerate(node) if isinstance(node, list) else ())
+            for key, child in children:
+                yield keys + (key,)
+                yield from keys_of(child, keys + (key,))
+
+        def set_value(header, keys):
+            for key in keys[:-1]:
+                header = header[key]
+            header[keys[-1]] = value
+
+        every = list(keys_of(json.loads(path.read_bytes()[16:16 + hlen])))
+        assert len(every) > 100
+        for keys in every:
+            edited.write_bytes(path.read_bytes())
+            rewrite_header(edited, lambda h: set_value(h, keys))
+            try:
+                got = load_checkpoint(edited)["config"]
+            except CheckpointError:
+                continue
+            assert json.dumps(asdict(got)) == want, keys
+
+    def test_header_with_offsets_and_nbytes_loads(self, tmp_path):
+        # every file written before the reader worked out where each array lies
+        # carries each entry's offset and nbytes, the arrays back to back
+        def add_offsets(header):
+            offset = 0
+            for e in header["arrays"]:
+                nbytes = math.prod(e["shape"]) * np.dtype(e["dtype"]).itemsize
+                e.update(offset=offset, nbytes=nbytes)
+                offset += nbytes
+
+        _assert_loads_as_written_now(tmp_path, add_offsets)
 
     def test_header_with_retired_null_num_classes_loads(self, tmp_path):
         # every file written before num_classes left the config carries it as null
@@ -503,7 +572,7 @@ class TestCheckpoint:
         path = tmp_path / "pinned.ckpt"
         save_checkpoint(path, params, ema=ema, metadata={"seed": 31}, queue_storage=np.eye(4, 3))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ce59a895ed7ac27495799d5da8804803bf198648781fe9ad9d4f91fa6674da39")
+            "439715b83242422f73befaf00eddc079ee0ede2aa97aa0e3a8234775f9ee66f7")
 
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "keep.ckpt"

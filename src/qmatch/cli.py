@@ -40,6 +40,7 @@ from .model import (
     EncoderConfig,
     _checked,
     _field_types,
+    check_seed,
     load_checkpoint,
     save_checkpoint,
 )
@@ -105,9 +106,12 @@ def load_run_config(path) -> dict:
         "algorithm": "str", "seed": "int", **dict.fromkeys(RUN_CONFIG_SECTIONS, "dict")})
     for name, (cls, *skip) in RUN_CONFIG_SECTIONS.items():
         _checked(cfg.get(name, {}), f"{path}: {name}", _field_types(cls, *skip))
+    check_seed(cfg.get("seed", 0), f"{path}: ")
     return cfg
 
 
+# the files of a workspace, which prepare-data writes into its --out directory
+WORKSPACE_FILES = ("meta.json", "preprocess.json", "splits.json")
 # meta.json key -> its JSON type; prepare-data writes them all, Workspace reads the first three
 WORKSPACE_META = {"csv": "str", "schema": "str", "name": "str", "preset": "str | None",
                   "seed": "int", "quantile": "bool"}
@@ -119,8 +123,7 @@ class Workspace:
 
     def __init__(self, directory: Path):
         self.dir = Path(directory)
-        meta, preprocess, manifest = (self.dir / name for name in
-                                      ("meta.json", "preprocess.json", "splits.json"))
+        meta, preprocess, manifest = (self.dir / name for name in WORKSPACE_FILES)
         self.manifest = manifest
         self.meta = _checked(read_json(meta), str(meta), WORKSPACE_META,
                              required=("csv", "schema", "name"))
@@ -130,8 +133,8 @@ class Workspace:
         except (KeyError, TypeError, ValueError) as e:
             raise DataError(f"{preprocess}: not a preprocessing state "
                             f"({type(e).__name__}: {e})") from None
-        schema = load_schema(_resolve(self.meta["schema"]))
-        self.dataset = load_csv(_resolve(self.meta["csv"]), schema,
+        self.schema = _resolve(self.meta["schema"])
+        self.dataset = load_csv(_resolve(self.meta["csv"]), load_schema(self.schema),
                                 name=self.meta["name"])
         if self.state.cardinality != self.dataset.cardinalities():
             raise DataError(f"{preprocess}: its cardinality does not match the features and "
@@ -146,8 +149,18 @@ class Workspace:
                 raise DataError(f"{manifest}: split {name!r} holds a row index outside "
                                 f"[0, {rows})")
 
+    def check_downstream(self):
+        """A downstream run reads labels and rows of the three downstream splits."""
+        if self.dataset.labels is None:
+            raise DataError(f"{self.schema}: declares no label column, so there is nothing "
+                            f"to train a classifier on")
+        _check_splits(self.splits, DOWNSTREAM_SPLITS, f"{self.manifest}: ")
+
 
 def cmd_prepare_data(args) -> int:
+    out = _output_path(args.out, directory=True)
+    for name in WORKSPACE_FILES:
+        _output_path(out / name)
     schema = load_schema(args.schema)
     dataset = load_csv(args.csv, schema, name=args.name or Path(args.csv).stem)
     quantile = args.quantile
@@ -163,7 +176,6 @@ def cmd_prepare_data(args) -> int:
     state = fit_preprocess(dataset, rows=splits["pretext_train"],
                            quantile=bool(quantile))
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_manifest(splits, out / "splits.json",
                   metadata={"seed": args.seed, "preset": args.preset,
@@ -195,13 +207,15 @@ def _overlay(cls, section: dict, **flags):
     return _config(cls, **{**section, **{k: v for k, v in flags.items() if v is not None}})
 
 
-def _build_configs(args, ws: Workspace, algorithms: tuple, downstream: bool = True):
-    """The run's algorithm (one of `algorithms`, or None), configs and seed.  Every
+def _build_configs(args, algorithms: tuple, downstream: bool = True):
+    """The run's workspace, algorithm (one of `algorithms`, or None), configs and
+    seed; the run config is checked before the workspace's data is read.  Every
     algorithm but supervised pretrains, so it needs rows in both pretext splits,
-    and a `downstream` command needs rows in the three downstream splits; the
-    refusal names the manifest, which may leave a split empty for a run that
-    does not read it."""
+    and a `downstream` command needs what `Workspace.check_downstream` asks; the
+    refusal names the manifest, which may leave a split empty for a run that does
+    not read it."""
     cfg = load_run_config(args.config) if args.config else {}
+    ws = Workspace(Path(args.data))
     encoder = _overlay(EncoderConfig, cfg.get("encoder", {}),
                        input_dim=ws.state.output_dim, layer_widths=args.widths)
     loop = _overlay(TrainLoopConfig, cfg.get("loop", {}),
@@ -218,10 +232,11 @@ def _build_configs(args, ws: Workspace, algorithms: tuple, downstream: bool = Tr
         raise ConfigError(f"unknown algorithm {algorithm!r}, expected one of "
                           f"{', '.join(algorithms)}")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    splits = (PRETEXT_SPLITS if algorithm != "supervised" else ()) + \
-        (DOWNSTREAM_SPLITS if downstream else ())
-    _check_splits(ws.splits, splits, f"{ws.manifest}: ")
-    return algorithm, encoder, loop, qm, corr, extra, seed
+    if algorithm != "supervised":
+        _check_splits(ws.splits, PRETEXT_SPLITS, f"{ws.manifest}: ")
+    if downstream:
+        ws.check_downstream()
+    return ws, algorithm, encoder, loop, qm, corr, extra, seed
 
 
 def _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed) -> dict:
@@ -232,9 +247,8 @@ def _resolved_config_dict(algorithm, encoder, loop, qm, corr, extra, seed) -> di
 
 def cmd_pretrain(args) -> int:
     out = _output_path(args.out)
-    ws = Workspace(Path(args.data))
-    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(
-        args, ws, PRETEXT_ALGORITHMS, downstream=False)
+    ws, algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(
+        args, PRETEXT_ALGORITHMS, downstream=False)
     if algorithm is None:
         raise ConfigError("no algorithm given (flag --algorithm or config file)")
     check_pretext_batch(algorithm, loop, qm, ws.splits)
@@ -268,7 +282,7 @@ def _append_result(path, result: TrialResult):
 def cmd_eval(args) -> int:
     out = _output_path(args.out)
     ws = Workspace(Path(args.data))
-    _check_splits(ws.splits, DOWNSTREAM_SPLITS, f"{ws.manifest}: ")
+    ws.check_downstream()
     ckpt_path = Path(args.checkpoint)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
@@ -306,8 +320,7 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     out = _output_path(args.out, directory=True)
-    ws = Workspace(Path(args.data))
-    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws, ALGORITHMS)
+    ws, algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ALGORITHMS)
     if algorithm is None:
         raise ConfigError("no algorithm given")
     seeds = args.seeds or [seed]  # --seed and a run config's seed are in `seed`
@@ -341,8 +354,7 @@ SWEEP_KINDS = ("corruption-heatmap", "queue-size", "label-fraction", "pretext-si
 
 def cmd_sweep(args) -> int:
     out = _output_path(args.out)
-    ws = Workspace(Path(args.data))
-    algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ws, ALGORITHMS)
+    ws, algorithm, encoder, loop, qm, corr, extra, seed = _build_configs(args, ALGORITHMS)
     algorithm = algorithm or "qmatch"
     seeds = args.seeds or [seed]  # --seed and a run config's seed are in `seed`
 
@@ -446,6 +458,14 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """argparse type: a seed by `check_seed`'s rule; a bad one exits 2."""
+    try:
+        return check_seed(int(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _list_of(kind):
     """argparse type: comma-separated `kind` values; a bad one exits 2."""
     def parse(text: str) -> list:
@@ -466,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--preset", choices=sorted(datamod.PRESETS), default=None)
     split.add_argument("--split-spec", default=None, help="JSON file with SplitSpec fields")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--name", default=None)
     p.add_argument("--quantile", action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(run=cmd_prepare_data)
@@ -474,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     def train_flags(q):
         q.add_argument("--config", default=None, help="run-config JSON")
         q.add_argument("--algorithm", default=None)
-        q.add_argument("--seed", type=int, default=None)
+        q.add_argument("--seed", type=_seed, default=None)
         q.add_argument("--widths", type=_list_of(int), default=None)
         q.add_argument("--batch-size", type=int, default=None)
         q.add_argument("--max-epochs", type=int, default=None)
@@ -498,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True, help="JSONL results file (appended)")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
         p.add_argument("--lr", type=float, default=None)
         p.add_argument("--max-epochs", type=int, default=None)
         p.add_argument("--patience", type=int, default=None)
@@ -509,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--task", choices=["linear", "finetune"], default="linear")
-    p.add_argument("--seeds", type=_list_of(int), default=None,
+    p.add_argument("--seeds", type=_list_of(_seed), default=None,
                    help="comma-separated seed list")
     p.add_argument("--grid", default=None, help="JSON file: {param: [values]}")
     p.set_defaults(run=cmd_grid)
@@ -520,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--task", choices=["linear", "finetune"], default="linear")
-    p.add_argument("--seeds", type=_list_of(int), default=None)
+    p.add_argument("--seeds", type=_list_of(_seed), default=None)
     p.add_argument("--values", type=_list_of(float), default=None,
                    help="comma-separated axis values")
     p.add_argument("--teacher-values", type=_list_of(float), default=None,

@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import _has_json_type, check_fields
+from .model import _has_json_type, check_fields, check_seed
 
 
 class DataError(ValueError):
@@ -441,6 +441,7 @@ class SplitSpec:
                      "pretext_train", "pretext_val", "down_train", "down_val", "test")
         check_fields(self, "null or in (0, 1]", lambda f: f is None or 0 < f <= 1,
                      "label_fraction")
+        check_seed(self.seed)
 
     def total(self) -> int:
         return self.pretext_train + self.pretext_val + self.down_train + self.down_val + self.test

@@ -65,14 +65,8 @@ class EmbeddingQueue:
             raise ValueError(f"batch of {b} exceeds queue capacity {self.capacity}")
         if batch.shape[1] != self.dim:
             raise ValueError(f"batch dim {batch.shape[1]} != queue dim {self.dim}")
-        end = self.cursor + b
-        if end <= self.capacity:
-            self.storage[self.cursor:end] = batch
-        else:
-            split = self.capacity - self.cursor
-            self.storage[self.cursor:] = batch[:split]
-            self.storage[:end - self.capacity] = batch[split:]
-        self.cursor = end % self.capacity
+        self.storage[(self.cursor + np.arange(b)) % self.capacity] = batch
+        self.cursor = (self.cursor + b) % self.capacity
 
     def ordered(self) -> np.ndarray:
         """Rows oldest first."""
@@ -85,8 +79,9 @@ class EmbeddingQueue:
         m = self.capacity
         if m < 2:
             raise ValueError(f"a pairwise mean needs two rows, the queue holds {m}")
-        sims = self.storage @ self.storage.T
-        return float((sims.sum() - np.trace(sims)) / (m * (m - 1)))
+        # the sum over all ordered pairs of rows, less each row with itself, in O(Q*D)
+        total = self.storage.sum(axis=0)
+        return float((total @ total - np.vdot(self.storage, self.storage)) / (m * (m - 1)))
 
 
 def queue_init(capacity: int, dim: int, rng: np.random.Generator) -> EmbeddingQueue:

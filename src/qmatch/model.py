@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import secrets
 import sys
@@ -51,6 +52,15 @@ def check_fields(config, rule: str, test, *names: str):
     for name in names:
         if not test(getattr(config, name)):
             raise ConfigError(f"{name} must be {rule}, got {getattr(config, name)!r}")
+
+
+def check_seed(seed, where: str = ""):
+    """The one rule for a seed, which np.random.default_rng takes: an integer >= 0.
+    Returns the seed; one that breaks it is a ConfigError whose message begins with
+    `where`."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ConfigError(f"{where}seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _field_types(cls, *skip) -> dict[str, str]:

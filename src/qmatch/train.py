@@ -19,7 +19,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 import numpy as np
 
 from . import baselines
-from .augment import CorruptionConfig, corrupt
+from .augment import CorruptionConfig, corrupt, make_views
 from .data import PreprocessState, TabularDataset, apply_preprocess, expand_mask
 from .distill import (
     EmbeddingQueue,
@@ -56,7 +56,6 @@ from .tensor import (
 )
 
 # Unused here, but bench/layers.py traces them as attributes of this module.
-from .augment import make_views  # noqa: F401
 from .distill import training_step  # noqa: F401
 from .model import projector_forward  # noqa: F401
 from .tensor import l2_normalize_rows  # noqa: F401
@@ -346,13 +345,14 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
     qm_config = qm_config or QMatchConfig()
     check_pretext_batch(algorithm, loop, qm_config, splits)
     corruption = corruption or CorruptionConfig()
+    # infonce and mse_align corrupt both views alike
+    symmetric = replace(corruption, p_teacher=corruption.p_student)
     rng = np.random.default_rng(seed)
 
     params = init_params(encoder_config, seed)
     pre = lambda raw: apply_preprocess(state, raw)
-    train_idx = splits["pretext_train"]
     val_idx = splits["pretext_val"]
-    pool = dataset.features[train_idx]
+    pool = dataset.features[splits["pretext_train"]]
     raw_dim = dataset.num_features
 
     heads: dict[str, Tensor] = {}
@@ -391,8 +391,7 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
                                                  tau_t=qm_config.tau_teacher,
                                                  update_center=update)
         elif algorithm in ("infonce", "mse_align"):
-            c1, _ = corrupt(raw, pool, corruption.p_student, corruption.mode, step_rng)
-            c2, _ = corrupt(raw, pool, corruption.p_student, corruption.mode, step_rng)
+            c1, c2 = make_views(raw, pool, symmetric, step_rng)
             z1 = embed(params, pre(c1), bn_mode)
             z2 = embed(params, pre(c2), bn_mode)
             if algorithm == "infonce":
@@ -423,8 +422,8 @@ def pretrain(algorithm: str, dataset: TabularDataset, splits: dict[str, np.ndarr
         return float(loss.data)
 
     def run_epoch(epoch: int) -> float:
-        for batch_idx in _batches(len(train_idx), loop.batch_size, rng, drop_last=True):
-            loss_val = step_loss(dataset.features[train_idx[batch_idx]], rng, update=True)
+        for batch_idx in _batches(len(pool), loop.batch_size, rng, drop_last=True):
+            loss_val = step_loss(pool[batch_idx], rng, update=True)
             if not np.isfinite(loss_val):
                 raise TrainingError(f"non-finite pretext loss at epoch {epoch}")
         # validation with a per-epoch deterministic corruption stream

@@ -16,7 +16,7 @@ import qmatch.cli
 import qmatch.data
 from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
-from qmatch.cli import EXIT_CONFIG, EXIT_OK, Workspace, main
+from qmatch.cli import EXIT_CONFIG, EXIT_OK, WORKSPACE_FILES, Workspace, main
 from qmatch.data import (ColumnSpec, PreprocessState, load_manifest, save_csv,
                          save_manifest)
 from qmatch.distill import QMatchConfig
@@ -629,9 +629,6 @@ def test_bad_split_index_is_config_error(prepared, tmp_path, capsys, index):
     assert f"{data / 'splits.json'}: split 'down_val'" in capsys.readouterr().err
 
 
-WORKSPACE_FILES = ("meta.json", "preprocess.json", "splits.json")
-
-
 def edited_workspace(prepared, directory, name, edit):
     """A copy of the `prepared` workspace in `directory` whose file `name` holds
     `edit` of its JSON value."""
@@ -829,6 +826,121 @@ def test_output_target_of_the_wrong_kind_is_refused_before_any_training(
         assert list(taken.iterdir()) == []
     else:
         assert taken.read_text() == "keep"
+
+
+def spy_on_cli(monkeypatch, *names) -> list:
+    """Record the name of every call of the `qmatch.cli.<name>`s from here on."""
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(qmatch.cli, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(qmatch.cli, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("target", ["file", "under_file", "preprocess_dir"])
+def test_prepare_data_output_of_the_wrong_kind_is_refused_before_reading(
+        corpus, tmp_path, monkeypatch, capsys, target):
+    """prepare-data checks its --out directory and the three files it writes there
+    before it reads the schema or the CSV."""
+    taken = tmp_path / "taken"
+    if target == "preprocess_dir":
+        out = taken
+        (taken / "preprocess.json").mkdir(parents=True)
+        named = taken / "preprocess.json"
+    else:
+        taken.write_text("keep")
+        out = named = taken / "out" if target == "under_file" else taken
+    calls = spy_on_cli(monkeypatch, "load_schema", "load_csv")
+    assert main(["prepare-data", "--csv", str(corpus / "fixture.csv"),
+                 "--schema", str(corpus / "schema.json"),
+                 "--split-spec", str(corpus / "spec.json"), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {named}: " in capsys.readouterr().err
+    assert calls == []
+    if target == "preprocess_dir":
+        assert [p.name for p in taken.iterdir()] == ["preprocess.json"]
+        assert list(named.iterdir()) == []
+    else:
+        assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["prepare-data", "--seed", "-1"], "argument --seed: seed must be an integer >= 0"),
+    (["pretrain", "--seed", "-1"], "argument --seed: seed must be an integer >= 0"),
+    (["pretrain", "--seed", "-1", "--dry-run"], "argument --seed: seed must be an integer >= 0"),
+    (["pretrain", "--config", "RUN_CONFIG"], "RUN_CONFIG: seed must be an integer >= 0, got -2"),
+    (["linear-eval", "--seed", "-3"], "argument --seed: seed must be an integer >= 0"),
+    (["grid", "--seeds", "0,-1"], "argument --seeds: seed must be an integer >= 0"),
+    (["sweep", "--kind", "queue-size", "--seeds", "-1"],
+     "argument --seeds: seed must be an integer >= 0"),
+], ids=["prepare_data", "pretrain", "pretrain_dry_run", "run_config", "linear_eval", "grid",
+        "sweep"])
+def test_negative_seed_is_config_error_before_any_work(
+        corpus, prepared, checkpoint, tmp_path, monkeypatch, capsys, argv, message):
+    """A seed is an integer >= 0 wherever it enters: a flag, a list flag or a run
+    config; a negative one exits 2 before any data, training or checkpoint is read."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": -2}))
+    argv = [str(cfg) if a == "RUN_CONFIG" else a for a in argv]
+    message = message.replace("RUN_CONFIG", str(cfg))
+    inputs = {"prepare-data": ["--csv", str(corpus / "fixture.csv"),
+                               "--schema", str(corpus / "schema.json"),
+                               "--split-spec", str(corpus / "spec.json")],
+              "linear-eval": ["--data", str(prepared), "--checkpoint", str(checkpoint)]}
+    flags = inputs.get(argv[0], ["--data", str(prepared), "--algorithm", "qmatch"]
+                       + SMALL_TRAIN)
+    calls = spy_on_cli(monkeypatch, "load_csv", "pretrain", "load_checkpoint")
+    pretrains = spy_on_pretrain(monkeypatch)
+    out = tmp_path / "out"
+    assert main(argv + flags + ["--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert calls == pretrains == [] and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def unlabeled(corpus, tmp_path_factory):
+    """A workspace of the fixture table whose schema declares no label column."""
+    root = tmp_path_factory.mktemp("unlabeled")
+    ds = make_fixture_dataset(n=600, seed=0)
+    ds.labels = None
+    save_csv(ds, root / "fixture.csv")
+    schema = json.loads((corpus / "schema.json").read_text())
+    schema["columns"] = [c for c in schema["columns"] if c["type"] != "label"]
+    (root / "schema.json").write_text(json.dumps(schema))
+    assert main(["prepare-data", "--csv", str(root / "fixture.csv"),
+                 "--schema", str(root / "schema.json"),
+                 "--split-spec", str(corpus / "spec.json"),
+                 "--out", str(root / "data")]) == EXIT_OK
+    return root
+
+
+@pytest.mark.parametrize("command", [
+    ["linear-eval"], ["finetune"], ["grid", "--algorithm", "qmatch"],
+    ["grid", "--algorithm", "supervised"], ["sweep", "--kind", "queue-size", "--values", "64"],
+], ids=" ".join)
+def test_workspace_without_labels_is_refused_before_any_downstream_work(
+        unlabeled, checkpoint, tmp_path, monkeypatch, capsys, command):
+    """A downstream command needs labels; their absence is a config error naming
+    the schema, before any pretrain or checkpoint load."""
+    calls = spy_on_cli(monkeypatch, "load_checkpoint")
+    pretrains, inits = spy_on_pretrain(monkeypatch), spy_on_pretrain(monkeypatch, "init_params")
+    flags = ["--checkpoint", str(checkpoint)] if command[0] in ("linear-eval", "finetune") \
+        else SMALL_TRAIN
+    out = tmp_path / "out"
+    assert main(command + ["--data", str(unlabeled / "data"), "--out", str(out)]
+                + flags) == EXIT_CONFIG
+    assert (f"config error: {unlabeled / 'schema.json'}: declares no label column"
+            in capsys.readouterr().err)
+    assert calls == pretrains == inits == [] and not out.exists()
+
+
+def test_workspace_without_labels_pretrains(unlabeled, tmp_path):
+    """Pretraining is self-supervised, so it reads no labels."""
+    out = tmp_path / "c.qmc"
+    assert main(["pretrain", "--data", str(unlabeled / "data"), "--out", str(out),
+                 "--algorithm", "qmatch"] + SMALL_TRAIN) == EXIT_OK
+    assert out.exists()
 
 
 def test_workspace_without_test_rows_pretrains_but_scores_nothing(corpus, tmp_path, capsys):

@@ -499,7 +499,8 @@ class TestSplits:
 
     @pytest.mark.parametrize("field, value", [
         ("pretext_train", -5), ("test", -1), ("label_fraction", 0.0),
-        ("label_fraction", 1.5), ("label_fraction", float("nan")),
+        ("label_fraction", 1.5), ("label_fraction", float("nan")), ("seed", -1),
+        ("seed", 1.5),
     ])
     def test_spec_values_checked(self, field, value):
         with pytest.raises(ValueError, match=field):

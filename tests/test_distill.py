@@ -44,6 +44,22 @@ class TestQueueInit:
             queue_init(1, 4, rng).mean_pairwise_cosine()
         assert queue_init(2, 4, rng).mean_pairwise_cosine() <= 1.0
 
+    def test_pairwise_cosine_equals_the_mean_of_the_gram_off_diagonal(self, rng):
+        q = EmbeddingQueue(unit_rows(rng, 300, 16))
+        sims = q.storage @ q.storage.T
+        expected = (sims.sum() - np.trace(sims)) / (300 * 299)
+        assert abs(q.mean_pairwise_cosine() - expected) < 1e-12
+
+    def test_pairwise_cosine_forms_no_queue_by_queue_array(self, rng):
+        q = EmbeddingQueue(unit_rows(rng, 4096, 8))
+        tracemalloc.start()
+        try:
+            q.mean_pairwise_cosine()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 4096 * 8
+
     def test_capacity_validation(self, rng):
         with pytest.raises(ValueError):
             queue_init(0, 8, rng)

@@ -172,7 +172,10 @@ def cmd_prepare_data(args) -> int:
         spec_fields = _checked(read_json(args.split_spec), args.split_spec,
                                _field_types(SplitSpec, "seed"))  # its seed is --seed
         spec = _config(SplitSpec, **spec_fields, seed=args.seed)
-    splits = make_splits(dataset, spec)
+    try:
+        splits = make_splits(dataset, spec)
+    except DataError as e:  # the spec asks for rows or classes the table lacks
+        raise DataError(f"{args.split_spec or f'preset {args.preset}'}: {e}") from None
     state = fit_preprocess(dataset, rows=splits["pretext_train"],
                            quantile=bool(quantile))
 
@@ -281,11 +284,11 @@ def _append_result(path, result: TrialResult):
 
 def cmd_eval(args) -> int:
     out = _output_path(args.out)
+    ckpt_path = Path(args.checkpoint)
+    if not ckpt_path.is_file():  # missing, a directory, or under a file
+        raise ConfigError(f"{ckpt_path}: no checkpoint file at this path")
     ws = Workspace(Path(args.data))
     ws.check_downstream()
-    ckpt_path = Path(args.checkpoint)
-    if not ckpt_path.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt_path}")
     # --patience stops the downstream loop, so it is checked against that budget;
     # the pretext budget plays no part here and only has to admit the patience
     budget = args.max_epochs if args.max_epochs is not None else \
@@ -427,8 +430,7 @@ def _read_results(path: str) -> list[TrialResult]:
 
 
 def cmd_report(args) -> int:
-    if args.json:
-        _output_path(args.json)
+    json_out = _output_path(args.json) if args.json else None
     results = [r for path in args.results for r in _read_results(path)]
     if not results:
         raise ConfigError("no result lines found")
@@ -447,13 +449,14 @@ def cmd_report(args) -> int:
                                + [f"{format_rank(agg['avg_rank'][a]):>18}"]))
     table = "\n".join(lines)
     print(table)
-    if args.json:
+    if json_out:
         payload = {
             "cells": {f"{a}|{d}": s for (a, d), s in agg["stats"].items()},
             "ranks": {f"{a}|{d}": r for (a, d), r in agg["ranks"].items()},
             "avg_rank": {a: format_rank(v) for a, v in agg["avg_rank"].items()},
         }
-        with open(args.json, "w") as fh:
+        json_out.parent.mkdir(parents=True, exist_ok=True)
+        with open(json_out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
     return EXIT_OK
 
@@ -564,7 +567,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (ConfigError, DataError, FileNotFoundError) as e:
+    # an input path that is missing or of the wrong kind: the error names it
+    except (ConfigError, DataError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingError, CheckpointError) as e:

@@ -179,13 +179,19 @@ def _load_cells(path, schema: list[ColumnSpec]):
     rows: list[list[str]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)  # header
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(schema):
-                raise DataError(f"{path}:{lineno}: expected {len(schema)} fields, got {len(row)}")
-            rows.append([v.strip() for v in row])
+        try:
+            next(reader, None)  # header
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(schema):
+                    raise DataError(f"{path}:{lineno}: expected {len(schema)} fields, "
+                                    f"got {len(row)}")
+                rows.append([v.strip() for v in row])
+        except csv.Error as e:  # such as a field longer than csv.field_size_limit()
+            raise DataError(f"{path}:{reader.line_num}: {e}") from None
+        except UnicodeDecodeError as e:  # decoded a block at a time, so no line is known
+            raise DataError(f"{path}: not UTF-8 text ({e})") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -522,7 +528,9 @@ def make_splits(dataset: TabularDataset, spec: SplitSpec) -> dict[str, np.ndarra
         # so a fraction of 1.0 uses every remaining labeled sample
         down_train_size = max(1, round(spec.label_fraction * (len(pool) - spec.down_val)))
     if down_train_size + spec.down_val > len(pool):
-        raise DataError("not enough rows left for the downstream splits")
+        raise DataError(f"not enough rows left for the downstream splits: down_train and "
+                        f"down_val need {down_train_size + spec.down_val}, test and the "
+                        f"pretext splits leave {len(pool)}")
 
     if dataset.labels is not None:
         down_train = _stratified_take(pool, dataset.labels, down_train_size, rng)

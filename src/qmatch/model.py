@@ -105,7 +105,6 @@ class EncoderConfig:
     maxout_k: int = 4
     projector_dim: int = 128
     batchnorm_momentum: float = 0.1
-    mlp_projector: bool = False  # optional 512-128 two-layer head, off by default
 
     def __post_init__(self):
         self.layer_widths = tuple(int(w) for w in self.layer_widths)
@@ -122,16 +121,17 @@ class EncoderConfig:
         return self.layer_widths[-1] // self.maxout_k
 
     # retired field -> the one value every file written before its removal holds
-    RETIRED_FIELDS = {"num_classes": None, "bn_eps": 1e-05}
+    RETIRED_FIELDS = {"num_classes": None, "bn_eps": 1e-05, "mlp_projector": False}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         """The config `asdict` wrote, now or before a field retired: a retired
-        field is dropped when it holds its one value, and refused otherwise."""
+        field is dropped when it holds its one value, of its JSON type, and
+        refused otherwise (JSON 0 is not false)."""
         d = dict(d)
         for name, value in cls.RETIRED_FIELDS.items():
-            if name in d and d.pop(name) != value:
-                raise ConfigError(f"{name} is retired, and only {value!r} can be read")
+            if name in d and (type(held := d.pop(name)) is not type(value) or held != value):
+                raise ConfigError(f"{name} is retired, and only {json.dumps(value)} can be read")
         return cls(**_checked(d, "config", _field_types(cls)))
 
 
@@ -183,13 +183,7 @@ def param_shapes(config: EncoderConfig) -> tuple[dict[str, tuple], dict[str, tup
             buffers[f"layer{i}.running_mean"] = (width,)
             buffers[f"layer{i}.running_var"] = (width,)
         fan_in = width
-
-    proj_in = config.embed_dim
-    if config.mlp_projector:
-        tensors["projector.hidden_weight"] = (proj_in, 512)
-        tensors["projector.hidden_bias"] = (512,)
-        proj_in = 512
-    tensors["projector.weight"] = (proj_in, config.projector_dim)
+    tensors["projector.weight"] = (config.embed_dim, config.projector_dim)
     tensors["projector.bias"] = (config.projector_dim,)
     return tensors, buffers
 
@@ -252,9 +246,6 @@ def encoder_forward(params: ModelParams, x: Tensor, mode: str = "train") -> Tens
 
 
 def projector_forward(params: ModelParams, h: Tensor) -> Tensor:
-    if params.config.mlp_projector:
-        h = relu(h @ params.tensors["projector.hidden_weight"]
-                 + params.tensors["projector.hidden_bias"])
     return h @ params.tensors["projector.weight"] + params.tensors["projector.bias"]
 
 

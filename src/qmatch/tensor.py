@@ -8,10 +8,10 @@ node's edges as soon as its own gradient is passed on, so activations are
 freed during the pass and a tensor can be reused in a fresh forward pass;
 it can also hand each leaf to a callback as soon as the leaf's gradient is
 complete, so an optimizer can update the leaf and drop that gradient at once.
-A binary op (the four elementwise ones, matmul and BCE) computes only the
+A binary op (the four elementwise ones and matmul) computes only the
 gradients its operands take: the gradient of an operand with
-requires_grad=False is never formed.  The cross-entropy ops pass no gradient
-to their target side.  Inside :func:`no_grad` nothing is recorded.
+requires_grad=False is never formed.  The cross-entropy ops and BCE pass no
+gradient to their target side.  Inside :func:`no_grad` nothing is recorded.
 """
 
 from __future__ import annotations
@@ -98,11 +98,11 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, _wrap(other))
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self):
+        return tmean(self)
 
 
 def _wrap(x) -> Tensor:
@@ -228,26 +228,18 @@ def relu(a: Tensor, in_place: bool = False) -> Tensor:
 
 # -- reductions ---------------------------------------------------------------
 
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def tsum(a: Tensor, axis=None) -> Tensor:
     def bwd(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg, a.shape).copy())
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+        gg = g if axis is None else np.expand_dims(g, axis)
+        _accumulate(a, np.broadcast_to(gg, a.shape).copy())
+    return _make(a.data.sum(axis=axis), (a,), bwd)
 
 
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
-
+def tmean(a: Tensor) -> Tensor:
+    """The mean of all of a's elements."""
     def bwd(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g / n, a.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg / n, a.shape).copy())
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), bwd)
+        _accumulate(a, np.broadcast_to(g / a.data.size, a.shape).copy())
+    return _make(a.data.mean(), (a,), bwd)
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -470,20 +462,19 @@ def info_nce_rows(sims: Tensor, positives: np.ndarray, tau: float) -> Tensor:
 
 def bce_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     """Mean binary cross-entropy from raw logits, computed in the stable form
-    max(x,0) - x*t + log(1 + exp(-|x|))."""
+    max(x,0) - x*t + log(1 + exp(-|x|)); the targets take no gradient."""
     if logits.shape != targets.shape:
         raise ShapeError(f"bce shapes disagree: {logits.shape} vs {targets.shape}")
+    if records(targets):
+        raise ValueError("bce_with_logits passes no gradient to its targets; detach them")
     x, t = logits.data, targets.data
     n = x.size
     vals = np.maximum(x, 0) - x * t + np.log1p(np.exp(-np.abs(x)))
     sig = 1.0 / (1.0 + np.exp(-x))
 
     def bwd(g):
-        if logits.requires_grad:
-            _accumulate(logits, (g / n) * (sig - t))
-        if targets.requires_grad:
-            _accumulate(targets, (g / n) * (-x))
-    return _make(np.asarray(vals.sum() / n), (logits, targets), bwd)
+        _accumulate(logits, (g / n) * (sig - t))
+    return _make(np.asarray(vals.sum() / n), (logits,), bwd)
 
 
 # -- backward pass --------------------------------------------------------------

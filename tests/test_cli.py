@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -17,8 +18,8 @@ import qmatch.data
 from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
 from qmatch.cli import EXIT_CONFIG, EXIT_OK, WORKSPACE_FILES, Workspace, main
-from qmatch.data import (ColumnSpec, PreprocessState, load_manifest, save_csv,
-                         save_manifest)
+from qmatch.data import (ColumnSpec, PreprocessState, load_manifest, preset_split,
+                         save_csv, save_manifest)
 from qmatch.distill import QMatchConfig
 from qmatch.model import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from qmatch.train import TrialResult, pretrain
@@ -164,6 +165,29 @@ class TestPrepareData:
         assert "0 rows" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"pretext_train": 500, "pretext_val": 50, "down_train": 0, "down_val": 50, "test": 0,
+          "label_fraction": 0.5},
+         "not enough rows left for the downstream splits: down_train and down_val need 51, "
+         "test and the pretext splits leave 50"),
+        ({"pretext_train": 500, "pretext_val": 50, "down_train": 60, "down_val": 60,
+          "test": 60}, "splits need 730 rows but dataset has 600"),
+        ("adult1pct", f"splits need {preset_split('adult1pct').total()} rows but dataset has 600"),
+    ], ids=["downstream_short", "table_short", "preset_table_short"])
+    def test_split_spec_the_table_cannot_fill_is_config_error_naming_it(
+            self, corpus, tmp_path, capsys, spec, message):
+        """The 600-row fixture table; the refusal names the spec file or the preset."""
+        if isinstance(spec, dict):
+            code, named = prepare_spec(corpus, tmp_path, spec), tmp_path / "spec.json"
+        else:
+            code = main(["prepare-data", "--csv", str(corpus / "fixture.csv"),
+                         "--schema", str(corpus / "schema.json"), "--preset", spec,
+                         "--out", str(tmp_path / "x")])
+            named = f"preset {spec}"
+        assert code == EXIT_CONFIG
+        assert f"config error: {named}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
     @pytest.mark.parametrize("schema, message", [
         ({"columns": [{"name": "a", "type": "numeric"}, {"name": "a", "type": "numeric"}]},
@@ -306,7 +330,9 @@ class TestPretrain:
         {"extra": {"num_prototypes": 0}},
         {"seeds": [0, 1]},  # read by nobody: --seeds is the flag
         {"output_dir": "runs"},
-    ], ids=["extra.num_protoypes", "extra.num_prototypes=0", "seeds", "output_dir"])
+        {"encoder": {"mlp_projector": False}},  # retired: only a checkpoint may hold it
+    ], ids=["extra.num_protoypes", "extra.num_prototypes=0", "seeds", "output_dir",
+            "encoder.mlp_projector"])
     def test_unread_run_config_key_rejected(self, prepared, tmp_path, run_config):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"algorithm": "dino", **run_config}))
@@ -693,6 +719,7 @@ def _quantile_table_for_one_feature(state):
     ("meta.json", _with("preset", 3), "preset must be str | None"),
     ("splits.json", _without("pretext_val"), "split 'pretext_val' is missing"),
     ("splits.json", _without("test"), "split 'test' is missing"),
+    ("splits.json", lambda manifest: [manifest], "a manifest is a JSON object of splits"),
     ("preprocess.json", lambda state: [state], "not a preprocessing state (TypeError"),
     ("preprocess.json", _without("var"), "not a preprocessing state (KeyError: 'var')"),
     ("preprocess.json", _last_cardinality_dropped, "one entry per feature"),
@@ -706,8 +733,8 @@ def _quantile_table_for_one_feature(state):
     ("preprocess.json", _quantile_tables_one_short, "a table of count (192) values"),
     ("preprocess.json", _quantile_table_for_one_feature, "for every numeric feature, or none"),
 ], ids=["meta_without_csv", "meta_int_name", "meta_int_preset", "manifest_without_pretext_val",
-        "manifest_without_test", "preprocess_list", "preprocess_without_var",
-        "preprocess_categorical_dropped", "preprocess_cardinality_0",
+        "manifest_without_test", "manifest_not_an_object", "preprocess_list",
+        "preprocess_without_var", "preprocess_categorical_dropped", "preprocess_cardinality_0",
         "preprocess_cardinality_string", "preprocess_cardinality_float",
         "preprocess_negative_var", "preprocess_one_mean",
         "preprocess_card_off_vocabulary", "preprocess_of_an_older_workspace",
@@ -750,6 +777,56 @@ def test_input_file_that_is_not_utf8_is_config_error_naming_it(corpus, prepared,
              "SCHEMA": corpus / "schema.json"}
     assert main([str(paths.get(a, a)) for a in argv]) == EXIT_CONFIG
     assert f"config error: {bad}: not a JSON file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--data", "DATA", "--algorithm", "qmatch", "--dry-run", "--config", "DIR"],
+    ["grid", "--data", "DATA", "--algorithm", "qmatch", "--grid", "DIR"],
+    ["prepare-data", "--csv", "CSV", "--schema", "DIR", "--preset", "adult1pct"],
+    ["prepare-data", "--csv", "CSV", "--schema", "SCHEMA", "--split-spec", "DIR"],
+    ["prepare-data", "--csv", "DIR", "--schema", "SCHEMA", "--preset", "adult1pct"],
+    ["linear-eval", "--data", "DATA", "--checkpoint", "DIR"],
+    ["pretrain", "--data", "FILE", "--algorithm", "qmatch"] + SMALL_TRAIN,
+], ids=["run_config", "grid", "schema", "split_spec", "csv", "checkpoint", "data"])
+def test_input_path_of_the_wrong_kind_is_config_error_naming_it(
+        corpus, prepared, tmp_path, monkeypatch, capsys, argv):
+    """A directory where an input file belongs, or a file where the workspace
+    directory belongs, exits 2 naming the path before any pretrain or checkpoint load."""
+    paths = {"DATA": prepared, "CSV": corpus / "fixture.csv", "SCHEMA": corpus / "schema.json",
+             "DIR": tmp_path / "dir", "FILE": tmp_path / "file"}
+    paths["DIR"].mkdir()
+    paths["FILE"].write_text("{}")
+    calls = spy_on_cli(monkeypatch, "pretrain", "load_checkpoint")
+    pretrains = spy_on_pretrain(monkeypatch)
+    out = tmp_path / "out"
+    assert main([str(paths.get(a, a)) for a in argv] + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    named = paths["FILE" if "FILE" in argv else "DIR"]
+    assert err.startswith("config error: ") and str(named) in err
+    assert calls == pretrains == [] and not out.exists()
+
+
+@pytest.mark.parametrize("case", ["latin1_cell", "field_past_the_size_limit"])
+def test_csv_the_cell_parse_cannot_read_is_config_error_naming_it(corpus, tmp_path, capsys,
+                                                                  case):
+    bad = tmp_path / "bad.csv"
+    lines = (corpus / "fixture.csv").read_bytes().splitlines(keepends=True)
+    if case == "latin1_cell":
+        cells = lines[3].split(b",")
+        cells[6] = "café".encode("latin-1")
+        message = f"{bad}: not UTF-8 text"
+    else:  # a whitespace-only line sends the file to the cell parse
+        lines.insert(2, b"   \n")
+        cells = lines[3].split(b",")
+        cells[0] = b'"' + b"1" * (csv.field_size_limit() + 1) + b'"'
+        message = f"{bad}:4: field larger than field limit"
+    lines[3] = b",".join(cells)
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    assert main(["prepare-data", "--csv", str(bad), "--schema", str(corpus / "schema.json"),
+                 "--split-spec", str(corpus / "spec.json"), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["pretrain", "--dry-run"], ["grid"]], ids=" ".join)
@@ -1532,6 +1609,14 @@ class TestReport:
         path.write_bytes(good.encode() + b"\n" + line + b"\n")
         assert main(["report", str(path)]) == EXIT_CONFIG
         assert f"{path}:2: not a trial result" in capsys.readouterr().err
+
+    def test_json_output_creates_its_directory(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text(TrialResult("qmatch", "adult1pct", "linear", {}, 0, 60.0, 60.0, 0.0)
+                        .to_json() + "\n")
+        json_out = tmp_path / "new" / "t.json"
+        assert main(["report", str(path), "--json", str(json_out)]) == EXIT_OK
+        assert list(json.loads(json_out.read_text())["avg_rank"]) == ["qmatch"]
 
     def test_directory_rejected(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == EXIT_CONFIG

@@ -213,13 +213,6 @@ class TestProjector:
             [h, params.tensors["projector.weight"], params.tensors["projector.bias"]])
         assert err <= 1e-6
 
-    def test_mlp_projector_flag(self, rng):
-        cfg = small_config(mlp_projector=True)
-        params = init_params(cfg, seed=7)
-        assert "projector.hidden_weight" in params.tensors
-        out = projector_forward(params, Tensor(rng.normal(size=(4, 2))))
-        assert out.shape == (4, 3)
-
 
 class TestEma:
     def test_basic_decay(self):
@@ -510,6 +503,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bn_eps is retired"):
             load_checkpoint(path)
 
+    def test_header_with_retired_mlp_projector_loads_at_false(self, tmp_path):
+        # every file written before mlp_projector left the config carries false
+        _assert_loads_as_written_now(tmp_path,
+                                     lambda h: h["config"].update(mlp_projector=False))
+
+    @pytest.mark.parametrize("value", [True, 0, 0.0, None, "false"], ids=repr)
+    def test_header_with_retired_mlp_projector_of_another_value_is_refused(self, tmp_path,
+                                                                           value):
+        # JSON 0 equals false in Python, but it is a number, which no file held
+        path = tmp_path / "proj.ckpt"
+        save_checkpoint(path, init_params(small_config(), seed=29))
+        rewrite_header(path, lambda h: h["config"].update(mlp_projector=value))
+        with pytest.raises(CheckpointError, match="mlp_projector is retired, and only false"):
+            load_checkpoint(path)
+
     def test_ema_arrays_without_an_ema_decay_are_refused(self, tmp_path):
         path = tmp_path / "nodecay.ckpt"
         params = init_params(small_config(), seed=28)
@@ -548,10 +556,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="float16"):
             save_checkpoint(path, params, queue_storage=np.zeros(2, np.float16))
 
-    @pytest.mark.parametrize("extra", [{}, {"mlp_projector": True}],
-                             ids=["plain", "mlp_projector"])
-    def test_layout_follows_the_config(self, tmp_path, extra):
-        params = init_params(small_config(**extra), seed=24)
+    def test_layout_follows_the_config(self, tmp_path):
+        params = init_params(small_config(), seed=24)
         tensor_shapes, buffer_shapes = param_shapes(params.config)
         assert [(k, t.shape) for k, t in params.tensors.items()] == list(tensor_shapes.items())
         assert [(k, v.shape) for k, v in params.buffers.items()] == list(buffer_shapes.items())
@@ -566,13 +572,13 @@ class TestCheckpoint:
 
     def test_file_bytes_unchanged(self, tmp_path):
         """Pinned digest of a file with every kind of array: the layout, the header
-        and init_params' draws (mlp projector included) stay put."""
-        params = init_params(small_config(mlp_projector=True), seed=31)
+        and init_params' draws stay put."""
+        params = init_params(small_config(), seed=31)
         ema = EmaParams(params.copy(requires_grad=False), decay=0.5)
         path = tmp_path / "pinned.ckpt"
         save_checkpoint(path, params, ema=ema, metadata={"seed": 31}, queue_storage=np.eye(4, 3))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "439715b83242422f73befaf00eddc079ee0ede2aa97aa0e3a8234775f9ee66f7")
+            "60e9b12c81dbeff81ea656cdc757f1e6f20f5719a71010ef0e4d35c93caed979")
 
     def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "keep.ckpt"

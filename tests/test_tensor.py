@@ -513,6 +513,15 @@ class TestBCE:
         t = Tensor((rand((3, 4), 15) > 0).astype(float))
         assert finite_difference_check(lambda: bce_with_logits(x, t), [x]) <= 1e-6
 
+    def test_refuses_targets_that_take_a_gradient(self):
+        x = Tensor(rand((3, 4), 16), requires_grad=True)
+        t = Tensor((rand((3, 4), 17) > 0).astype(float), requires_grad=True)
+        with pytest.raises(ValueError, match="no gradient to its targets"):
+            bce_with_logits(x, t)
+        with no_grad():  # nothing is recorded, so no gradient could reach them
+            value = bce_with_logits(x, t).data
+        assert same_bits(value, bce_with_logits(x, t.detach()).data)
+
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal values, dtype and bytes, so signed zeros count."""

@@ -289,17 +289,16 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"{ckpt_path}: no checkpoint file at this path")
     ws = Workspace(Path(args.data))
     ws.check_downstream()
-    # --patience stops the downstream loop, so it is checked against that budget;
-    # the pretext budget plays no part here and only has to admit the patience
+    # --patience stops the downstream loop, so TrainLoopConfig checks it against
+    # that budget as max_epochs; the pretext budget plays no part here and, with
+    # no --patience, only has to admit the default one
     budget = args.max_epochs if args.max_epochs is not None else \
         TrainLoopConfig.downstream_max_epochs
-    if args.patience is not None and args.patience >= budget:
-        raise ConfigError(f"--patience must be smaller than the epoch budget {budget}, "
-                          f"got {args.patience}")
     loop = _overlay(TrainLoopConfig, {}, learning_rate=args.lr,
                     downstream_max_epochs=args.max_epochs, patience=args.patience,
                     batch_size=args.batch_size,
-                    max_epochs=max(budget, TrainLoopConfig.max_epochs))
+                    max_epochs=budget if args.patience is not None else
+                    max(budget, TrainLoopConfig.max_epochs))
     ckpt = load_checkpoint(ckpt_path)
     # only the params train: the EMA teacher and the queue go before training starts
     config, metadata, params = ckpt["config"], ckpt["metadata"], ckpt["params"]

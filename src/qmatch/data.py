@@ -133,19 +133,32 @@ def load_csv(path, schema: list[ColumnSpec], name: str = "") -> TabularDataset:
                           label_vocab=label_vocab)
 
 
+def _check_header(path, header: list[str] | None, schema: list[ColumnSpec]):
+    """Columns are taken by position, so the first record must name the schema's
+    columns in order; a file without one would lose its first row as the header."""
+    fields = [f.strip() for f in header or []]
+    if len(fields) != len(schema):
+        raise DataError(f"{path}: the header has {len(fields)} fields, the schema "
+                        f"{len(schema)} columns")
+    for field, c in zip(fields, schema):
+        if field != c.name:
+            raise DataError(f"{path}: the header names {field!r} where the schema has "
+                            f"column {c.name!r}")
+
+
 def _load_columns(path, schema: list[ColumnSpec]):
     """One ``np.loadtxt`` pass: numerics by its float parser, categoricals and
     labels by a converter that maps each stripped value to its vocabulary code.
-    Raises (never ``DataError``) on any input whose result could differ from
-    ``_load_cells``, which then gives the verdict."""
+    Raises on any input whose result could differ from ``_load_cells``, which
+    then gives the verdict."""
     luts = {i: {} if c.categories is None else {v: k for k, v in enumerate(c.categories)}
             for i, c in enumerate(schema) if c.type != "numeric"}
     converters = {i: (lambda s, lut=lut: lut.setdefault(s.strip(), len(lut)))
                   if schema[i].categories is None else (lambda s, lut=lut: lut[s.strip()])
                   for i, lut in luts.items()}
-    with open(path, newline="") as fh, warnings.catch_warnings():
+    with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
         warnings.simplefilter("error")  # loadtxt only warns about a file without rows
-        next(csv.reader(fh), None)  # the header record, read as the cell loop reads it
+        _check_header(path, next(csv.reader(fh), None), schema)  # as the cell loop reads it
         table = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
                            quotechar='"', ndmin=2, converters=converters)
     if table.shape[1] != len(schema) or not np.isfinite(table).all():
@@ -177,10 +190,10 @@ def _load_cells(path, schema: list[ColumnSpec]):
     label_col = next((c for c in schema if c.type == "label"), None)
 
     rows: list[list[str]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            next(reader, None)  # header
+            _check_header(path, next(reader, None), schema)
             for lineno, row in enumerate(reader, start=2):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import qmatch.cli
 import qmatch.data
+import qmatch.train
 from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
 from qmatch.cli import EXIT_CONFIG, EXIT_OK, WORKSPACE_FILES, Workspace, main
@@ -540,6 +541,26 @@ class TestEval:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize("task", ["linear-eval", "finetune"])
+    def test_patience_zero_with_a_one_epoch_budget(self, prepared, checkpoint, tmp_path,
+                                                   monkeypatch, task):
+        """Patience 0 is allowed when the downstream budget is one epoch, as it is
+        for pretrain's budget."""
+        histories = []
+
+        def early_stopped(*args):
+            header, best, history = real(*args)
+            histories.append(history)
+            return header, best, history
+
+        real = qmatch.train._early_stopped
+        monkeypatch.setattr(qmatch.train, "_early_stopped", early_stopped)
+        out = tmp_path / "r.jsonl"
+        assert main([task, "--checkpoint", str(checkpoint), "--data", str(prepared),
+                     "--out", str(out), "--max-epochs", "1", "--patience", "0"]) == EXIT_OK
+        assert [len(h) for h in histories] == [1]
+        assert len(out.read_text().splitlines()) == 1
+
     def test_linear_eval_appends_jsonl(self, prepared, checkpoint, tmp_path):
         out = tmp_path / "results.jsonl"
         args = ["linear-eval", "--checkpoint", str(checkpoint), "--data",
@@ -826,6 +847,29 @@ def test_csv_the_cell_parse_cannot_read_is_config_error_naming_it(corpus, tmp_pa
     assert main(["prepare-data", "--csv", str(bad), "--schema", str(corpus / "schema.json"),
                  "--split-spec", str(corpus / "spec.json"), "--out", str(out)]) == EXIT_CONFIG
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, message", [
+    (None, "the header names '{first}' where the schema has column 'f0'"),
+    (b"f1,f0,f2,f3,f4,f5,f6,f7,label", "the header names 'f1' where the schema has column 'f0'"),
+    (b"f0,f1,f2,f3,f4,f5,f6,f7,class",
+     "the header names 'class' where the schema has column 'label'"),
+    (b"f0,f1,f2,f3,f4,f5,f6,f7", "the header has 8 fields, the schema 9 columns"),
+], ids=["headerless", "reordered", "renamed", "short"])
+def test_csv_header_not_naming_the_schema_columns_is_config_error(corpus, tmp_path, capsys,
+                                                                  header, message):
+    """Columns are taken by position, so a header that does not name the schema's
+    columns in order is refused; a file without one would lose its first row."""
+    bad = tmp_path / "bad.csv"
+    lines = (corpus / "fixture.csv").read_bytes().splitlines(keepends=True)
+    lines[:1] = [] if header is None else [header + b"\r\n"]
+    bad.write_bytes(b"".join(lines))
+    message = message.format(first=lines[0].split(b",")[0].decode())
+    out = tmp_path / "out"
+    assert main(["prepare-data", "--csv", str(bad), "--schema", str(corpus / "schema.json"),
+                 "--split-spec", str(corpus / "spec.json"), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {bad}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

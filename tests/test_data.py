@@ -53,6 +53,17 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.labels, [1, 0, 1])
         assert ds.num_classes == 2
 
+    @pytest.mark.parametrize("text", ["age,color,y\n1.5,red,yes\n2.0,blue,no\n",
+                                      "age, color ,y\n1.5,red,yes\n \n2.0,blue,no\n"],
+                             ids=["columnar", "cell_loop"])
+    def test_byte_order_mark_before_the_header_loads(self, tmp_path, text):
+        plain = load_csv(write_csv(tmp_path / "plain.csv", text), SCHEMA)
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        ds = load_csv(p, SCHEMA)
+        assert same_bits(ds.features, plain.features) and same_bits(ds.labels, plain.labels)
+        assert (ds.cat_vocab, ds.label_vocab) == (plain.cat_vocab, plain.label_vocab)
+
     def test_header_only_rejected(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", "age,color,y\n")
         with pytest.raises(DataError, match="no data rows"):
@@ -168,7 +179,8 @@ def csv_files(draw):
                                                    max_size=4, unique=True))
                          if kind != "numeric" else None)
               for i, kind in enumerate(kinds)]
-    lines = [",".join(c.name for c in schema)]
+    lines = [draw(st.sampled_from(["", "\ufeff"]))  # a UTF-8 byte order mark
+             + ",".join(_field(draw, c.name) for c in schema)]
     for _ in range(draw(st.integers(0, 6))):
         shape = draw(st.integers(0, 19))
         if shape == 0:

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from collections import Counter
@@ -859,13 +861,11 @@ def test_autograd_internals_stay_in_tensor_module():
 
 
 def test_package_imports_are_used():
-    """No package module but __init__.py imports a name it never references,
-    unless the import line carries `# noqa: F401`."""
+    """No package module imports a name it never references, unless the import
+    line carries `# noqa: F401`."""
     src = Path(__file__).resolve().parents[1] / "src" / "qmatch"
     offenders = []
     for path in sorted(src.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         text = path.read_text()
         lines = text.splitlines()
         tree = ast.parse(text)
@@ -880,6 +880,34 @@ def test_package_imports_are_used():
                 if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     offenders.append(f"{path.name}:{alias.lineno} {name}")
     assert not offenders, offenders
+
+
+PACKAGE_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter that imports qmatch from this checkout."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE_SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_package_import_loads_no_module():
+    """`import qmatch` runs the package docstring alone: names are imported
+    from the module that defines them, so the package re-exports nothing."""
+    r = _run_fresh("import sys, qmatch\n"
+                   "print(sorted(m for m in sys.modules if m.startswith('qmatch.')))")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in (PACKAGE_SRC / "qmatch").glob("*.py") if p.stem != "__init__"))
+def test_module_imports_alone(module):
+    """Each module imports in a new interpreter, so an import cycle or a name
+    another module had to load first shows here."""
+    r = _run_fresh(f"import qmatch.{module}")
+    assert r.returncode == 0, r.stderr
 
 
 def test_runtime_dependencies_are_numpy_alone():

@@ -22,7 +22,6 @@ from .augment import CorruptionConfig
 from .baselines import BaselineConfig
 from .data import (
     DataError,
-    PreprocessState,
     SplitSpec,
     fit_preprocess,
     load_csv,
@@ -111,34 +110,25 @@ def load_run_config(path) -> dict:
 
 
 # the files of a workspace, which prepare-data writes into its --out directory
-WORKSPACE_FILES = ("meta.json", "preprocess.json", "splits.json")
-# meta.json key -> its JSON type; prepare-data writes them all, Workspace reads the first three
+WORKSPACE_FILES = ("meta.json", "splits.json")
+# meta.json key -> its JSON type; Workspace reads every key but preset and seed
 WORKSPACE_META = {"csv": "str", "schema": "str", "name": "str", "preset": "str | None",
                   "seed": "int", "quantile": "bool"}
 
 
 class Workspace:
-    """A prepared-data directory: manifest, preprocess state, meta.  A file that
-    breaks its rules is a DataError or ConfigError naming it."""
+    """A prepared-data directory: meta and manifest, on whose pretext_train rows the
+    state is fit.  A file that breaks its rules is a DataError or ConfigError naming it."""
 
     def __init__(self, directory: Path):
         self.dir = Path(directory)
-        meta, preprocess, manifest = (self.dir / name for name in WORKSPACE_FILES)
+        meta, manifest = (self.dir / name for name in WORKSPACE_FILES)
         self.manifest = manifest
         self.meta = _checked(read_json(meta), str(meta), WORKSPACE_META,
-                             required=("csv", "schema", "name"))
-        state = read_json(preprocess)
-        try:
-            self.state = PreprocessState.from_dict(state)
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{preprocess}: not a preprocessing state "
-                            f"({type(e).__name__}: {e})") from None
+                             required=("csv", "schema", "name", "quantile"))
         self.schema = _resolve(self.meta["schema"])
         self.dataset = load_csv(_resolve(self.meta["csv"]), load_schema(self.schema),
                                 name=self.meta["name"])
-        if self.state.cardinality != self.dataset.cardinalities():
-            raise DataError(f"{preprocess}: its cardinality does not match the features and "
-                            f"categorical vocabularies of {self.meta['csv']}")
         self.splits = load_manifest(manifest)
         for name in _field_types(SplitSpec, "label_fraction", "seed"):  # the five splits
             if name not in self.splits:
@@ -148,6 +138,10 @@ class Workspace:
             if idx.size and not 0 <= idx.min() <= idx.max() < rows:
                 raise DataError(f"{manifest}: split {name!r} holds a row index outside "
                                 f"[0, {rows})")
+        if not len(self.splits["pretext_train"]):
+            raise DataError(f"{manifest}: pretext_train holds no rows to fit the state on")
+        self.state = fit_preprocess(self.dataset, rows=self.splits["pretext_train"],
+                                    quantile=self.meta["quantile"])
 
     def check_downstream(self):
         """A downstream run reads labels and rows of the three downstream splits."""
@@ -173,18 +167,16 @@ def cmd_prepare_data(args) -> int:
                                _field_types(SplitSpec, "seed"))  # its seed is --seed
         spec = _config(SplitSpec, **spec_fields, seed=args.seed)
     try:
+        if not spec.pretext_train:  # every command fits the preprocessing state on them
+            raise DataError("pretext_train holds 0 rows to fit the state on")
         splits = make_splits(dataset, spec)
     except DataError as e:  # the spec asks for rows or classes the table lacks
         raise DataError(f"{args.split_spec or f'preset {args.preset}'}: {e}") from None
-    state = fit_preprocess(dataset, rows=splits["pretext_train"],
-                           quantile=bool(quantile))
 
     out.mkdir(parents=True, exist_ok=True)
     save_manifest(splits, out / "splits.json",
                   metadata={"seed": args.seed, "preset": args.preset,
                             "dataset": dataset.name})
-    with open(out / "preprocess.json", "w") as fh:
-        json.dump(state.to_dict(), fh, sort_keys=True, separators=(",", ":"))
     with open(out / "meta.json", "w") as fh:
         json.dump({"csv": str(args.csv), "schema": str(args.schema),
                    "name": dataset.name, "preset": args.preset,
@@ -263,7 +255,7 @@ def cmd_pretrain(args) -> int:
                       qm_config=qm, corruption=corr, extra=extra)
     out.parent.mkdir(parents=True, exist_ok=True)
     metadata = {"algorithm": algorithm, "seed": seed, "best_epoch": result.best_epoch,
-                "preprocess_ref": str(Path(args.data) / "preprocess.json"),
+                "data": args.data,
                 "config": resolved}
     if result.queue is not None:  # the ring buffer's rows are in order from its cursor
         metadata["queue_cursor"] = result.queue.cursor
@@ -481,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Queue-based self-distillation for tabular data")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare-data", help="build split manifests and preprocessing state")
+    p = sub.add_parser("prepare-data", help="build a workspace: split manifest and meta")
     p.add_argument("--csv", required=True)
     p.add_argument("--schema", required=True)
     split = p.add_mutually_exclusive_group(required=True)

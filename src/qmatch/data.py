@@ -18,7 +18,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import _has_json_type, check_fields, check_seed
+from .model import check_fields, check_seed
 
 
 class DataError(ValueError):
@@ -41,6 +41,12 @@ class ColumnSpec:
                 and all(isinstance(v, str) for v in self.categories)):
             raise DataError(f"column {self.name!r}: categories {self.categories!r} are not "
                             f"a list of strings")
+        seen = set()  # a category's code is its position, so each value has one
+        for value in self.categories or ():
+            if value in seen:
+                raise DataError(f"column {self.name!r}: category {value!r} appears more "
+                                f"than once")
+            seen.add(value)
 
 
 def read_json(path):
@@ -308,71 +314,25 @@ class PreprocessState:
     count: int
     cardinality: list[int | None]  # per raw feature: None if numeric, else its category count
     quantile_tables: dict[int, np.ndarray] = field(default_factory=dict)
-    # derived, never saved: from count, the normal score of each rank 0..count a
-    # value takes in a quantile table (None when there is no table); from
-    # cardinality, the feature of each output column and each feature's first one
+    # derived: from count, the normal score of each rank 0..count a value takes
+    # in a quantile table (None when there is no table); from cardinality, the
+    # feature of each output column and each feature's first one
     scores: np.ndarray | None = field(init=False, repr=False, compare=False)
     feature_of_column: np.ndarray = field(init=False, repr=False, compare=False)
     start_column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """The rules of a fitted state, none of which reads a row: every feature
-        has one cardinality (null or an int >= 1), one mean and one var, all
-        finite with var >= 0; there is a table of `count` values for every
-        numeric feature, or none.  Then the rank scores are derived from `count`,
-        and the one-hot layout from cardinality."""
-        check_fields(self, "an int >= 1", lambda n: _has_json_type(n, "int") and n >= 1, "count")
-        if not isinstance(self.cardinality, list):
-            raise DataError(f"cardinality must be a list, got {self.cardinality!r}")
-        for card in self.cardinality:
-            if not (card is None or _has_json_type(card, "int") and card >= 1):
-                raise DataError(f"cardinality entries must be null or an int >= 1, got {card!r}")
-        features = len(self.cardinality)
-        if self.mean.shape != (features,) or self.var.shape != (features,):
-            raise DataError(f"mean and var must hold one entry per feature ({features}), got "
-                            f"shapes {self.mean.shape} and {self.var.shape}")
-        if not (np.isfinite(self.mean).all() and np.isfinite(self.var).all()
-                and (self.var >= 0).all()):
-            raise DataError("mean and var must be finite, and var >= 0")
-        numeric = {j for j, card in enumerate(self.cardinality) if card is None}
-        if set(self.quantile_tables) not in (numeric, set()) \
-                or any(t.shape != (self.count,) for t in self.quantile_tables.values()):
-            raise DataError(f"a state holds a table of count ({self.count}) values for every "
-                            f"numeric feature, or none")
+        """Derive the rank scores from `count` and the one-hot layout from
+        cardinality.  `fit_preprocess`, the only constructor, makes fields that
+        agree, so none is checked here."""
         self.scores = _rank_scores(self.count) if self.quantile_tables else None
         widths = np.array([card or 1 for card in self.cardinality], dtype=np.intp)
-        self.feature_of_column = np.repeat(np.arange(features), widths)
+        self.feature_of_column = np.repeat(np.arange(len(widths)), widths)
         self.start_column = np.cumsum(widths) - widths
 
     @property
     def output_dim(self) -> int:
         return len(self.feature_of_column)
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "var": self.var.tolist(),
-            "count": self.count,
-            "cardinality": list(self.cardinality),
-            "quantile_tables": {str(k): v.tolist() for k, v in self.quantile_tables.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PreprocessState":
-        """The state `to_dict` wrote; a missing key or a value of the wrong JSON
-        type raises KeyError, TypeError or ValueError (DataError and ConfigError
-        are ValueErrors).  The `quantile` and `epsilon` keys of older files are
-        not read: the tables say the one, EPSILON is the other."""
-        if not isinstance(d["quantile_tables"], dict):
-            raise TypeError(f"quantile_tables must be an object, got {d['quantile_tables']!r}")
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            var=np.asarray(d["var"], dtype=np.float64),
-            count=d["count"],
-            cardinality=d["cardinality"],
-            quantile_tables={int(k): np.asarray(v, dtype=np.float64)
-                             for k, v in d["quantile_tables"].items()},
-        )
 
 
 def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,

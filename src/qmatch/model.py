@@ -34,8 +34,7 @@ from .tensor import (
 CHECKPOINT_MAGIC = b"QMCKPT01"
 CHECKPOINT_VERSION = 1
 # the array dtypes a checkpoint may hold, by the name its header records; always little-endian
-CHECKPOINT_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8"),
-                     "int64": np.dtype("<i8")}
+CHECKPOINT_DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 
 
 class ConfigError(ValueError):

@@ -19,8 +19,8 @@ import qmatch.train
 from qmatch.augment import CorruptionConfig
 from qmatch.baselines import BaselineConfig
 from qmatch.cli import EXIT_CONFIG, EXIT_OK, WORKSPACE_FILES, Workspace, main
-from qmatch.data import (ColumnSpec, PreprocessState, load_manifest, preset_split,
-                         save_csv, save_manifest)
+from qmatch.data import (ColumnSpec, fit_preprocess, load_manifest, preset_split, save_csv,
+                         save_manifest)
 from qmatch.distill import QMatchConfig
 from qmatch.model import EncoderConfig, init_params, load_checkpoint, save_checkpoint
 from qmatch.train import TrialResult, pretrain
@@ -46,11 +46,11 @@ def corpus(tmp_path_factory):
     return root
 
 
-def prepare(corpus, out, seed=0):
+def prepare(corpus, out, seed=0, *flags):
     return main(["prepare-data", "--csv", str(corpus / "fixture.csv"),
                  "--schema", str(corpus / "schema.json"),
                  "--split-spec", str(corpus / "spec.json"),
-                 "--out", str(out), "--seed", str(seed)])
+                 "--out", str(out), "--seed", str(seed), *flags])
 
 
 @pytest.fixture(scope="module")
@@ -84,14 +84,13 @@ class TestPrepareData:
         assert {k: len(v) for k, v in splits.items()} == {
             "pretext_train": 192, "pretext_val": 32, "down_train": 60,
             "down_val": 60, "test": 60}
-        assert (prepared / "preprocess.json").exists()
-        assert (prepared / "meta.json").exists()
+        assert sorted(p.name for p in prepared.iterdir()) == ["meta.json", "splits.json"]
 
     def test_reruns_byte_identical(self, corpus, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert prepare(corpus, a) == EXIT_OK
         assert prepare(corpus, b) == EXIT_OK
-        for name in ("splits.json", "preprocess.json"):
+        for name in WORKSPACE_FILES:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_preset_and_spec_mutually_exclusive(self, corpus, tmp_path):
@@ -130,8 +129,7 @@ class TestPrepareData:
                      "--out", str(out)] + flags)
         assert code == EXIT_OK
         assert json.loads((out / "meta.json").read_text())["quantile"] is quantile
-        tables = json.loads((out / "preprocess.json").read_text())["quantile_tables"]
-        assert bool(tables) is quantile
+        assert bool(Workspace(out).state.quantile_tables) is quantile
         assert len(load_manifest(out / "splits.json")["pretext_train"]) == 190
 
     @pytest.mark.parametrize("spec", [
@@ -163,7 +161,8 @@ class TestPrepareData:
     def test_empty_pretext_train_is_config_error(self, corpus, tmp_path, capsys):
         spec = {**json.loads((corpus / "spec.json").read_text()), "pretext_train": 0}
         assert prepare_spec(corpus, tmp_path, spec) == EXIT_CONFIG
-        assert "0 rows" in capsys.readouterr().err
+        assert (f"config error: {tmp_path / 'spec.json'}: pretext_train holds 0 rows"
+                in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("spec, message", [
@@ -202,8 +201,14 @@ class TestPrepareData:
          "column 'a': unknown type 'text'"),
         ({"columns": [{"name": "a", "type": "label"}, {"name": "b", "type": "label"}]},
          "schema declares more than one label column"),
+        ({"columns": [{"name": "a", "type": "numeric"},
+                      {"name": "b", "type": "categorical", "categories": ["x", "y", "x"]}]},
+         "column 'b': category 'x' appears more than once"),
+        ({"columns": [{"name": "a", "type": "numeric"},
+                      {"name": "b", "type": "label", "categories": ["0", "0", "1"]}]},
+         "column 'b': category '0' appears more than once"),
     ], ids=["repeated_name", "columns_not_a_list", "column_without_type", "list_name",
-            "unknown_type", "two_labels"])
+            "unknown_type", "two_labels", "repeated_category", "repeated_label_category"])
     def test_bad_schema_is_config_error(self, corpus, tmp_path, capsys, schema, message):
         (tmp_path / "t.csv").write_text("a,a\n1,10\n2,20\n3,30\n")
         (tmp_path / "schema.json").write_text(json.dumps(schema))
@@ -236,8 +241,8 @@ class TestPretrain:
         assert resolved["qmatch"]["queue_capacity"] == 64
         assert not (tmp_path / "c.qmc").exists()
 
-    def test_checkpoint_written(self, checkpoint):
-        assert checkpoint.exists()
+    def test_checkpoint_written(self, prepared, checkpoint):
+        assert load_checkpoint(checkpoint)["metadata"]["data"] == str(prepared)
         assert checkpoint.read_bytes()[:8] == b"QMCKPT01"
 
     def test_best_epoch_before_the_last_writes_pinned_arrays(self, prepared, tmp_path,
@@ -650,9 +655,9 @@ def test_checkpoint_with_a_float_maxout_is_runtime_error(prepared, checkpoint, t
 @pytest.mark.parametrize("command", ["linear-eval", "finetune"])
 def test_checkpoint_for_another_table_width_is_runtime_error(prepared, tmp_path, capsys,
                                                              command):
-    state = PreprocessState.from_dict(json.loads((prepared / "preprocess.json").read_text()))
     wide = tmp_path / "wide.qmc"
-    config = EncoderConfig(input_dim=state.output_dim + 1, layer_widths=(32, 32))
+    config = EncoderConfig(input_dim=Workspace(prepared).state.output_dim + 1,
+                           layer_widths=(32, 32))
     save_checkpoint(wide, init_params(config, seed=0))
     code = main([command, "--checkpoint", str(wide), "--data", str(prepared),
                  "--out", str(tmp_path / "r.jsonl")])
@@ -665,8 +670,7 @@ def test_checkpoint_for_another_table_width_is_runtime_error(prepared, tmp_path,
 def test_bad_split_index_is_config_error(prepared, tmp_path, capsys, index):
     data = tmp_path / "data"
     data.mkdir()
-    for name in ("preprocess.json", "meta.json"):
-        (data / name).write_bytes((prepared / name).read_bytes())
+    (data / "meta.json").write_bytes((prepared / "meta.json").read_bytes())
     manifest = json.loads((prepared / "splits.json").read_text())
     manifest["down_val"][0] = index  # the fixture table has 600 rows
     (data / "splits.json").write_text(json.dumps(manifest))
@@ -694,72 +698,16 @@ def _with(key, value):
     return lambda obj: {**obj, key: value}
 
 
-def _first_var_negative(state):
-    return {**state, "var": [-1.0] + state["var"][1:]}
-
-
-def _last_cardinality_dropped(state):
-    return {**state, "cardinality": state["cardinality"][:-1]}
-
-
-def _last_cardinality(value):
-    return lambda state: {**state, "cardinality": state["cardinality"][:-1] + [value]}
-
-
-def _older_format(state):
-    """The state as preprocess.json held it before `cardinality` replaced the layout."""
-    cards = state["cardinality"]
-    starts = [sum(card or 1 for card in cards[:j]) for j in range(len(cards))]
-    return {**_without("cardinality")(state), "output_dim": sum(card or 1 for card in cards),
-            "num_layout": {str(j): starts[j] for j, card in enumerate(cards) if card is None},
-            "cat_layout": {str(j): [starts[j], card] for j, card in enumerate(cards) if card}}
-
-
-def _last_categorical_widened(state):
-    return _last_cardinality(state["cardinality"][-1] + 1)(state)
-
-
-def _quantile_tables(state, length, features=None):
-    """A table of `length` zeros for each of the first `features` numeric features
-    (for all of them by default)."""
-    numeric = [j for j, card in enumerate(state["cardinality"]) if card is None]
-    return {**state, "quantile_tables": {str(j): [0.0] * length for j in numeric[:features]}}
-
-
-def _quantile_tables_one_short(state):
-    return _quantile_tables(state, state["count"] - 1)
-
-
-def _quantile_table_for_one_feature(state):
-    return _quantile_tables(state, state["count"], 1)
-
-
 @pytest.mark.parametrize("name, edit, message", [
     ("meta.json", _without("csv"), "missing key 'csv'"),
     ("meta.json", _with("name", 5), "name must be str, got 5"),
     ("meta.json", _with("preset", 3), "preset must be str | None"),
+    ("meta.json", _without("quantile"), "missing key 'quantile'"),
     ("splits.json", _without("pretext_val"), "split 'pretext_val' is missing"),
     ("splits.json", _without("test"), "split 'test' is missing"),
     ("splits.json", lambda manifest: [manifest], "a manifest is a JSON object of splits"),
-    ("preprocess.json", lambda state: [state], "not a preprocessing state (TypeError"),
-    ("preprocess.json", _without("var"), "not a preprocessing state (KeyError: 'var')"),
-    ("preprocess.json", _last_cardinality_dropped, "one entry per feature"),
-    ("preprocess.json", _last_cardinality(0), "null or an int >= 1, got 0"),
-    ("preprocess.json", _last_cardinality("2"), "null or an int >= 1, got '2'"),
-    ("preprocess.json", _last_cardinality(2.0), "null or an int >= 1, got 2.0"),
-    ("preprocess.json", _first_var_negative, "var >= 0"),
-    ("preprocess.json", _with("mean", [0.0]), "one entry per feature"),
-    ("preprocess.json", _last_categorical_widened, "categorical vocabularies"),
-    ("preprocess.json", _older_format, "not a preprocessing state (KeyError: 'cardinality')"),
-    ("preprocess.json", _quantile_tables_one_short, "a table of count (192) values"),
-    ("preprocess.json", _quantile_table_for_one_feature, "for every numeric feature, or none"),
-], ids=["meta_without_csv", "meta_int_name", "meta_int_preset", "manifest_without_pretext_val",
-        "manifest_without_test", "manifest_not_an_object", "preprocess_list",
-        "preprocess_without_var", "preprocess_categorical_dropped", "preprocess_cardinality_0",
-        "preprocess_cardinality_string", "preprocess_cardinality_float",
-        "preprocess_negative_var", "preprocess_one_mean",
-        "preprocess_card_off_vocabulary", "preprocess_of_an_older_workspace",
-        "preprocess_quantile_table_short", "preprocess_quantile_table_for_one_feature"])
+], ids=["meta_without_csv", "meta_int_name", "meta_int_preset", "meta_without_quantile",
+        "manifest_without_pretext_val", "manifest_without_test", "manifest_not_an_object"])
 def test_bad_workspace_file_is_config_error_naming_it(prepared, checkpoint, tmp_path, capsys,
                                                       name, edit, message):
     data = edited_workspace(prepared, tmp_path / "data", name, edit)
@@ -873,14 +821,20 @@ def test_csv_header_not_naming_the_schema_columns_is_config_error(corpus, tmp_pa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", [["pretrain", "--dry-run"], ["grid"]], ids=" ".join)
-def test_emptied_pretext_train_is_config_error_naming_the_manifest(prepared, tmp_path, capsys,
-                                                                   command):
+@pytest.mark.parametrize("command", [
+    ["pretrain", "--dry-run"], ["grid"], ["grid", "--algorithm", "supervised"], ["linear-eval"],
+    ["finetune"],
+], ids=" ".join)
+def test_emptied_pretext_train_is_config_error_naming_the_manifest(prepared, checkpoint, tmp_path,
+                                                                   capsys, command):
+    """Every command fits the preprocessing state on pretext_train, so each one,
+    supervised and downstream runs too, needs rows there."""
     data = edited_workspace(prepared, tmp_path / "data", "splits.json",
                             _with("pretext_train", []))
+    flags = ["--checkpoint", str(checkpoint)] if command[0] in ("linear-eval", "finetune") \
+        else ["--algorithm", "infonce"] * ("--algorithm" not in command) + SMALL_TRAIN
     out = tmp_path / "out"
-    assert main([command[0], "--data", str(data), "--out", str(out), "--algorithm", "infonce"]
-                + command[1:] + SMALL_TRAIN) == EXIT_CONFIG
+    assert main(command + ["--data", str(data), "--out", str(out)] + flags) == EXIT_CONFIG
     assert (f"config error: {data / 'splits.json'}: pretext_train holds no rows"
             in capsys.readouterr().err)
     assert not out.exists()
@@ -960,16 +914,16 @@ def spy_on_cli(monkeypatch, *names) -> list:
     return calls
 
 
-@pytest.mark.parametrize("target", ["file", "under_file", "preprocess_dir"])
+@pytest.mark.parametrize("target", ["file", "under_file", "splits_dir"])
 def test_prepare_data_output_of_the_wrong_kind_is_refused_before_reading(
         corpus, tmp_path, monkeypatch, capsys, target):
-    """prepare-data checks its --out directory and the three files it writes there
+    """prepare-data checks its --out directory and the two files it writes there
     before it reads the schema or the CSV."""
     taken = tmp_path / "taken"
-    if target == "preprocess_dir":
+    if target == "splits_dir":
         out = taken
-        (taken / "preprocess.json").mkdir(parents=True)
-        named = taken / "preprocess.json"
+        (taken / "splits.json").mkdir(parents=True)
+        named = taken / "splits.json"
     else:
         taken.write_text("keep")
         out = named = taken / "out" if target == "under_file" else taken
@@ -979,8 +933,8 @@ def test_prepare_data_output_of_the_wrong_kind_is_refused_before_reading(
                  "--split-spec", str(corpus / "spec.json"), "--out", str(out)]) == EXIT_CONFIG
     assert f"config error: {named}: " in capsys.readouterr().err
     assert calls == []
-    if target == "preprocess_dir":
-        assert [p.name for p in taken.iterdir()] == ["preprocess.json"]
+    if target == "splits_dir":
+        assert [p.name for p in taken.iterdir()] == ["splits.json"]
         assert list(named.iterdir()) == []
     else:
         assert taken.read_text() == "keep"
@@ -1077,12 +1031,54 @@ def test_workspace_without_test_rows_pretrains_but_scores_nothing(corpus, tmp_pa
 
 
 def test_meta_without_an_optional_key_still_loads(prepared, tmp_path, capsys):
-    """No command reads a workspace's preset, seed or quantile flag."""
-    for key in ("preset", "seed", "quantile"):
+    """No command reads a workspace's preset or seed."""
+    for key in ("preset", "seed"):
         data = edited_workspace(prepared, tmp_path / key, "meta.json", _without(key))
         assert main(["pretrain", "--data", str(data), "--out", str(tmp_path / "c.qmc"),
                      "--algorithm", "qmatch", "--dry-run"] + SMALL_TRAIN) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+# sha256 of the fixture workspace's state (mean, var, then each quantile table in
+# feature order), pinned from the preprocess.json prepare-data wrote before the
+# state was fit at every command
+PINNED_STATE = {"--no-quantile": "77cc4d9dce0afb84eea44b8030293b90b2c5f5d4333409170287a6ef284456de",
+                "--quantile": "b038bfa305a630d0f34db6982c25d697de74983541b20074ea070c99ef2b7002"}
+
+
+@pytest.mark.parametrize("flag", PINNED_STATE)
+def test_state_fit_on_the_manifest_keeps_its_bits(corpus, tmp_path, flag):
+    assert prepare(corpus, tmp_path, 0, flag) == EXIT_OK
+    state = Workspace(tmp_path).state
+    digest = hashlib.sha256(state.mean.tobytes() + state.var.tobytes())
+    for j in sorted(state.quantile_tables):
+        digest.update(state.quantile_tables[j].tobytes())
+    assert bool(state.quantile_tables) is (flag == "--quantile")
+    assert digest.hexdigest() == PINNED_STATE[flag]
+
+
+def test_leftover_preprocess_json_is_not_read(prepared, checkpoint, tmp_path):
+    """A workspace prepared when prepare-data still wrote preprocess.json keeps
+    it; whether stale (fit on other rows) or corrupt, it changes no result."""
+    ws = Workspace(prepared)
+    stale = fit_preprocess(ws.dataset, rows=ws.splits["down_train"], quantile=True)
+    assert stale.mean.tobytes() != ws.state.mean.tobytes()
+    leftovers = {"clean": None, "corrupt": b"\xff{", "stale": json.dumps({
+        "mean": stale.mean.tolist(), "var": stale.var.tolist(), "count": stale.count,
+        "cardinality": stale.cardinality,
+        "quantile_tables": {str(j): t.tolist() for j, t in stale.quantile_tables.items()},
+    }).encode()}
+    lines = set()
+    for name, leftover in leftovers.items():
+        data = edited_workspace(prepared, tmp_path / name, "meta.json", lambda meta: meta)
+        if leftover is not None:
+            (data / "preprocess.json").write_bytes(leftover)
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["linear-eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                     "--out", str(out), "--max-epochs", "5"]) == EXIT_OK
+        line = out.read_text()
+        lines.add(line[:line.index('"wall_time": ')])  # the last key: a run's own time
+    assert len(lines) == 1
 
 
 def _json_kind(value) -> str:
@@ -1170,9 +1166,8 @@ def test_any_workspace_file_edit_ends_in_the_same_run_or_exit_2_naming_it(
 @pytest.mark.parametrize("command", ["linear-eval", "finetune"])
 def test_non_string_algorithm_in_checkpoint_is_runtime_error(prepared, tmp_path, capsys,
                                                              monkeypatch, command):
-    state = PreprocessState.from_dict(json.loads((prepared / "preprocess.json").read_text()))
     path = tmp_path / "listed.qmc"
-    config = EncoderConfig(input_dim=state.output_dim, layer_widths=(32, 32))
+    config = EncoderConfig(input_dim=Workspace(prepared).state.output_dim, layer_widths=(32, 32))
     save_checkpoint(path, init_params(config, seed=0), metadata={"algorithm": ["qmatch"]})
     # refused before any training, not when the result is formed
     monkeypatch.setattr(qmatch.cli, command.replace("-", "_"),
@@ -1190,8 +1185,7 @@ def test_class_absent_from_down_train_is_runtime_error(prepared, checkpoint, tmp
                                                        capsys, command):
     data = tmp_path / "data"
     data.mkdir()
-    for name in ("preprocess.json", "meta.json"):
-        (data / name).write_bytes((prepared / name).read_bytes())
+    (data / "meta.json").write_bytes((prepared / "meta.json").read_bytes())
     ws = Workspace(prepared)
     splits, labels = ws.splits, ws.dataset.labels
     splits["down_train"] = splits["down_train"][labels[splits["down_train"]] != 2]

@@ -1,5 +1,4 @@
 import json
-import re
 from statistics import NormalDist
 
 import numpy as np
@@ -137,7 +136,10 @@ class TestLoadCsv:
         ((["b"], "numeric"), r"column name \['b'\] is not a string"),
         (("b", "categorical", "xy"), "column 'b': categories 'xy' are not a list of strings"),
         (("b", "label", [0, 1]), r"column 'b': categories \[0, 1\] are not a list"),
-    ], ids=["unknown_type", "list_name", "string_categories", "int_categories"])
+        (("b", "categorical", ["a", "b", "a"]), "column 'b': category 'a' appears more than once"),
+        (("y", "label", ["0", "0", "1"]), "column 'y': category '0' appears more than once"),
+    ], ids=["unknown_type", "list_name", "string_categories", "int_categories",
+            "repeated_category", "repeated_label_category"])
     def test_bad_column_refused_by_the_column_itself(self, column, message):
         with pytest.raises(DataError, match=message):
             ColumnSpec(*column)  # so no loader meets one
@@ -343,27 +345,6 @@ class TestPreprocess:
         scaled = (per_cell(probe, table) - state.mean[0]) / np.sqrt(state.var[0] + 1e-6)
         out = apply_preprocess(state, probe[:, None])[:, 0]
         assert out.tobytes() == (scaled if state.var[0] >= 1e-12 else np.zeros_like(scaled)).tobytes()
-        assert "scores" not in state.to_dict()
-
-    def test_state_round_trip(self):
-        ds = make_fixture_dataset(n=80)
-        state = fit_preprocess(ds, quantile=True)
-        from qmatch.data import PreprocessState
-        clone = PreprocessState.from_dict(json.loads(json.dumps(state.to_dict())))
-        np.testing.assert_array_equal(
-            apply_preprocess(clone, ds.features), apply_preprocess(state, ds.features))
-
-    @pytest.mark.parametrize("quantile", [False, True])
-    def test_state_of_an_older_file_loads_equal(self, quantile):
-        """preprocess.json once also held `quantile` and `epsilon`, which every
-        file held at the values the tables and EPSILON now give."""
-        ds = make_fixture_dataset(n=80)
-        state = fit_preprocess(ds, quantile=quantile)
-        older = {**state.to_dict(), "quantile": quantile, "epsilon": 1e-06}
-        clone = qmatch.data.PreprocessState.from_dict(json.loads(json.dumps(older)))
-        assert clone.to_dict() == state.to_dict()
-        assert same_bits(apply_preprocess(clone, ds.features),
-                         apply_preprocess(state, ds.features))
 
     def test_bad_batch_shape(self):
         ds = make_fixture_dataset(n=30)
@@ -401,47 +382,11 @@ class TestPreprocess:
                                       [0, 1, 2, 3, 4, 5, 6, 6 + ds.cardinality(6)])
         np.testing.assert_array_equal(
             state.feature_of_column, np.repeat(np.arange(8), [1] * 6 + state.cardinality[6:]))
-        assert "output_dim" not in state.to_dict()
-
-    @pytest.mark.parametrize("cardinality, message", [
-        ([None, 3], "one entry per feature (2)"),
-        ([None, 3, 2, None], "one entry per feature (4)"),
-        ([None, 3, 0], "null or an int >= 1, got 0"),
-        ([None, 3, -1], "null or an int >= 1, got -1"),
-        ([None, "3", 2], "null or an int >= 1, got '3'"),
-        ([None, 3.0, 2], "null or an int >= 1, got 3.0"),
-        ([None, True, 2], "null or an int >= 1, got True"),
-        ((None, 3, 2), "must be a list"),
-        ({"0": None}, "must be a list"),
-    ], ids=["short", "long", "zero", "negative", "string", "float", "bool", "tuple", "object"])
-    def test_bad_cardinality_is_refused(self, cardinality, message):
-        state = fit_preprocess(TabularDataset(np.array([[1.0, 0, 1], [2.0, 2, 0]]),
-                                              {1: ["a", "b", "c"], 2: ["x", "y"]}, None))
-        good = state.to_dict()
-        assert good["cardinality"] == [None, 3, 2]
-        with pytest.raises(DataError, match=re.escape(message)):
-            qmatch.data.PreprocessState.from_dict({**good, "cardinality": cardinality})
-
-
-    @pytest.mark.parametrize("edit", [lambda t: t[:-1], lambda t: t + [9.0]],
-                             ids=["one_short", "one_long"])
-    def test_quantile_table_of_other_than_count_values_is_refused(self, edit):
-        x = np.array([[3.0, 0], [1.0, 1], [2.0, 0], [5.0, 1]])
-        state = fit_preprocess(TabularDataset(x, {1: ["a", "b"]}, None), quantile=True)
-        good = state.to_dict()
-        assert len(good["quantile_tables"]["0"]) == good["count"] == 4
-        assert len(state.scores) == 5 and "scores" not in good
-        with pytest.raises(DataError, match=re.escape("a table of count (4) values")):
-            qmatch.data.PreprocessState.from_dict(
-                {**good, "quantile_tables": {"0": edit(good["quantile_tables"]["0"])}})
 
     def test_quantile_state_without_numeric_features_derives_no_scores(self):
         state = fit_preprocess(TabularDataset(np.array([[0.0], [1.0]]), {0: ["a", "b"]}, None),
                                quantile=True)
         assert state.quantile_tables == {} and state.scores is None
-        # no table reads count, so a large one costs nothing to load
-        loaded = qmatch.data.PreprocessState.from_dict({**state.to_dict(), "count": 10**6})
-        assert loaded.scores is None
 
 
 class TestSplits:

@@ -329,6 +329,10 @@ BAD_HEADERS = {
     "object_dtype": _set("dtype", "object"),
     "big_endian_dtype": _set("dtype", ">f8"),
     "float16_dtype": _set("dtype", "float16"),
+    # same item size, so the payload still fits: the float64 bytes would load as integers
+    "weight_relabeled_int64": lambda h: _entry(h, "params/layer0.weight").update(dtype="int64"),
+    "running_var_relabeled_int64": lambda h: _entry(h, "buffers/layer0.running_var").update(
+        dtype="int64"),
     "arrays_not_a_list": lambda h: h.update(arrays={"params/layer0.weight": 0}),
     "entry_not_an_object": lambda h: h["arrays"].append(3),
     "duplicate_name": lambda h: h["arrays"].append(dict(h["arrays"][0])),
@@ -547,14 +551,15 @@ class TestCheckpoint:
     def test_dtypes_round_trip_and_others_refused(self, tmp_path):
         params = init_params(small_config(), seed=22)
         path = tmp_path / "f.ckpt"
-        for v in (np.arange(3, dtype=np.float32), np.arange(4, dtype=np.int64),
-                  np.arange(2.0).astype(">f8"), np.zeros((0, 3))):
+        for v in (np.arange(3, dtype=np.float32), np.arange(2.0).astype(">f8"),
+                  np.zeros((0, 3))):
             save_checkpoint(path, params, queue_storage=v)
             loaded = load_checkpoint(path)["queue_storage"]
             assert loaded.dtype == v.dtype.newbyteorder("<") and loaded.shape == v.shape
             np.testing.assert_array_equal(loaded, v)
-        with pytest.raises(CheckpointError, match="float16"):
-            save_checkpoint(path, params, queue_storage=np.zeros(2, np.float16))
+        for dtype in (np.float16, np.int64):
+            with pytest.raises(CheckpointError, match=np.dtype(dtype).name):
+                save_checkpoint(path, params, queue_storage=np.zeros(2, dtype))
 
     def test_layout_follows_the_config(self, tmp_path):
         params = init_params(small_config(), seed=24)

@@ -1057,28 +1057,93 @@ def test_state_fit_on_the_manifest_keeps_its_bits(corpus, tmp_path, flag):
     assert digest.hexdigest() == PINNED_STATE[flag]
 
 
-def test_leftover_preprocess_json_is_not_read(prepared, checkpoint, tmp_path):
-    """A workspace prepared when prepare-data still wrote preprocess.json keeps
-    it; whether stale (fit on other rows) or corrupt, it changes no result."""
-    ws = Workspace(prepared)
+def _state_file(state) -> dict:
+    """`state` as prepare-data once wrote it to preprocess.json."""
+    return {"mean": state.mean.tolist(), "var": state.var.tolist(), "count": state.count,
+            "cardinality": list(state.cardinality),
+            "quantile_tables": {str(j): t.tolist() for j, t in state.quantile_tables.items()}}
+
+
+def _older_format(state):
+    """The file as it was before `cardinality` replaced the layout."""
+    cards = state["cardinality"]
+    starts = [sum(card or 1 for card in cards[:j]) for j in range(len(cards))]
+    return {**_without("cardinality")(state), "output_dim": sum(card or 1 for card in cards),
+            "num_layout": {str(j): starts[j] for j, card in enumerate(cards) if card is None},
+            "cat_layout": {str(j): [starts[j], card] for j, card in enumerate(cards) if card}}
+
+
+def _last_cardinality(value):
+    return lambda state: {**state, "cardinality": state["cardinality"][:-1] + [value]}
+
+
+def _quantile_tables(length, features=None):
+    """A table of `length` zeros for each of the first `features` numeric features."""
+    def edit(state):
+        numeric = [j for j, card in enumerate(state["cardinality"]) if card is None]
+        return {**state, "quantile_tables": {str(j): [0.0] * length(state)
+                                             for j in numeric[:features]}}
+    return edit
+
+
+def _stale(ws):
+    """The state fit on other rows than pretext_train."""
     stale = fit_preprocess(ws.dataset, rows=ws.splits["down_train"], quantile=True)
     assert stale.mean.tobytes() != ws.state.mean.tobytes()
-    leftovers = {"clean": None, "corrupt": b"\xff{", "stale": json.dumps({
-        "mean": stale.mean.tolist(), "var": stale.var.tolist(), "count": stale.count,
-        "cardinality": stale.cardinality,
-        "quantile_tables": {str(j): t.tolist() for j, t in stale.quantile_tables.items()},
-    }).encode()}
-    lines = set()
-    for name, leftover in leftovers.items():
-        data = edited_workspace(prepared, tmp_path / name, "meta.json", lambda meta: meta)
-        if leftover is not None:
-            (data / "preprocess.json").write_bytes(leftover)
-        out = tmp_path / f"{name}.jsonl"
-        assert main(["linear-eval", "--checkpoint", str(checkpoint), "--data", str(data),
-                     "--out", str(out), "--max-epochs", "5"]) == EXIT_OK
-        line = out.read_text()
-        lines.add(line[:line.index('"wall_time": ')])  # the last key: a run's own time
-    assert len(lines) == 1
+    return _state_file(stale)
+
+
+@pytest.fixture(scope="module")
+def clean_linear_eval_line(prepared, checkpoint, tmp_path_factory):
+    return _linear_eval_line(prepared, checkpoint, tmp_path_factory.mktemp("clean"))
+
+
+def _linear_eval_line(data, checkpoint, directory):
+    out = directory / "r.jsonl"
+    assert main(["linear-eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                 "--out", str(out), "--max-epochs", "5"]) == EXIT_OK
+    line = out.read_text()
+    return line[:line.index('"wall_time": ')]  # the last key: a run's own time
+
+
+# what a leftover preprocess.json may hold, as bytes made from the workspace; the
+# edited files are those the workspace refused while it still read the file
+LEFTOVERS = {
+    "as_written": lambda ws: _state_file(ws.state),
+    "stale": _stale,
+    "cut_json": lambda ws: b'{"mean": ',
+    "not_utf8": lambda ws: b"\xff{}",
+    "list": lambda ws: [_state_file(ws.state)],
+    "without_var": lambda ws: _without("var")(_state_file(ws.state)),
+    "categorical_dropped": lambda ws: {**_state_file(ws.state),
+                                       "cardinality": list(ws.state.cardinality[:-1])},
+    "cardinality_0": lambda ws: _last_cardinality(0)(_state_file(ws.state)),
+    "cardinality_string": lambda ws: _last_cardinality("2")(_state_file(ws.state)),
+    "cardinality_float": lambda ws: _last_cardinality(2.0)(_state_file(ws.state)),
+    "negative_var": lambda ws: {**_state_file(ws.state),
+                                "var": [-1.0] + ws.state.var[1:].tolist()},
+    "one_mean": lambda ws: _with("mean", [0.0])(_state_file(ws.state)),
+    "card_off_vocabulary": lambda ws: _last_cardinality(ws.state.cardinality[-1] + 1)(
+        _state_file(ws.state)),
+    "of_an_older_workspace": lambda ws: _older_format(_state_file(ws.state)),
+    "quantile_table_short": lambda ws: _quantile_tables(lambda s: s["count"] - 1)(
+        _state_file(ws.state)),
+    "quantile_table_for_one_feature": lambda ws: _quantile_tables(lambda s: s["count"], 1)(
+        _state_file(ws.state)),
+}
+
+
+@pytest.mark.parametrize("leftover", LEFTOVERS)
+def test_leftover_preprocess_json_is_not_read(prepared, checkpoint, clean_linear_eval_line,
+                                              tmp_path, leftover):
+    """A workspace prepared when prepare-data still wrote preprocess.json keeps
+    it; whether as written, stale (fit on other rows) or corrupt, it changes no
+    result."""
+    content = LEFTOVERS[leftover](Workspace(prepared))
+    data = edited_workspace(prepared, tmp_path / "data", "meta.json", lambda meta: meta)
+    (data / "preprocess.json").write_bytes(
+        content if isinstance(content, bytes) else json.dumps(content).encode())
+    assert _linear_eval_line(data, checkpoint, tmp_path) == clean_linear_eval_line
 
 
 def _json_kind(value) -> str:

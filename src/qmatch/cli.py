@@ -155,8 +155,10 @@ def cmd_prepare_data(args) -> int:
     out = _output_path(args.out, directory=True)
     for name in WORKSPACE_FILES:
         _output_path(out / name)
-    schema = load_schema(args.schema)
-    dataset = load_csv(args.csv, schema, name=args.name or Path(args.csv).stem)
+    # meta.json records the paths as given, and Workspace reads them through
+    # _resolve, so they are read here the same way
+    schema = load_schema(_resolve(args.schema))
+    dataset = load_csv(_resolve(args.csv), schema, name=args.name or Path(args.csv).stem)
     quantile = args.quantile
     if args.preset:
         spec = preset_split(args.preset, seed=args.seed)
@@ -474,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare-data", help="build a workspace: split manifest and meta")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--schema", required=True)
+    p.add_argument("--csv", required=True, help="relative to $QMATCH_DATA_DIR if set")
+    p.add_argument("--schema", required=True, help="relative to $QMATCH_DATA_DIR if set")
     split = p.add_mutually_exclusive_group(required=True)
     split.add_argument("--preset", choices=sorted(datamod.PRESETS), default=None)
     split.add_argument("--split-spec", default=None, help="JSON file with SplitSpec fields")

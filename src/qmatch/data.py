@@ -3,9 +3,9 @@
 A loaded dataset keeps one float matrix of raw features: numeric columns hold
 their values, categorical columns hold integer codes into a per-column
 vocabulary.  Preprocessing expands categoricals to one-hot blocks and
-standardizes numerics with running statistics accumulated by streaming over
-the fitting rows (an optional rank-to-normal-scores quantile transform can be
-applied to numerics first).
+standardizes numerics with the mean and variance of the fitting rows, taken
+in whole-column passes (an optional rank-to-normal-scores quantile transform can
+be applied to numerics first).
 """
 
 from __future__ import annotations
@@ -337,42 +337,39 @@ class PreprocessState:
 
 def fit_preprocess(dataset: TabularDataset, rows: np.ndarray | None = None,
                    quantile: bool = False) -> PreprocessState:
-    """Accumulate running normalization statistics over the fitting rows and
-    freeze each feature's cardinality, from which the one-hot layout follows.
+    """Fit normalization statistics over the fitting rows and freeze each
+    feature's cardinality, from which the one-hot layout follows.
 
-    Statistics are accumulated with a streaming (Welford) update, so after a
-    full pass they equal the full-dataset statistics up to rounding.  An empty
-    fitting set is a DataError: it would leave an identity transform.
+    The statistics come from two whole-column passes over a column-major copy
+    of the (optionally quantile-transformed) rows: each column is shifted by its
+    first value, then its mean and the mean of its squared deviations (ddof 0)
+    are pairwise sums.  The shift keeps a constant column exact: its mean is its
+    value and its variance 0.  An empty fitting set is a DataError: it would
+    leave an identity transform.
     """
     x = dataset.features if rows is None else dataset.features[rows]
     if len(x) == 0:
         raise DataError("cannot fit preprocessing on 0 rows")
-    f = dataset.num_features
     cardinality = dataset.cardinalities()
     numeric = [j for j, card in enumerate(cardinality) if card is None]
 
+    values = np.array(x, dtype=np.float64, order="F")  # contiguous columns
     quantile_tables: dict[int, np.ndarray] = {}
-    if quantile:
-        for j in numeric:
-            quantile_tables[j] = np.sort(x[:, j])
-
-    # streaming mean/variance over the (optionally quantile-transformed) numerics
-    mean = np.zeros(f)
-    m2 = np.zeros(f)
-    count = 0
-    values = x.copy()
-    if quantile_tables:
+    if quantile and numeric:
         scores = _rank_scores(len(x))
         for j in numeric:
+            quantile_tables[j] = np.sort(values[:, j])
             values[:, j] = scores[np.searchsorted(quantile_tables[j], values[:, j], side="right")]
-    for i in range(len(values)):
-        count += 1
-        delta = values[i] - mean
-        mean += delta / count
-        m2 += delta * (values[i] - mean)
-    var = m2 / count
 
-    return PreprocessState(mean=mean, var=var, count=count, cardinality=cardinality,
+    shift = values[0].copy()
+    values -= shift
+    mean = values.mean(axis=0)
+    values -= mean
+    np.square(values, out=values)
+    var = values.mean(axis=0)
+    mean += shift
+
+    return PreprocessState(mean=mean, var=var, count=len(x), cardinality=cardinality,
                            quantile_tables=quantile_tables)
 
 

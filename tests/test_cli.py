@@ -66,7 +66,7 @@ SMALL_TRAIN = ["--widths", "32,32", "--batch-size", "32",
 
 # sha256 of the array bytes `qmatch pretrain` writes for the qmatch run of
 # TestPretrain.test_best_epoch_before_the_last_writes_pinned_arrays
-PINNED_BEST_EPOCH_ARRAYS = "5e15d59a253346017dd2c3c7217b3a58901339306144165c82dab32989273cc2"
+PINNED_BEST_EPOCH_ARRAYS = "216c0cd833458505af76cea17a3b13fc456c600a8256ea053aad592ffb4a96c7"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,36 @@ class TestPrepareData:
 
     def test_unknown_flag(self):
         assert main(["prepare-data", "--frobnicate"]) == EXIT_CONFIG
+
+    def test_relative_inputs_are_read_from_the_data_dir(self, corpus, tmp_path, monkeypatch):
+        """A relative --csv and --schema are read where every later command reads
+        the paths meta.json records: under QMATCH_DATA_DIR when it is set."""
+        monkeypatch.setenv("QMATCH_DATA_DIR", str(corpus))
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "data"
+        assert main(["prepare-data", "--csv", "fixture.csv", "--schema", "schema.json",
+                     "--split-spec", str(corpus / "spec.json"), "--out", str(out)]) == EXIT_OK
+        assert main(["pretrain", "--data", str(out), "--out", str(tmp_path / "c.qmc"),
+                     "--algorithm", "qmatch", "--dry-run"] + SMALL_TRAIN) == EXIT_OK
+
+    @pytest.mark.parametrize("missing", ["fixture.csv", "schema.json"])
+    def test_relative_input_only_in_the_working_directory_is_refused(
+            self, corpus, tmp_path, monkeypatch, capsys, missing):
+        data_dir, work = tmp_path / "data_dir", tmp_path / "work"
+        data_dir.mkdir()
+        work.mkdir()
+        for name in ("fixture.csv", "schema.json"):
+            (work / name).write_bytes((corpus / name).read_bytes())
+            if name != missing:
+                (data_dir / name).write_bytes((corpus / name).read_bytes())
+        monkeypatch.setenv("QMATCH_DATA_DIR", str(data_dir))
+        monkeypatch.chdir(work)
+        out = tmp_path / "out"
+        code = main(["prepare-data", "--csv", "fixture.csv", "--schema", "schema.json",
+                     "--split-spec", str(corpus / "spec.json"), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert str(data_dir / missing) in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, quantile", [([], True), (["--no-quantile"], False)],
                              ids=["preset_default", "no_quantile"])
@@ -1040,10 +1070,9 @@ def test_meta_without_an_optional_key_still_loads(prepared, tmp_path, capsys):
 
 
 # sha256 of the fixture workspace's state (mean, var, then each quantile table in
-# feature order), pinned from the preprocess.json prepare-data wrote before the
-# state was fit at every command
-PINNED_STATE = {"--no-quantile": "77cc4d9dce0afb84eea44b8030293b90b2c5f5d4333409170287a6ef284456de",
-                "--quantile": "b038bfa305a630d0f34db6982c25d697de74983541b20074ea070c99ef2b7002"}
+# feature order) as the two-pass fit gives it
+PINNED_STATE = {"--no-quantile": "ddb6c68184b5f763008a81e663d0bf4125daf043a22a963d9dba066603eac325",
+                "--quantile": "21538e7672c98a02f6cabf0890a3f9f4444da05b48bd14638470c3dd6f538fd3"}
 
 
 @pytest.mark.parametrize("flag", PINNED_STATE)

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -290,13 +291,36 @@ class TestPreprocess:
         state = fit_preprocess(ds)
         assert state.output_dim == 6 + ds.cardinality(6) + ds.cardinality(7)
 
-    def test_constant_column_maps_to_zero(self):
-        feats = np.column_stack([np.full(20, 3.0), np.arange(20, dtype=float)])
+    @pytest.mark.parametrize("rows", [3, 1000])
+    @pytest.mark.parametrize("value", [0.1, 1e10 + 0.1, 1e15 + 0.2],
+                             ids=["0.1", "1e10+0.1", "1e15+0.2"])
+    def test_constant_column_maps_to_zero(self, value, rows):
+        """An unshifted two-pass gives 1e10 + 0.1 over 1,000 rows a variance
+        above EPSILON ** 2, which would scale the column instead of zeroing it."""
+        feats = np.column_stack([np.full(rows, value), np.arange(rows, dtype=float)])
         ds = TabularDataset(feats, {}, None)
         state = fit_preprocess(ds)
+        assert state.mean[0] == value and state.var[0] == 0.0
         out = apply_preprocess(state, feats)
         np.testing.assert_array_equal(out[:, 0], 0.0)
         assert np.std(out[:, 1]) > 0.5
+
+    def test_statistics_match_exact_arithmetic(self):
+        """Mean and population variance within 1e-12 of their exact rational
+        values, also on a large-offset column where a per-row update loses
+        about 1e-9."""
+        rng = np.random.default_rng(0)
+        n = 1000
+        feats = np.column_stack([1e6 + 0.01 * rng.standard_normal(n),
+                                 rng.lognormal(size=n),
+                                 rng.poisson(3.0, size=n).astype(np.float64)])
+        state = fit_preprocess(TabularDataset(feats, {}, None))
+        for j in range(feats.shape[1]):
+            column = [Fraction(v) for v in feats[:, j]]
+            mean = sum(column) / n
+            var = sum((v - mean) ** 2 for v in column) / n
+            assert abs(Fraction(state.mean[j]) - mean) <= Fraction(1e-12) * abs(mean), j
+            assert abs(Fraction(state.var[j]) - var) <= Fraction(1e-12) * var, j
 
     def test_fit_on_subset_rows(self):
         ds = make_fixture_dataset(n=100, seed=4)

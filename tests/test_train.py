@@ -712,13 +712,13 @@ class TestBestEpochSpill:
 # fixture with SMALL_LOOP, seed 0, queue 64 and p_student 0.3, recorded while
 # qmatch stepped through distill.training_step, which the shared update must match
 GOLDEN_PRETRAIN = {
-    "qmatch": (['0x1.ea63942ce79bcp+1', '0x1.ee91ec2c4fe26p+1', '0x1.d9cc36ed76c10p+1'], 2),
-    "vime": (['0x1.5c95356c9be30p+1', '0x1.132277485c721p+1', '0x1.0a79dc2288283p+1'], 2),
-    "tabnet": (['0x1.f32c7e0f35b74p+0', '0x1.503e17ae20111p+0', '0x1.70a1147822819p+0'], 1),
-    "infonce": (['0x1.0646f72fef281p+2', '0x1.1ed3cb835ea34p+2', '0x1.f0615f8857eecp+1'], 2),
-    "mse_align": (['-0x1.b70c22b5ae184p-1', '-0x1.ad439d3e54a9dp-1',
-                   '-0x1.d219a5fdb8bc1p-1'], 2),
-    "dino": (['0x1.18c6d26f85666p+1', '0x1.176b787538ae2p+2', '0x1.3c8bb5b0123f7p+2'], 0),
+    "qmatch": (['0x1.ea63942ce7547p+1', '0x1.ee91ec2c4f748p+1', '0x1.d9cc36ed76754p+1'], 2),
+    "vime": (['0x1.5c95356c9de2ap+1', '0x1.1322774860276p+1', '0x1.0a79dc228ce14p+1'], 2),
+    "tabnet": (['0x1.f32c7e0f3a960p+0', '0x1.503e17ae21294p+0', '0x1.70a11478243a7p+0'], 1),
+    "infonce": (['0x1.0646f72fee6aep+2', '0x1.1ed3cb835f251p+2', '0x1.f0615f8857b46p+1'], 2),
+    "mse_align": (['-0x1.b70c22b5ae396p-1', '-0x1.ad439d3e54babp-1',
+                   '-0x1.d219a5fdb8c14p-1'], 2),
+    "dino": (['0x1.18c6d26f85648p+1', '0x1.176b787536cd8p+2', '0x1.3c8bb5b010d12p+2'], 0),
 }
 # (val_accuracy, test_accuracy) of the qmatch result above, downstream seed 0
 GOLDEN_DOWNSTREAM = {
